@@ -14,10 +14,10 @@ from hashlib import sha3_256
 from pathlib import Path
 
 from .errors import (BadLength, FieldOverflow, ProtocolAbort,
-                     VerificationError)
-from .genfunc import s_M
-from .invariant import analytic_invariant_check, expected_constant
-from .harness import emit_csv, run_random_adversary
+                     SingularDenominator, VerificationError)
+from .invariant import (InvariantTuple, analytic_invariant_check,
+                        eval_invariant, expected_constant)
+from .harness import emit_csv, new_game, run_random_adversary
 from .modmath import EvalPoint, xgcd
 from .oscillator import eval_arg, generate
 from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
@@ -60,15 +60,20 @@ class NonceLog:
                 if fcntl is not None:
                     fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
-    def seen(self, S: bytes, z: bytes) -> bool:
-        needle = f"{_fingerprint(S)} {z.hex()}"
-        return self._with_lock(
-            lambda fh: any(line.strip() == needle for line in fh))
+    def claim(self, S: bytes, z: bytes) -> bool:
+        """Record (S, z) unless already present; False if it was.
 
-    def record(self, S: bytes, z: bytes) -> None:
-        def append(fh):
-            fh.write(f"{_fingerprint(S)} {z.hex()}\n")
-        self._with_lock(append)
+        The scan and the append happen under one lock, so two senders
+        cannot both claim the same nonce.
+        """
+        entry = f"{_fingerprint(S)} {z.hex()}"
+
+        def scan_and_append(fh):
+            if any(line.strip() == entry for line in fh):
+                return False
+            fh.write(entry + "\n")
+            return True
+        return self._with_lock(scan_and_append)
 
 
 def cmd_send(args) -> int:
@@ -85,27 +90,23 @@ def cmd_send(args) -> int:
         except ValueError:
             print("--z must be hex", file=sys.stderr)
             return 2
-        candidates = [z]
+        nonces = [z]
     else:
-        candidates = [os.urandom(32) for _ in range(_AUTO_NONCE_TRIES)]
+        nonces = (os.urandom(32) for _ in range(_AUTO_NONCE_TRIES))
 
     last_error = "no usable nonce"
-    for z in candidates:
-        if log.seen(S, z):
+    for z in nonces:
+        try:
+            msg = alice_generate(derive_session(S, z, profile), args.u, args.v)
+        except ProtocolAbort as exc:
+            last_error = f"{type(exc).__name__}: {exc}"
+            continue
+        if not log.claim(S, z):
             if args.z is not None:
                 print("nonce already used for this secret", file=sys.stderr)
                 return 3
             continue
-        try:
-            sess = derive_session(S, z, profile)
-            msg = alice_generate(sess, args.u, args.v)
-        except (ProtocolAbort, ValueError) as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-            if args.z is not None or isinstance(exc, ValueError):
-                break
-            continue
         Path(args.out).write_bytes(serialize(msg))
-        log.record(S, z)
         print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
         return 0
     print(f"send failed: {last_error}", file=sys.stderr)
@@ -137,56 +138,33 @@ def _selftest_suites(profile: Profile, rng: random.Random):
     n_sessions = 10 if heavy else 200
     n_trips = 5 if heavy else 100
 
-    def fresh_session():
-        while True:
-            S, z = rng.randbytes(32), rng.randbytes(32)
-            try:
-                return derive_session(S, z, profile)
-            except ProtocolAbort:
-                continue
-
     def suite_invariant():
-        from .invariant import InvariantTuple, eval_invariant
-        done = 0
-        while done < n_sessions:
-            sess = fresh_session()
-            u = rng.randrange(1, 50)
-            v = rng.randrange(0, min(50, profile.v_bound))
+        exact = singular = 0
+        for _ in range(n_sessions):
+            game = new_game(profile, rng)
+            hid, msg = game.hidden, game.transcript
+            tu = InvariantTuple(hid.s0, msg.s1, hid.s2, msg.s3,
+                                hid.session.t, msg.u, hid.v)
             try:
-                s0 = s_M(sess.gen_numer, sess.t)
-                s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
-                s2 = s_M(sess.gen_denom, sess.t + 2 * u)
-                s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
-                got = eval_invariant(
-                    InvariantTuple(s0, s1, s2, s3, sess.t, u, v), mod)
-            except Exception:
+                got = eval_invariant(tu, mod)
+            except SingularDenominator:
+                singular += 1
                 continue
-            assert got == expected_constant(sess.p, u, mod)
-            done += 1
-        return f"{done} sessions exact"
+            assert got == expected_constant(hid.session.p, msg.u, mod)
+            exact += 1
+        assert exact, "no session had an invertible invariant denominator"
+        return f"{exact} sessions exact, {singular} singular skipped"
 
     def suite_roundtrip():
-        done = 0
-        while done < n_trips:
-            sess = fresh_session()
-            u = rng.randrange(1, profile.u_bound)
-            v = rng.randrange(0, profile.v_bound)
-            try:
-                msg = alice_generate(sess, u, v)
-            except ProtocolAbort:
-                continue
-            assert bob_verify(sess.S, msg, profile) == v
-            done += 1
-        return f"{done} round trips"
+        for _ in range(n_trips):
+            game = new_game(profile, rng)
+            assert bob_verify(game.hidden.S, game.transcript,
+                              profile) == game.hidden.v
+        return f"{n_trips} round trips"
 
     def suite_serialize():
         for _ in range(200):
-            sess = fresh_session()
-            try:
-                msg = alice_generate(sess, rng.randrange(1, profile.u_bound),
-                                     rng.randrange(0, profile.v_bound))
-            except ProtocolAbort:
-                continue
+            msg = new_game(profile, rng).transcript
             blob = serialize(msg)
             assert len(blob) == MESSAGE_LEN
             assert deserialize(blob, profile) == msg
@@ -217,21 +195,15 @@ def _selftest_suites(profile: Profile, rng: random.Random):
         return "200 draws within 1e-9"
 
     def suite_tamper():
-        sess = fresh_session()
-        while True:
-            try:
-                msg = alice_generate(sess, 5, min(17, profile.v_bound - 1))
-                break
-            except ProtocolAbort:
-                sess = fresh_session()
-        blob = serialize(msg)
+        game = new_game(profile, rng)
+        blob = serialize(game.transcript)
         for _ in range(50):
             bit = rng.randrange(len(blob) * 8)
             mutated = bytearray(blob)
             mutated[bit // 8] ^= 1 << (bit % 8)
             try:
                 forged = deserialize(bytes(mutated), profile)
-                bob_verify(sess.S, forged, profile)
+                bob_verify(game.hidden.S, forged, profile)
                 raise AssertionError("tampered message accepted")
             except (BadLength, FieldOverflow, VerificationError):
                 pass
@@ -426,7 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # unreadable files, malformed profile JSON, short secrets, and
+        # out-of-range arguments
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

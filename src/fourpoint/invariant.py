@@ -18,7 +18,7 @@ identity on the real line, using literal sin/cos oscillators.
 from dataclasses import dataclass
 import math
 
-from .errors import DomainError, SingularDenominator
+from .errors import DomainError, NonInvertible, SingularDenominator
 from .genfunc import s_M
 from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 
@@ -37,10 +37,11 @@ class InvariantTuple:
 
 
 def _invert_checked(x: FieldElem) -> FieldElem:
-    if math.gcd(x.value, x.mod.M) != 1:
+    try:
+        return mod_inv(x)
+    except NonInvertible:
         raise SingularDenominator(f"denominator {x.value} not invertible "
-                                  f"mod {x.mod.M}")
-    return mod_inv(x)
+                                  f"mod {x.mod.M}") from None
 
 
 def eval_invariant(tu: InvariantTuple, mod: Modulus) -> FieldElem:

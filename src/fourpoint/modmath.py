@@ -6,6 +6,9 @@ functions (mod_inv, mod_pow, reduce_rational, kth_root) are the arithmetic
 core the rest of the package builds on. Canonical representatives live in
 [0, M); negative intermediates are reduced with the Euclidean remainder,
 which is what Python's % already gives for a positive modulus.
+
+Inverses come from the built-in pow(a, -1, M); xgcd stays only as an
+independent oracle for the tests and the fixture ledger.
 """
 
 from dataclasses import dataclass
@@ -14,8 +17,12 @@ import random
 
 from .errors import NonInvertible, Unsupported
 
-# Small moduli accepted without a primality test.
-WHITELISTED_MODULI = frozenset({17, 257})
+# 2^256 - 2^32 - 977, the secp256k1 field prime; any 256-bit prime works.
+PRODUCTION_PRIME = (1 << 256) - (1 << 32) - 977
+
+# Known primes that Modulus accepts without the randomized test; the test
+# suite checks each one.
+WHITELISTED_MODULI = frozenset({17, 257, PRODUCTION_PRIME})
 
 MILLER_RABIN_ROUNDS = 64  # error < 4^-64 = 2^-128 per the Modulus contract
 
@@ -161,11 +168,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def mod_inv(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse via extended Euclid."""
-    g, x, _ = xgcd(a.value, a.mod.M)
-    if g != 1:
-        raise NonInvertible(f"gcd({a.value}, {a.mod.M}) = {g}")
-    return FieldElem(x, a.mod)
+    """Multiplicative inverse; NonInvertible when gcd(a, M) != 1."""
+    try:
+        return FieldElem(pow(a.value, -1, a.mod.M), a.mod)
+    except ValueError:
+        raise NonInvertible(f"{a.value} has no inverse mod {a.mod.M}") from None
 
 
 def mod_pow(base: FieldElem, exponent: int) -> FieldElem:
@@ -176,10 +183,10 @@ def mod_pow(base: FieldElem, exponent: int) -> FieldElem:
 
 
 def reduce_rational(B: int, i: int, K: int, mod: Modulus) -> FieldElem:
-    """Field image of the rational point B + i/K: ((B mod M)*K + i) * K^-1."""
-    g = math.gcd(K % mod.M, mod.M)
-    if g != 1:
-        raise NonInvertible(f"gcd({K}, {mod.M}) = {g}")
+    """Field image of the rational point B + i/K: ((B mod M)*K + i) * K^-1.
+
+    Raises NonInvertible when K shares a factor with M.
+    """
     Kinv = mod_inv(FieldElem(K, mod))
     return FieldElem((B % mod.M) * K + i, mod) * Kinv
 

@@ -17,6 +17,7 @@ profiles cap v at min(2^v_bits, M) for that reason.
 """
 
 from dataclasses import dataclass
+import hmac
 import json
 from hashlib import sha3_256
 
@@ -27,7 +28,7 @@ from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      Unsupported)
 from .genfunc import GenParams, PrfMasked, s_M
 from .invariant import check_denominator, recover_v
-from .modmath import EvalPoint, FieldElem, Modulus
+from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
 from . import oscillator
 
 TAG_P = b"IBC.p"
@@ -43,9 +44,6 @@ MESSAGE_LEN = 132
 NONCE_LEN = 32
 _FIELD_WIDTH = 32  # bytes per serialized field element
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
-
-# 2^256 - 2^32 - 977, the secp256k1 field prime; any 256-bit prime works.
-PRODUCTION_PRIME = (1 << 256) - (1 << 32) - 977
 
 
 def _h(*parts: bytes) -> bytes:
@@ -125,11 +123,15 @@ def profile_to_dict(profile: Profile) -> dict:
 
 
 def profile_from_dict(d: dict) -> Profile:
-    return Profile(d["name"], Modulus(int(d["M"])),
-                   int(d["K_min"]), int(d["K_max"]),
-                   int(d["C_min"]), int(d["C_max"]),
-                   int(d["u_bits"]), int(d["v_bits"]),
-                   d.get("hash", "sha3-256"))
+    """Inverse of profile_to_dict; ValueError on a missing key."""
+    try:
+        return Profile(d["name"], Modulus(int(d["M"])),
+                       int(d["K_min"]), int(d["K_max"]),
+                       int(d["C_min"]), int(d["C_max"]),
+                       int(d["u_bits"]), int(d["v_bits"]),
+                       d.get("hash", "sha3-256"))
+    except KeyError as exc:
+        raise ValueError(f"profile is missing key {exc}") from None
 
 
 def load_profile(path) -> Profile:
@@ -264,12 +266,16 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
 
 
 def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
-    """Receiver side: rederive, recover v, check hash and range.
+    """Receiver side: check u, rederive, recover v, check hash and range.
 
     Raises a VerificationError subclass naming the first failed check. A
-    recovered value too large for the 8-byte check encoding is rejected
-    as out of range without a digest comparison.
+    u outside the profile's [1, u_bound), the sender's envelope, is
+    rejected as out of range before any session work. A recovered value
+    too large for the 8-byte check encoding is rejected as out of range
+    without a digest comparison.
     """
+    if not 1 <= msg.u < profile.u_bound:
+        raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
     try:
         sess = derive_session(S, msg.z, profile)
     except ProtocolAbort as exc:
@@ -289,7 +295,8 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     v = v_star.value
     if v >= 1 << (8 * _CHECK_V_WIDTH):
         raise RejectRange(f"recovered value {v} exceeds the check encoding")
-    if compute_check(S, v, msg.s1, msg.s3, msg.u, msg.z) != msg.h_check:
+    if not hmac.compare_digest(compute_check(S, v, msg.s1, msg.s3, msg.u, msg.z),
+                               msg.h_check):
         raise RejectHash("check hash mismatch")
     if v >= profile.v_bound:
         raise RejectRange(f"recovered value {v} outside [0, {profile.v_bound})")

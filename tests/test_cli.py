@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from fourpoint.cli import main
+from fourpoint.cli import NonceLog, main
 from fourpoint.protocol import MESSAGE_LEN, TOY, dump_profile
 
 
@@ -70,6 +70,20 @@ class TestNonceHandling:
         assert main(send_args(workdir, extra=opted)) == 0
         assert main(send_args(workdir, extra=opted)) == 3
 
+    def test_second_claim_of_a_nonce_fails(self, workdir):
+        log = NonceLog(workdir / "nonces.log")
+        z = bytes.fromhex(self.Z)
+        assert log.claim(b"secret", z)
+        assert not log.claim(b"secret", z)
+        assert log.claim(b"other secret", z)
+
+    def test_explicit_nonce_reuse_keeps_earlier_message(self, workdir):
+        opted = ["--z", self.Z, "--allow-explicit-nonce"]
+        assert main(send_args(workdir, v=17, extra=opted)) == 0
+        first = (workdir / "msg.bin").read_bytes()
+        assert main(send_args(workdir, v=18, extra=opted)) == 3
+        assert (workdir / "msg.bin").read_bytes() == first
+
     def test_auto_nonces_never_repeat(self, workdir):
         zs = set()
         for k in range(5):
@@ -82,6 +96,46 @@ class TestNonceHandling:
         assert len(zs) == 5
         log = (workdir / "nonces.log").read_text().strip().splitlines()
         assert len(log) == 5
+
+
+def _short_secret(d):
+    (d / "short.bin").write_bytes(b"short")
+    return ["recv", "--secret-file", str(d / "short.bin"),
+            "--in", str(d / "msg.bin")]
+
+
+def _missing_secret(d):
+    args = send_args(d)
+    args[args.index("--secret-file") + 1] = str(d / "absent.bin")
+    return args
+
+
+def _missing_infile(d):
+    return recv_args(d, infile="absent.bin")
+
+
+def _profile_not_json(d):
+    (d / "p.json").write_text("{not json")
+    return recv_args(d) + ["--profile", str(d / "p.json")]
+
+
+def _profile_missing_key(d):
+    dump_profile(TOY, d / "p.json")
+    text = (d / "p.json").read_text().replace('"K_max"', '"K_maximum"')
+    (d / "p.json").write_text(text)
+    return send_args(d) + ["--profile", str(d / "p.json")]
+
+
+@pytest.mark.parametrize("build", [_short_secret, _missing_secret,
+                                   _missing_infile, _profile_not_json,
+                                   _profile_missing_key])
+def test_malformed_input_exits_2(workdir, capsys, build):
+    assert main(send_args(workdir)) == 0
+    capsys.readouterr()
+    assert main(build(workdir)) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
 
 
 class TestSelftestAndAttack:

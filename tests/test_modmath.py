@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import NonInvertible, Unsupported
-from fourpoint.modmath import (EXHAUSTIVE_ROOT_BOUND, EvalPoint, FieldElem,
-                               Modulus, is_probable_prime, kth_root, mod_inv,
+from fourpoint.modmath import (EXHAUSTIVE_ROOT_BOUND, WHITELISTED_MODULI,
+                               EvalPoint, FieldElem, Modulus,
+                               is_probable_prime, kth_root, mod_inv,
                                mod_pow, reduce_rational, xgcd)
 from fourpoint.protocol import PRODUCTION_PRIME
 
@@ -36,6 +37,14 @@ class TestIsProbablePrime:
     def test_production_prime(self):
         assert is_probable_prime(PRODUCTION_PRIME)
         assert not is_probable_prime(PRODUCTION_PRIME + 2)
+
+    def test_whitelisted_moduli_are_prime(self):
+        # Modulus skips the randomized test for these, so check them here
+        assert PRODUCTION_PRIME in WHITELISTED_MODULI
+        for n in WHITELISTED_MODULI:
+            assert is_probable_prime(n), n
+            if n < 1 << 16:
+                assert trial_division_is_prime(n), n
 
 
 class TestModulus:

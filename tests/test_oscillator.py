@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
-from fourpoint.oscillator import (TABLE_AUTO_CAP, TABLE_CAP, OscSeed,
-                                  PrfOscillator, TableOscillator, eval_arg,
-                                  eval_at, eval_index, export_seed, generate,
-                                  import_seed)
+from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
+                                  eval_arg, eval_at, eval_index, export_seed,
+                                  generate, import_seed)
 
 from oracles import unrolled_oscillator
 
@@ -32,7 +31,6 @@ class TestSeedValidation:
         assert TableOscillator(seed, M257).P == 4
         with pytest.raises(SeedTooLarge):
             PrfOscillator(b"k" * 32, 2048, 1024, M257).as_table()
-        assert TABLE_AUTO_CAP < TABLE_CAP
 
 
 class TestWalkthroughFixture:
@@ -95,12 +93,11 @@ class TestModeEquivalence:
         for j in range(-2 * prf.P, 2 * prf.P):
             assert eval_index(prf, j) == eval_index(tab, j)
 
-    def test_generate_picks_table_when_small(self):
+    def test_generate_is_on_demand_at_every_size(self):
         small = generate(b"s", b"\x01" * 32, "phi", 8, 8, M257)
-        assert isinstance(small, TableOscillator)
         big = generate(b"s", b"\x01" * 32, "phi", 257, 256, M257)
+        assert isinstance(small, PrfOscillator)
         assert isinstance(big, PrfOscillator)
-        assert big.P > TABLE_AUTO_CAP
 
     def test_phi_psi_streams_differ(self):
         phi = generate(b"s", b"\x02" * 32, "phi", 8, 4, M257)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               AbortZeroIndex, BadLength, FieldOverflow,
                               ProtocolAbort, RejectDenominator, RejectHash,
-                              RejectRange, RejectSession, Unsupported,
-                              VerificationError)
+                              RejectRange, RejectSession, SingularPoint,
+                              Unsupported, VerificationError)
+from fourpoint.genfunc import s_M
+from fourpoint.invariant import check_denominator
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
 from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, Profile,
@@ -222,6 +224,25 @@ class TestRejectionTaxonomy:
         bad = Message(msg.s1 + 1, msg.s3, msg.u, msg.z, msg.h_check)
         with pytest.raises((RejectRange, RejectDenominator)):
             bob_verify(sess.S, bad, PRODUCTION)
+
+    @pytest.mark.parametrize("u", [0, TOY.u_bound, (1 << 32) - 1])
+    def test_reject_u_outside_envelope(self, u):
+        # a message the sender could never emit, with a consistent hash:
+        # s1, s3 and h_check are built for this u exactly as Alice would
+        rng = random.Random(11)
+        v = 17
+        while True:
+            sess = fresh_session(TOY, rng)
+            try:
+                s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
+                s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
+            except SingularPoint:
+                continue
+            if check_denominator(s1, s3, sess.p, u, TOY.mod):
+                break
+        h = compute_check(sess.S, v, s1, s3, u, sess.z)
+        with pytest.raises(RejectRange):
+            bob_verify(sess.S, Message(s1, s3, u, sess.z, h), TOY)
 
     def test_reject_session_on_aborting_nonce(self):
         # find a nonce whose derivation aborts, then present it to Bob
