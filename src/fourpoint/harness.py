@@ -20,7 +20,7 @@ import random
 
 from .errors import ProtocolAbort, SingularDenominator, VerificationError
 from .genfunc import s_M
-from .invariant import recover_v
+from .invariant import recover_v, recovery_map
 from .modmath import FieldElem
 from .protocol import (Message, Profile, Session, alice_generate,
                        bob_verify, compute_check, derive_session)
@@ -174,23 +174,28 @@ def emit_csv(reports) -> str:
 def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     """Count s* in Z_M whose recovery returns the honest v.
 
-    Exhaustive, so only meaningful at desk scale. For every valid game
-    the count is 1 and the witness is the honest s3.
+    Exhaustive, so only meaningful at desk scale. Recovery is the Moebius
+    map v(s*) = (a + c*s*) / (2*(e - s*)) of recovery_map, which recover_v
+    also evaluates: the map is computed once, then every candidate runs on
+    raw ints, skipping the singular one where recover_v would raise. For
+    every valid game the count is 1 and the witness is the honest s3.
     """
     mod = game.profile.mod
-    if mod.M > 1 << 16:
+    M = mod.M
+    if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
     hid = game.hidden
     msg = game.transcript
+    a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
+                           msg.u, hid.session.p, mod)
+    v = hid.v
     witnesses = []
-    for cand in range(mod.M):
-        s_star = FieldElem(cand, mod)
+    for cand in range(M):
         try:
-            v_star = recover_v(hid.s0, msg.s1, hid.s2, s_star,
-                               hid.session.t.img, msg.u, hid.session.p, mod)
-        except SingularDenominator:
+            Dinv = pow(2 * (e - cand), -1, M)
+        except ValueError:
             continue
-        if v_star.value == hid.v:
+        if (a + c * cand) * Dinv % M == v:
             witnesses.append(cand)
     return len(witnesses), witnesses
 

@@ -66,22 +66,36 @@ def check_denominator(s1: FieldElem, s3: FieldElem, p: FieldElem, u: int,
     return math.gcd(D.value, mod.M) == 1
 
 
+def recovery_map(s0: FieldElem, s1: FieldElem, s2: FieldElem,
+                 t_img: FieldElem, u: int, p: FieldElem,
+                 mod: Modulus) -> tuple[int, int, int]:
+    """Residues (a, c, e) of the recovery as a Moebius map in s3.
+
+    With s0, s1, s2, t, u, p fixed, the identity solved for v reads
+    v(s3) = (a + c*s3) / (2*(e - s3)), where e = s1*p^2u,
+    a = -s0*p^2u*t - e*(t+1) + s2*(t+2u) and c = t+2u+1.
+    """
+    M = mod.M
+    p2u = mod_pow(p, 2 * u).value
+    t = t_img.value
+    e = s1.value * p2u % M
+    a = (-s0.value * p2u * t - e * (t + 1) + s2.value * (t + 2 * u)) % M
+    c = (t + 2 * u + 1) % M
+    return a, c, e
+
+
 def recover_v(s0: FieldElem, s1: FieldElem, s2: FieldElem, s3: FieldElem,
               t_img: FieldElem, u: int, p: FieldElem,
               mod: Modulus) -> FieldElem:
-    """Solve the invariant identity for v.
+    """Solve the invariant identity for v: recovery_map evaluated at s3.
 
-    All (t+k) terms are field additions on the image of t; for an honest
-    tuple the result is v mod M.
+    v = (a + c*s3) / (2*(e - s3)), the map lemma1_exhaustive sweeps;
+    SingularDenominator when 2*(s1*p^2u - s3) is not invertible. For an
+    honest tuple the result is v mod M.
     """
-    p2u = mod_pow(p, 2 * u)
-    D = (s1 * p2u - s3) * 2
-    Dinv = _invert_checked(D)
-    numerator = (-(s0 * p2u * t_img)
-                 - s1 * p2u * (t_img + 1)
-                 + s2 * (t_img + 2 * u)
-                 + s3 * (t_img + 2 * u + 1))
-    return numerator * Dinv
+    a, c, e = recovery_map(s0, s1, s2, t_img, u, p, mod)
+    Dinv = _invert_checked(FieldElem(2 * (e - s3.value), mod))
+    return FieldElem((a + c * s3.value) * Dinv.value, mod)
 
 
 def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]]:

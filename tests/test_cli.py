@@ -54,6 +54,26 @@ class TestSendRecv:
                    "--in", str(workdir / "msg.bin")])
         assert rc == 1
 
+    def test_rejections_print_one_word(self, workdir, capsys):
+        # a tampered u (range check), a tampered check hash and a wrong
+        # secret fail different checks; stdout must not tell them apart
+        main(send_args(workdir))
+        blob = (workdir / "msg.bin").read_bytes()
+        (workdir / "other.bin").write_bytes(b"b shared secret!")
+        for name, pos in (("bad_u.bin", 64), ("bad_h.bin", 120)):
+            bad = bytearray(blob)
+            bad[pos] ^= 0xff
+            (workdir / name).write_bytes(bytes(bad))
+        capsys.readouterr()
+        outputs = []
+        for argv in (recv_args(workdir, "bad_u.bin"),
+                     recv_args(workdir, "bad_h.bin"),
+                     ["recv", "--secret-file", str(workdir / "other.bin"),
+                      "--in", str(workdir / "msg.bin")]):
+            assert main(argv) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["rejected\n"] * 3
+
     def test_out_of_range_v(self, workdir):
         assert main(send_args(workdir, v=257)) == 2
         assert main(send_args(workdir, v=-1)) == 2

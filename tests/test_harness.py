@@ -3,10 +3,13 @@ import random
 
 import pytest
 
+from fourpoint.errors import SingularDenominator
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
                                matching_count, new_game, random_adversary,
                                run_random_adversary, wilson_interval)
+from fourpoint.invariant import recover_v, recovery_map
+from fourpoint.modmath import FieldElem
 from fourpoint.protocol import MINI, TOY
 
 
@@ -60,6 +63,34 @@ class TestLemma1:
             count, witnesses = lemma1_exhaustive(game)
             assert count == 1
             assert witnesses == [game.transcript.s3.value]
+
+    @pytest.mark.parametrize("profile, seed", [(TOY, 31), (MINI, 32)])
+    def test_recovery_map_is_recover_v(self, profile, seed):
+        # the sweep's raw-int Moebius evaluation must agree with
+        # recover_v on every candidate, singular ones included, so the
+        # sweep keeps checking the receiver's own formula
+        M = profile.mod.M
+        rng = random.Random(seed)
+        for _ in range(50):
+            game = new_game(profile, rng)
+            hid, msg = game.hidden, game.transcript
+            args = (hid.s0, msg.s1, hid.s2)
+            rest = (hid.session.t.img, msg.u, hid.session.p, profile.mod)
+            a, c, e = recovery_map(*args, *rest)
+            witnesses = []
+            for cand in range(M):
+                s_star = FieldElem(cand, profile.mod)
+                try:
+                    inv = pow(2 * (e - cand), -1, M)
+                except ValueError:
+                    with pytest.raises(SingularDenominator):
+                        recover_v(*args, s_star, *rest)
+                    continue
+                v_star = recover_v(*args, s_star, *rest).value
+                assert (a + c * cand) * inv % M == v_star
+                if v_star == hid.v:
+                    witnesses.append(cand)
+            assert lemma1_exhaustive(game) == (len(witnesses), witnesses)
 
     def test_scale_guard(self):
         from fourpoint.protocol import PRODUCTION

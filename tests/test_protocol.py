@@ -327,3 +327,47 @@ class TestWireFormat:
             kw[field] = bad
             with pytest.raises(ValueError):
                 Message(**kw)
+
+
+def wire_blobs(profile):
+    """132-byte blobs: uniform bytes, or each field below or above its bound.
+
+    Uniform bytes almost always overflow the field on small moduli and
+    almost never on production, so the second form reaches both the
+    wire checks and bob_verify's checks on every profile.
+    """
+    def field(width, bound):
+        top = (1 << (8 * width)) - 1
+        values = [st.integers(0, min(bound - 1, top))]
+        if bound <= top:
+            values.append(st.integers(bound, top))
+        return st.one_of(values).map(lambda x: x.to_bytes(width, "big"))
+    fields = st.tuples(field(32, profile.mod.M), field(32, profile.mod.M),
+                       field(4, profile.u_bound),
+                       st.binary(min_size=32, max_size=32),
+                       st.binary(min_size=32, max_size=32))
+    return st.one_of(st.binary(min_size=MESSAGE_LEN, max_size=MESSAGE_LEN),
+                     fields.map(b"".join))
+
+
+class TestReceiverOnAnyBlob:
+    """Whatever 132 bytes arrive, the receiver raises only typed errors."""
+
+    SECRET = b"a shared secret of 32 bytes, ok!"
+
+    def receive(self, blob, profile):
+        assert len(blob) == MESSAGE_LEN
+        try:
+            bob_verify(self.SECRET, deserialize(blob, profile), profile)
+        except (BadLength, FieldOverflow, VerificationError):
+            pass
+
+    @given(blob=wire_blobs(TOY))
+    @settings(max_examples=200)
+    def test_toy(self, blob):
+        self.receive(blob, TOY)
+
+    @given(blob=wire_blobs(PRODUCTION))
+    @settings(max_examples=50)
+    def test_production(self, blob):
+        self.receive(blob, PRODUCTION)
