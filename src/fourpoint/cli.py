@@ -6,7 +6,6 @@ range, or malformed-input conditions; 3 nonce reuse.
 """
 
 import argparse
-import math
 import os
 import random
 import sys
@@ -18,8 +17,8 @@ from .errors import (BadLength, FieldOverflow, ProtocolAbort,
 from .invariant import (InvariantTuple, analytic_invariant_check,
                         eval_invariant, expected_constant)
 from .harness import emit_csv, new_game, run_random_adversary
-from .modmath import EvalPoint, xgcd
-from .oscillator import eval_arg, generate
+from .modmath import xgcd
+from .oscillator import eval_at
 from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
                        derive_session, deserialize, get_profile,
                        load_profile, serialize)
@@ -133,16 +132,15 @@ def cmd_recv(args) -> int:
 
 
 def _selftest_suites(profile: Profile, rng: random.Random):
-    """Yield (label, callable) pairs; each callable returns a detail string."""
+    """Yield (label, callable) pairs, each returning a detail string; one
+    list of 200 games (10 at production scale) feeds all but one suite."""
     mod = profile.mod
-    heavy = profile.mod.M.bit_length() > 64
-    n_sessions = 10 if heavy else 200
-    n_trips = 5 if heavy else 100
+    games = [new_game(profile, rng)
+             for _ in range(10 if mod.M.bit_length() > 64 else 200)]
 
     def suite_invariant():
         exact = singular = 0
-        for _ in range(n_sessions):
-            game = new_game(profile, rng)
+        for game in games:
             hid, msg = game.hidden, game.transcript
             tu = InvariantTuple(hid.s0, msg.s1, hid.s2, msg.s3,
                                 hid.session.t, msg.u, hid.v)
@@ -157,31 +155,25 @@ def _selftest_suites(profile: Profile, rng: random.Random):
         return f"{exact} sessions exact, {singular} singular skipped"
 
     def suite_roundtrip():
-        for _ in range(n_trips):
-            game = new_game(profile, rng)
+        for game in games:
             assert bob_verify(game.hidden.S, game.transcript,
                               profile) == game.hidden.v
-        return f"{n_trips} round trips"
+        return f"{len(games)} round trips"
 
     def suite_serialize():
-        for _ in range(200):
-            msg = new_game(profile, rng).transcript
-            blob = serialize(msg)
+        for game in games:
+            blob = serialize(game.transcript)
             assert len(blob) == MESSAGE_LEN
-            assert deserialize(blob, profile) == msg
-        return "length and round trip"
+            assert deserialize(blob, profile) == game.transcript
+        return f"{len(games)} blobs, length and round trip"
 
     def suite_antiperiodic():
-        for _ in range(200):
-            K = rng.randrange(2, 64)
-            if math.gcd(K, mod.M) != 1:
-                continue  # EvalPoint needs K invertible mod M
-            C = rng.randrange(2, 32)
-            osc = generate(rng.randbytes(16), rng.randbytes(32),
-                           rng.choice(("phi", "psi")), K, C, mod)
-            x = EvalPoint(rng.randrange(-10**6, 10**6), K, mod)
-            assert eval_arg(osc, x + C) == -eval_arg(osc, x)
-        return "200 random points"
+        for game in games:
+            sess = game.hidden.session
+            for osc in (sess.gen_numer.phi, sess.gen_numer.psi):
+                assert eval_at(osc, sess.t + 1, sess.C) \
+                    == -eval_at(osc, sess.t, sess.C)
+        return f"{2 * len(games)} session oscillators under t -> t+1"
 
     def suite_analytic():
         for _ in range(200):
@@ -196,9 +188,8 @@ def _selftest_suites(profile: Profile, rng: random.Random):
         return "200 draws within 1e-9"
 
     def suite_tamper():
-        game = new_game(profile, rng)
-        blob = serialize(game.transcript)
-        for _ in range(50):
+        for game in games:
+            blob = serialize(game.transcript)
             bit = rng.randrange(len(blob) * 8)
             mutated = bytearray(blob)
             mutated[bit // 8] ^= 1 << (bit % 8)
@@ -208,7 +199,7 @@ def _selftest_suites(profile: Profile, rng: random.Random):
                 raise AssertionError("tampered message accepted")
             except (BadLength, FieldOverflow, VerificationError):
                 pass
-        return "50 random bit flips rejected"
+        return f"{len(games)} random bit flips rejected"
 
     yield "invariant exactness", suite_invariant
     yield "protocol round trip", suite_roundtrip

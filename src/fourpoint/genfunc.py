@@ -2,17 +2,17 @@
 
 s_M(t) = (p^t + q_i*phi(C*t) + q_j*psi(C*t)) / t  (all mod M)
 
-p^t at a rational t is not modular exponentiation, so three interchangeable
-conventions define it; each satisfies the only property the invariant needs,
-exp_at(t + d) = exp_at(t) * p^d for integer d at a fixed fractional part:
+p^t at a rational t = floor(t) + i/K is not modular exponentiation. The
+invariant needs only exp_at(t + d) = exp_at(t) * p^d for integer d, so
+exp_at(t) = p^floor(t) * anchor(i, K), and a convention supplies only
+its anchor:
 
-  RootBased      r^n with r^K = p           (requires the root to exist)
-  RelativeScale  A * p^floor(t)             (fixed invertible anchor A)
-  PrfMasked      p^floor(t) * PRF(i, K)     (default; mask in [1, M-1])
+  RootBased      r^i with r^K = p           (requires the root to exist)
+  RelativeScale  A                          (fixed invertible anchor)
+  PrfMasked      PRF(i, K) in [1, M-1]      (default)
 
-The PRF mask depends only on the fractional numerator i and K, which are
-shared by all four shifted evaluation points of a session, so the mask
-cancels out of the invariant ratio.
+All four shifted evaluation points of a session share i and K, so the
+anchor cancels out of the invariant ratio whatever the convention.
 """
 
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from hashlib import sha3_256
 
 from .errors import MissingRoot, NonInvertible, SingularPoint
 from .modmath import EvalPoint, FieldElem, Modulus, kth_root, mod_inv, mod_pow
-from .oscillator import _INDEX_WIDTH, _OscBase, eval_at
+from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,9 @@ class RootBased:
     """p^(n/K) := r^n for a fixed K-th root r of p."""
 
     r: FieldElem
+
+    def anchor(self, i: int, K: int, mod: Modulus) -> FieldElem:
+        return self.r ** i  # r^K = p, so p^floor(t) * r^i = r^n
 
 
 @dataclass(frozen=True)
@@ -41,12 +44,21 @@ class RelativeScale:
         if math.gcd(self.A.value, self.A.mod.M) != 1:
             raise NonInvertible(f"anchor {self.A.value} not invertible")
 
+    def anchor(self, i: int, K: int, mod: Modulus) -> FieldElem:
+        return self.A
+
 
 @dataclass(frozen=True)
 class PrfMasked:
     """p^(a + i/K) := p^a * PRF(i, K), the keyed default."""
 
     key: bytes
+
+    def anchor(self, i: int, K: int, mod: Modulus) -> int:
+        """Mask in [1, M-1]; never 0, so exp_at stays invertible."""
+        digest = sha3_256(self.key + i.to_bytes(_INDEX_WIDTH, "big")
+                          + K.to_bytes(_INDEX_WIDTH, "big")).digest()
+        return int.from_bytes(digest, "big") % (mod.M - 1) + 1
 
 
 def root_based(p: FieldElem, K: int) -> RootBased:
@@ -57,23 +69,9 @@ def root_based(p: FieldElem, K: int) -> RootBased:
     return RootBased(r)
 
 
-def _prf_mask(key: bytes, i: int, K: int, mod: Modulus) -> int:
-    """Mask in [1, M-1]; never 0, so exp_at stays invertible."""
-    digest = sha3_256(key + i.to_bytes(_INDEX_WIDTH, "big")
-                      + K.to_bytes(_INDEX_WIDTH, "big")).digest()
-    return int.from_bytes(digest, "big") % (mod.M - 1) + 1
-
-
 def exp_at(conv, p: FieldElem, t: EvalPoint) -> FieldElem:
-    """p^t under the chosen convention."""
-    if isinstance(conv, RootBased):
-        return conv.r ** t.n
-    if isinstance(conv, RelativeScale):
-        return conv.A * (p ** t.floor())
-    if isinstance(conv, PrfMasked):
-        mask = _prf_mask(conv.key, t.frac_num(), t.K, p.mod)
-        return (p ** t.floor()) * mask
-    raise TypeError(f"unknown exponent convention {conv!r}")
+    """p^t under the chosen convention: p^floor(t) * anchor(i, K)."""
+    return (p ** t.floor()) * conv.anchor(t.frac_num(), t.K, p.mod)
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,8 @@ class GenParams:
     q_i: FieldElem
     q_j: FieldElem
     C: int
-    phi: _OscBase
-    psi: _OscBase
+    phi: Oscillator
+    psi: Oscillator
     conv: object
     mod: Modulus
 

@@ -22,10 +22,9 @@ from .errors import ProtocolAbort, SingularDenominator, VerificationError
 from .genfunc import s_M
 from .invariant import recover_v, recovery_map
 from .modmath import FieldElem
-from .protocol import (Message, Profile, Session, alice_generate,
-                       bob_verify, compute_check, derive_session)
-
-_CHECK_V_BOUND = 1 << 64  # v* beyond this cannot enter the check hash
+from .protocol import (CHECK_V_BOUND, Message, Profile, Session,
+                       alice_generate, bob_verify, compute_check,
+                       derive_session)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
                            hid.session.t.img, u, hid.session.p, mod)
     except SingularDenominator:
         return False
-    if v_star.value >= _CHECK_V_BOUND:
+    if v_star.value >= CHECK_V_BOUND:
         return False
     expected = compute_check(hid.S, v_star.value, msg.s1, s_star, u, msg.z)
     return expected == msg.h_check

@@ -56,17 +56,15 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """The ring modulus M with a primality promise."""
+    """The ring modulus M, a prime."""
 
     M: int
-    is_prime: bool = True
 
     def __post_init__(self):
         if self.M < 3:
             raise ValueError("modulus must be >= 3")
-        if self.is_prime and self.M not in WHITELISTED_MODULI:
-            if not is_probable_prime(self.M):
-                raise ValueError(f"modulus {self.M} failed the primality test")
+        if self.M not in WHITELISTED_MODULI and not is_probable_prime(self.M):
+            raise ValueError(f"modulus {self.M} failed the primality test")
 
     def __repr__(self):
         return f"Modulus({self.M})"
@@ -131,9 +129,6 @@ class FieldElem:
         except ValueError:
             raise NonInvertible(
                 f"{self.value} has no inverse mod {self.mod.M}") from None
-
-    def inverse(self):
-        return mod_inv(self)
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
@@ -206,8 +201,6 @@ def kth_root(p: FieldElem, K: int) -> FieldElem | None:
     if K < 1:
         raise ValueError("K must be >= 1")
     M = p.mod.M
-    if not p.mod.is_prime:
-        raise Unsupported("kth_root requires a prime modulus")
     if math.gcd(p.value, M) != 1:
         raise NonInvertible(f"gcd({p.value}, {M}) != 1")
     d = math.gcd(K, M - 1)

@@ -8,9 +8,8 @@ Euclidean floor/mod keep those identities true for negative j as well.
 A session's oscillators are always PrfOscillator: each value is
 recomputed from a keyed hash when needed, since a session reads only the
 few indices of its four aligned points. TableOscillator holds an explicit
-seed in memory (the worked examples, import_seed, and as_table, which
-materializes a PRF oscillator over the same _prf_value and so agrees
-with it everywhere).
+seed in memory: the worked examples, and as_table, which materializes a
+PRF oscillator over the same _prf_value and so agrees with it everywhere.
 """
 
 from dataclasses import dataclass
@@ -52,28 +51,13 @@ def _prf_value(key: bytes, m: int, mod: Modulus) -> int:
     return int.from_bytes(digest, "big") % mod.M
 
 
-class _OscBase:
-    """Shared index bookkeeping for both modes."""
-
-    mode = "?"
-
-    def __init__(self, K: int, C: int, mod: Modulus):
-        self.K = K
-        self.C = C
-        self.P = K * C
-        self.mod = mod
-
-    def seed_value(self, m: int) -> int:
-        raise NotImplementedError
-
-
-class TableOscillator(_OscBase):
+class TableOscillator:
     """Oscillator backed by an in-memory table of canonical residues."""
 
     mode = "table"
 
     def __init__(self, seed: OscSeed, mod: Modulus):
-        super().__init__(seed.K, seed.C, mod)
+        self.K, self.C, self.P, self.mod = seed.K, seed.C, seed.P, mod
         if seed.P > TABLE_CAP:
             raise SeedTooLarge(f"P = {seed.P} exceeds table cap {TABLE_CAP}")
         self.table = tuple(v % mod.M for v in seed.values)
@@ -82,13 +66,13 @@ class TableOscillator(_OscBase):
         return self.table[m]
 
 
-class PrfOscillator(_OscBase):
+class PrfOscillator:
     """Oscillator recomputing each table entry from a keyed PRF."""
 
     mode = "prf"
 
     def __init__(self, key: bytes, K: int, C: int, mod: Modulus):
-        super().__init__(K, C, mod)
+        self.K, self.C, self.P, self.mod = K, C, K * C, mod
         self.key = key
 
     def seed_value(self, m: int) -> int:
@@ -100,6 +84,9 @@ class PrfOscillator(_OscBase):
             raise SeedTooLarge(f"P = {self.P} exceeds table cap {TABLE_CAP}")
         values = tuple(self.seed_value(m) for m in range(self.P))
         return TableOscillator(OscSeed(values, self.K, self.C), self.mod)
+
+
+Oscillator = TableOscillator | PrfOscillator
 
 
 def generate(S: bytes, z: bytes, label: str, K: int, C: int,
@@ -116,7 +103,7 @@ def generate(S: bytes, z: bytes, label: str, K: int, C: int,
     return PrfOscillator(key, K, C, mod)
 
 
-def eval_index(osc: _OscBase, j: int) -> FieldElem:
+def eval_index(osc: Oscillator, j: int) -> FieldElem:
     """Oscillator value at integer index j, reduced mod M.
 
     divmod against the positive P gives the Euclidean block/offset pair,
@@ -129,7 +116,7 @@ def eval_index(osc: _OscBase, j: int) -> FieldElem:
     return FieldElem(v, osc.mod)
 
 
-def eval_arg(osc: _OscBase, x: EvalPoint) -> FieldElem:
+def eval_arg(osc: Oscillator, x: EvalPoint) -> FieldElem:
     """Oscillator value at its own grid argument x = m/K (index m).
 
     In this argument the function is antiperiodic with antiperiod C:
@@ -141,7 +128,7 @@ def eval_arg(osc: _OscBase, x: EvalPoint) -> FieldElem:
     return eval_index(osc, x.n)
 
 
-def eval_at(osc: _OscBase, t: EvalPoint, C: int) -> FieldElem:
+def eval_at(osc: Oscillator, t: EvalPoint, C: int) -> FieldElem:
     """Oscillator evaluated at argument C*t, the generating-function form.
 
     For t = n/K the argument C*t sits at index (C*t)*K = C*n. A unit shift
@@ -153,16 +140,3 @@ def eval_at(osc: _OscBase, t: EvalPoint, C: int) -> FieldElem:
     if C != osc.C:
         raise ValueError(f"period mismatch: argument C={C}, oscillator C={osc.C}")
     return eval_index(osc, C * t.n)
-
-
-def export_seed(osc: _OscBase) -> str:
-    """Seed table as decimal integers, one per line (fixture format)."""
-    if isinstance(osc, PrfOscillator):
-        osc = osc.as_table()
-    return "\n".join(str(v) for v in osc.table) + "\n"
-
-
-def import_seed(text: str, K: int, C: int, mod: Modulus) -> TableOscillator:
-    """Inverse of export_seed."""
-    values = tuple(int(line) for line in text.split())
-    return TableOscillator(OscSeed(values, K, C), mod)

@@ -44,6 +44,7 @@ MESSAGE_LEN = 132
 NONCE_LEN = 32
 _FIELD_WIDTH = 32  # bytes per serialized field element
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
+CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
 
 
 def _h(*parts: bytes) -> bytes:
@@ -158,25 +159,8 @@ class Session:
     C: int
     i: int
     t: EvalPoint
-    q1: FieldElem
-    q2: FieldElem
-    q3: FieldElem
-    q4: FieldElem
-    phi: object
-    psi: object
-    conv: PrfMasked
-
-    @property
-    def gen_numer(self) -> GenParams:
-        """Amplitude pair (q1, q2): produces s0 and s1."""
-        return GenParams(self.p, self.q1, self.q2, self.C,
-                         self.phi, self.psi, self.conv, self.profile.mod)
-
-    @property
-    def gen_denom(self) -> GenParams:
-        """Amplitude pair (q3, q4): produces s2 and s3."""
-        return GenParams(self.p, self.q3, self.q4, self.C,
-                         self.phi, self.psi, self.conv, self.profile.mod)
+    gen_numer: GenParams  # amplitude pair (q1, q2): produces s0 and s1
+    gen_denom: GenParams  # amplitude pair (q3, q4): produces s2 and s3
 
 
 def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
@@ -213,7 +197,8 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     psi = oscillator.generate(S, z, "psi", K, C, mod)
     conv = PrfMasked(_h(TAG_PRF, S, z))
     return Session(S, z, profile, p, B, K, C, i, t,
-                   q1, q2, q3, q4, phi, psi, conv)
+                   GenParams(p, q1, q2, C, phi, psi, conv, mod),
+                   GenParams(p, q3, q4, C, phi, psi, conv, mod))
 
 
 @dataclass(frozen=True)
@@ -271,8 +256,8 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     Raises a VerificationError subclass naming the first failed check. A
     u outside the profile's [1, u_bound), the sender's envelope, is
     rejected as out of range before any session work. A recovered value
-    too large for the 8-byte check encoding is rejected as out of range
-    without a digest comparison.
+    too large for the 8-byte check encoding is rejected as out of range,
+    after the same digest work as a hash mismatch over a stand-in of 0.
     """
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
@@ -293,10 +278,13 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     except SingularDenominator as exc:
         raise RejectDenominator(str(exc)) from None
     v = v_star.value
-    if v >= 1 << (8 * _CHECK_V_WIDTH):
+    encodable = v < CHECK_V_BOUND
+    expected = compute_check(S, v if encodable else 0,
+                             msg.s1, msg.s3, msg.u, msg.z)
+    matches = hmac.compare_digest(expected, msg.h_check)
+    if not encodable:
         raise RejectRange(f"recovered value {v} exceeds the check encoding")
-    if not hmac.compare_digest(compute_check(S, v, msg.s1, msg.s3, msg.u, msg.z),
-                               msg.h_check):
+    if not matches:
         raise RejectHash("check hash mismatch")
     if v >= profile.v_bound:
         raise RejectRange(f"recovered value {v} outside [0, {profile.v_bound})")

@@ -1,10 +1,13 @@
+import itertools
 import subprocess
 import sys
 
 import pytest
 
 from fourpoint.cli import NonceLog, main
-from fourpoint.protocol import MESSAGE_LEN, TOY, dump_profile
+from fourpoint.errors import ProtocolAbort
+from fourpoint.protocol import (MESSAGE_LEN, TOY, alice_generate,
+                                derive_session, dump_profile)
 
 
 @pytest.fixture
@@ -74,6 +77,13 @@ class TestSendRecv:
             outputs.append(capsys.readouterr().out)
         assert outputs == ["rejected\n"] * 3
 
+    def test_field_overflow_is_malformed(self, workdir, capsys):
+        main(send_args(workdir))
+        blob = (workdir / "msg.bin").read_bytes()
+        (workdir / "msg.bin").write_bytes(b"\xff" * 32 + blob[32:])
+        assert main(recv_args(workdir)) == 2
+        assert "malformed" in capsys.readouterr().err
+
     def test_out_of_range_v(self, workdir):
         assert main(send_args(workdir, v=257)) == 2
         assert main(send_args(workdir, v=-1)) == 2
@@ -89,6 +99,26 @@ class TestNonceHandling:
         opted = ["--z", self.Z, "--allow-explicit-nonce"]
         assert main(send_args(workdir, extra=opted)) == 0
         assert main(send_args(workdir, extra=opted)) == 3
+
+    def test_explicit_nonce_must_be_hex(self, workdir, capsys):
+        opted = ["--z", "zz" * 32, "--allow-explicit-nonce"]
+        assert main(send_args(workdir, extra=opted)) == 2
+        assert "hex" in capsys.readouterr().err
+
+    def test_explicit_nonce_that_aborts(self, workdir, capsys):
+        # the first nonce 0, 1, 2, ... whose session aborts for send_args'
+        # secret, u and v
+        S = (workdir / "secret.bin").read_bytes()
+        for k in itertools.count():
+            z = k.to_bytes(32, "big")
+            try:
+                alice_generate(derive_session(S, z, TOY), 5, 17)
+            except ProtocolAbort:
+                break
+        opted = ["--z", z.hex(), "--allow-explicit-nonce"]
+        assert main(send_args(workdir, extra=opted)) == 2
+        assert "send failed" in capsys.readouterr().err
+        assert not (workdir / "msg.bin").exists()
 
     def test_second_claim_of_a_nonce_fails(self, workdir):
         log = NonceLog(workdir / "nonces.log")

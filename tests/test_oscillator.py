@@ -1,13 +1,10 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
-                                  eval_arg, eval_at, eval_index, export_seed,
-                                  generate, import_seed)
+                                  eval_arg, eval_at, eval_index, generate)
 
 from oracles import unrolled_oscillator
 
@@ -114,19 +111,3 @@ class TestModeEquivalence:
         b = generate(b"s", b"\x03" * 32, "phi", 9, 3, M257)
         assert [eval_index(a, j) for j in range(a.P)] \
             == [eval_index(b, j) for j in range(b.P)]
-
-
-class TestSeedIO:
-    def test_roundtrip(self):
-        osc = walkthrough_osc()
-        back = import_seed(export_seed(osc), 4, 2, M257)
-        for j in range(osc.P):
-            assert eval_index(back, j) == eval_index(osc, j)
-
-    def test_random_roundtrip(self):
-        rng = random.Random(5)
-        values = tuple(rng.randrange(257) for _ in range(12))
-        osc = TableOscillator(OscSeed(values, 4, 3), M257)
-        back = import_seed(export_seed(osc), 4, 3, M257)
-        assert [eval_index(back, j) for j in range(12)] \
-            == [eval_index(osc, j) for j in range(12)]

@@ -9,8 +9,9 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               RejectRange, RejectSession, SingularPoint,
                               Unsupported, VerificationError)
 from fourpoint.genfunc import s_M
-from fourpoint.invariant import check_denominator
+from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
+from fourpoint import protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, Profile,
                                 alice_generate, bob_verify, compute_check,
@@ -70,7 +71,10 @@ class TestDeriveSession:
         b = derive_session(S, z, TOY)
         assert (a.p, a.B, a.K, a.C, a.i) == (b.p, b.B, b.K, b.C, b.i)
         assert a.t == b.t
-        assert (a.q1, a.q2, a.q3, a.q4) == (b.q1, b.q2, b.q3, b.q4)
+        assert (a.gen_numer.q_i, a.gen_numer.q_j) \
+            == (b.gen_numer.q_i, b.gen_numer.q_j)
+        assert (a.gen_denom.q_i, a.gen_denom.q_j) \
+            == (b.gen_denom.q_i, b.gen_denom.q_j)
 
     def test_nonce_separates_sessions(self):
         S = b"a shared secret!"
@@ -219,11 +223,32 @@ class TestRejectionTaxonomy:
 
     def test_reject_range_on_production(self):
         # an s1 nudge lands v* in the huge middle of Z_M: out of range
-        # for the 64-bit check encoding, rejected before any hashing
+        # for the 64-bit check encoding
         sess, msg = valid_pair(PRODUCTION)
         bad = Message(msg.s1 + 1, msg.s3, msg.u, msg.z, msg.h_check)
         with pytest.raises((RejectRange, RejectDenominator)):
             bob_verify(sess.S, bad, PRODUCTION)
+
+    def test_reject_range_does_the_digest_work(self, monkeypatch):
+        # v* >= 2^64 cannot enter the check hash; the receiver still hashes
+        # once, over the stand-in 0, so this path costs what a mismatch does
+        sess, msg = valid_pair(PRODUCTION)
+        bad = Message(msg.s1 + 1, msg.s3, msg.u, msg.z, msg.h_check)
+        v_star = recover_v(s_M(sess.gen_numer, sess.t), bad.s1,
+                           s_M(sess.gen_denom, sess.t + 2 * msg.u), bad.s3,
+                           sess.t.img, msg.u, sess.p, PRODUCTION.mod)
+        assert v_star.value >= protocol.CHECK_V_BOUND
+        calls = []
+        real = protocol.compute_check
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(protocol, "compute_check", counting)
+        with pytest.raises(RejectRange):
+            bob_verify(sess.S, bad, PRODUCTION)
+        assert len(calls) == 1
+        assert calls[0][1] == 0
 
     @pytest.mark.parametrize("u", [0, TOY.u_bound, (1 << 32) - 1])
     def test_reject_u_outside_envelope(self, u):
