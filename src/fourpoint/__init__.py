@@ -12,10 +12,9 @@ Library layout:
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, DomainError, FieldOverflow, FourPointError,
-                     MissingRoot, NonInvertible, ProtocolAbort,
-                     RejectDenominator, RejectHash, RejectRange,
-                     RejectSession, SeedTooLarge, SingularDenominator,
-                     SingularPoint, Unsupported, VerificationError)
+                     NonInvertible, ProtocolAbort, RejectDenominator,
+                     RejectHash, RejectRange, RejectSession, SeedTooLarge,
+                     SingularDenominator, SingularPoint, VerificationError)
 from .modmath import EvalPoint, FieldElem, Modulus
 from .protocol import (MINI, PRODUCTION, TOY, Message, Profile, Session,
                        alice_generate, bob_verify, derive_session,

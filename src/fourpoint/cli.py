@@ -12,10 +12,9 @@ import sys
 from hashlib import sha3_256
 from pathlib import Path
 
-from .errors import (BadLength, FieldOverflow, ProtocolAbort,
-                     SingularDenominator, VerificationError)
-from .invariant import (InvariantTuple, analytic_invariant_check,
-                        eval_invariant, expected_constant)
+from .errors import (BadLength, FieldOverflow, FourPointError,
+                     ProtocolAbort, SingularDenominator, VerificationError)
+from .invariant import InvariantTuple, eval_invariant, expected_constant
 from .harness import emit_csv, new_game, run_random_adversary
 from .modmath import xgcd
 from .oscillator import eval_at
@@ -133,7 +132,7 @@ def cmd_recv(args) -> int:
 
 def _selftest_suites(profile: Profile, rng: random.Random):
     """Yield (label, callable) pairs, each returning a detail string; one
-    list of 200 games (10 at production scale) feeds all but one suite."""
+    list of 200 games (10 at production scale) feeds every suite."""
     mod = profile.mod
     games = [new_game(profile, rng)
              for _ in range(10 if mod.M.bit_length() > 64 else 200)]
@@ -175,18 +174,6 @@ def _selftest_suites(profile: Profile, rng: random.Random):
                     == -eval_at(osc, sess.t, sess.C)
         return f"{2 * len(games)} session oscillators under t -> t+1"
 
-    def suite_analytic():
-        for _ in range(200):
-            p = rng.uniform(0.5, 4.0)
-            q1, q2 = rng.uniform(-10, 10), rng.uniform(-10, 10)
-            r1, r2 = rng.randrange(1, 20, 2), rng.randrange(1, 20, 2)
-            t = rng.uniform(-20, 20)
-            if any(abs(t + k) < 1e-6 for k in range(4)):
-                continue
-            ratio = analytic_invariant_check(p, q1, q2, r1, r2, t)
-            assert abs(ratio - p ** -2) / p ** -2 < 1e-9
-        return "200 draws within 1e-9"
-
     def suite_tamper():
         for game in games:
             blob = serialize(game.transcript)
@@ -205,7 +192,6 @@ def _selftest_suites(profile: Profile, rng: random.Random):
     yield "protocol round trip", suite_roundtrip
     yield "serialization", suite_serialize
     yield "oscillator antiperiodicity", suite_antiperiodic
-    yield "analytic reference", suite_analytic
     yield "tamper rejection", suite_tamper
 
 
@@ -220,6 +206,10 @@ def cmd_selftest(args) -> int:
         except AssertionError as exc:
             fails += 1
             print(f"FAIL  {label:32} {exc}")
+        except FourPointError as exc:
+            # a library error escaping a suite fails that suite only
+            fails += 1
+            print(f"FAIL  {label:32} {type(exc).__name__}: {exc}")
     print(f"{'FAIL' if fails else 'PASS'}: selftest on profile "
           f"{profile.name}, {fails} failing suite(s)")
     return 1 if fails else 0

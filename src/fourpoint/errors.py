@@ -17,11 +17,6 @@ class NonInvertible(FourPointError):
     """gcd(a, M) != 1 where an inverse was required."""
 
 
-class Unsupported(FourPointError):
-    """Operation outside the supported parameter range (e.g. root search
-    at large scale, composite modulus where a prime is required)."""
-
-
 # --- oscillators ---
 
 class SeedTooLarge(FourPointError):
@@ -29,10 +24,6 @@ class SeedTooLarge(FourPointError):
 
 
 # --- generating function ---
-
-class MissingRoot(FourPointError):
-    """Root-based exponent convention selected but no K-th root exists."""
-
 
 class SingularPoint(FourPointError):
     """Evaluation point t has field image 0; s_M(t) is undefined."""

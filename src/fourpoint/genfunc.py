@@ -4,53 +4,26 @@ s_M(t) = (p^t + q_i*phi(C*t) + q_j*psi(C*t)) / t  (all mod M)
 
 p^t at a rational t = floor(t) + i/K is not modular exponentiation. The
 invariant needs only exp_at(t + d) = exp_at(t) * p^d for integer d, so
-exp_at(t) = p^floor(t) * anchor(i, K), and a convention supplies only
-its anchor:
-
-  RootBased      r^i with r^K = p           (requires the root to exist)
-  RelativeScale  A                          (fixed invertible anchor)
-  PrfMasked      PRF(i, K) in [1, M-1]      (default)
+exp_at(t) = p^floor(t) * anchor(i, K), with the keyed PrfMasked anchor
+PRF(i, K) in [1, M-1]. The paper's root-based (r^i with r^K = p) and
+fixed-anchor conventions obey the same shift law and are not implemented.
 
 All four shifted evaluation points of a session share i and K, so the
-anchor cancels out of the invariant ratio whatever the convention.
+anchor cancels out of the invariant ratio.
 """
 
 from dataclasses import dataclass
 import math
 from hashlib import sha3_256
 
-from .errors import MissingRoot, NonInvertible, SingularPoint
-from .modmath import EvalPoint, FieldElem, Modulus, kth_root, mod_inv, mod_pow
+from .errors import NonInvertible, SingularPoint
+from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
 
 
 @dataclass(frozen=True)
-class RootBased:
-    """p^(n/K) := r^n for a fixed K-th root r of p."""
-
-    r: FieldElem
-
-    def anchor(self, i: int, K: int, mod: Modulus) -> FieldElem:
-        return self.r ** i  # r^K = p, so p^floor(t) * r^i = r^n
-
-
-@dataclass(frozen=True)
-class RelativeScale:
-    """p^(a + i/K) := A * p^a with a fixed invertible anchor A."""
-
-    A: FieldElem
-
-    def __post_init__(self):
-        if math.gcd(self.A.value, self.A.mod.M) != 1:
-            raise NonInvertible(f"anchor {self.A.value} not invertible")
-
-    def anchor(self, i: int, K: int, mod: Modulus) -> FieldElem:
-        return self.A
-
-
-@dataclass(frozen=True)
 class PrfMasked:
-    """p^(a + i/K) := p^a * PRF(i, K), the keyed default."""
+    """p^(a + i/K) := p^a * PRF(i, K), the keyed mask."""
 
     key: bytes
 
@@ -61,16 +34,8 @@ class PrfMasked:
         return int.from_bytes(digest, "big") % (mod.M - 1) + 1
 
 
-def root_based(p: FieldElem, K: int) -> RootBased:
-    """Build the root convention, failing when no K-th root of p exists."""
-    r = kth_root(p, K)
-    if r is None:
-        raise MissingRoot(f"no {K}-th root of {p.value} mod {p.mod.M}")
-    return RootBased(r)
-
-
-def exp_at(conv, p: FieldElem, t: EvalPoint) -> FieldElem:
-    """p^t under the chosen convention: p^floor(t) * anchor(i, K)."""
+def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
+    """p^t as p^floor(t) * anchor(i, K)."""
     return (p ** t.floor()) * conv.anchor(t.frac_num(), t.K, p.mod)
 
 
@@ -84,7 +49,7 @@ class GenParams:
     C: int
     phi: Oscillator
     psi: Oscillator
-    conv: object
+    conv: PrfMasked
     mod: Modulus
 
     def __post_init__(self):

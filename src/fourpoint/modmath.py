@@ -2,20 +2,19 @@
 
 Everything here is pure and allocation-light: a Modulus wraps the prime M,
 FieldElem is a canonical residue with operator overloads, and the free
-functions (mod_inv, mod_pow, reduce_rational, kth_root) are the arithmetic
-core the rest of the package builds on. Canonical representatives live in
-[0, M); negative intermediates are reduced with the Euclidean remainder,
-which is what Python's % already gives for a positive modulus.
+functions (mod_inv, mod_pow, reduce_rational) are the arithmetic core the
+rest of the package builds on. Canonical representatives live in [0, M);
+negative intermediates are reduced with the Euclidean remainder, which is
+what Python's % already gives for a positive modulus.
 
 Inverses come from the built-in pow(a, -1, M); xgcd stays only as an
 independent oracle for the tests and the fixture ledger.
 """
 
 from dataclasses import dataclass
-import math
 import random
 
-from .errors import NonInvertible, Unsupported
+from .errors import NonInvertible
 
 # 2^256 - 2^32 - 977, the secp256k1 field prime; any 256-bit prime works.
 PRODUCTION_PRIME = (1 << 256) - (1 << 32) - 977
@@ -184,39 +183,6 @@ def reduce_rational(B: int, i: int, K: int, mod: Modulus) -> FieldElem:
     """
     Kinv = mod_inv(FieldElem(K, mod))
     return FieldElem((B % mod.M) * K + i, mod) * Kinv
-
-
-EXHAUSTIVE_ROOT_BOUND = 1 << 16
-
-
-def kth_root(p: FieldElem, K: int) -> FieldElem | None:
-    """Some r with r^K = p mod M, or None when no such r exists.
-
-    Existence is decided exactly: in the cyclic group of units mod a
-    prime M, r^K = p is solvable iff p^((M-1)/d) = 1 with d = gcd(K, M-1).
-    A witness is produced by exhaustive search below 2^16 and by exponent
-    inversion when gcd(K, M-1) = 1; the remaining case (large M, d > 1)
-    raises Unsupported since nothing in the default protocol path needs it.
-    """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    M = p.mod.M
-    if math.gcd(p.value, M) != 1:
-        raise NonInvertible(f"gcd({p.value}, {M}) != 1")
-    d = math.gcd(K, M - 1)
-    if pow(p.value, (M - 1) // d, M) != 1:
-        return None
-    if M < EXHAUSTIVE_ROOT_BOUND:
-        for r in range(1, M):
-            if pow(r, K, M) == p.value:
-                return FieldElem(r, p.mod)
-        raise AssertionError("existence test passed but no root found")
-    if d == 1:
-        Kinv = pow(K, -1, M - 1)
-        return FieldElem(pow(p.value, Kinv, M), p.mod)
-    raise Unsupported(
-        f"a {K}-th root exists mod {M} but the search is out of scope "
-        "(modulus >= 2^16 with gcd(K, M-1) > 1)")
 
 
 class EvalPoint:

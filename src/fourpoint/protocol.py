@@ -24,8 +24,7 @@ from hashlib import sha3_256
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, NonInvertible, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange,
-                     RejectSession, SingularDenominator, SingularPoint,
-                     Unsupported)
+                     RejectSession, SingularDenominator, SingularPoint)
 from .genfunc import GenParams, PrfMasked, s_M
 from .invariant import check_denominator, recover_v
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
@@ -45,6 +44,8 @@ NONCE_LEN = 32
 _FIELD_WIDTH = 32  # bytes per serialized field element
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
+_U_BOUND = 1 << 32  # u travels in a 4-byte wire field
+_HASH_NAME = "sha3-256"  # the one hash; profile files name it
 
 
 def _h(*parts: bytes) -> bytes:
@@ -56,7 +57,11 @@ def _h_int(*parts: bytes) -> int:
 
 @dataclass(frozen=True)
 class Profile:
-    """Parameter envelope: modulus, grid/period ranges, u/v bounds."""
+    """Parameter envelope: modulus, grid/period ranges, u/v bounds.
+
+    The envelope must fit the wire: u below 2^32 and v below the 8-byte
+    check encoding, so every in-envelope message can be sent.
+    """
 
     name: str
     mod: Modulus
@@ -66,13 +71,14 @@ class Profile:
     C_max: int
     u_bits: int
     v_bits: int
-    hash_name: str = "sha3-256"
 
     def __post_init__(self):
-        if self.hash_name != "sha3-256":
-            raise Unsupported(f"hash {self.hash_name!r} not supported")
         if self.mod.M.bit_length() > 256:
             raise ValueError("modulus too wide for the 32-byte wire fields")
+        if self.u_bound > _U_BOUND:
+            raise ValueError("u_bits too wide for the 4-byte wire field")
+        if self.v_bound > CHECK_V_BOUND:
+            raise ValueError("v_bits too wide for the 8-byte check encoding")
         if not (2 <= self.K_min <= self.K_max):
             raise ValueError("bad K range")
         if not (2 <= self.C_min <= self.C_max):
@@ -119,18 +125,22 @@ def profile_to_dict(profile: Profile) -> dict:
         "K_min": profile.K_min, "K_max": profile.K_max,
         "C_min": profile.C_min, "C_max": profile.C_max,
         "u_bits": profile.u_bits, "v_bits": profile.v_bits,
-        "hash": profile.hash_name,
+        "hash": _HASH_NAME,
     }
 
 
 def profile_from_dict(d: dict) -> Profile:
-    """Inverse of profile_to_dict; ValueError on a missing key."""
+    """Inverse of profile_to_dict; ValueError on malformed input."""
+    if not isinstance(d, dict):
+        raise ValueError("profile must be a JSON object")
+    if d.get("hash", _HASH_NAME) != _HASH_NAME:
+        raise ValueError(f"hash {d['hash']!r} not supported; "
+                         f"only {_HASH_NAME}")
     try:
         return Profile(d["name"], Modulus(int(d["M"])),
                        int(d["K_min"]), int(d["K_max"]),
                        int(d["C_min"]), int(d["C_max"]),
-                       int(d["u_bits"]), int(d["v_bits"]),
-                       d.get("hash", "sha3-256"))
+                       int(d["u_bits"]), int(d["v_bits"]))
     except KeyError as exc:
         raise ValueError(f"profile is missing key {exc}") from None
 
@@ -212,7 +222,7 @@ class Message:
     h_check: bytes
 
     def __post_init__(self):
-        if not 0 <= self.u < (1 << 32):
+        if not 0 <= self.u < _U_BOUND:
             raise ValueError("u out of 32-bit range")
         if len(self.z) != NONCE_LEN:
             raise ValueError("nonce must be 32 bytes")

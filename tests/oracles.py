@@ -25,12 +25,6 @@ def naive_pow(base: int, exp: int, M: int) -> int:
     return acc
 
 
-def brute_kth_roots(target: int, K: int, M: int) -> list[int]:
-    """All x in Z_M with x^K = target, by full scan."""
-    target %= M
-    return [x for x in range(M) if naive_pow(x, K, M) == target]
-
-
 def unrolled_oscillator(values, M: int, lo: int, hi: int) -> dict[int, int]:
     """Antiperiodic extension of one period, tabulated index by index.
 

@@ -1,13 +1,15 @@
 import itertools
+import json
 import subprocess
 import sys
 
 import pytest
 
+from fourpoint import cli
 from fourpoint.cli import NonceLog, main
-from fourpoint.errors import ProtocolAbort
-from fourpoint.protocol import (MESSAGE_LEN, TOY, alice_generate,
-                                derive_session, dump_profile)
+from fourpoint.errors import ProtocolAbort, RejectHash
+from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, alice_generate,
+                                derive_session, dump_profile, profile_to_dict)
 
 
 @pytest.fixture
@@ -176,9 +178,41 @@ def _profile_missing_key(d):
     return send_args(d) + ["--profile", str(d / "p.json")]
 
 
+def _write_profile(d, profile, **changes):
+    (d / "p.json").write_text(json.dumps({**profile_to_dict(profile),
+                                          **changes}))
+    return str(d / "p.json")
+
+
+def _profile_not_object(d):
+    (d / "p.json").write_text("[1, 2]")
+    return send_args(d) + ["--profile", str(d / "p.json")]
+
+
+def _profile_other_hash(d):
+    return send_args(d) + ["--profile", _write_profile(d, TOY, hash="md5")]
+
+
+def _profile_u_too_wide(d):
+    # u = 2^32 fits u_bits 40 but not the 4-byte wire field
+    return send_args(d, extra=["--u", str(1 << 32), "--profile",
+                               _write_profile(d, TOY, u_bits=40)])
+
+
+def _profile_v_too_wide(d):
+    # v = 2^66 fits v_bits 70 but not the 8-byte check encoding
+    (d / "long.bin").write_bytes(b"a production-length shared secret")
+    args = send_args(d, v=1 << 66, extra=[
+        "--profile", _write_profile(d, PRODUCTION, v_bits=70)])
+    args[args.index("--secret-file") + 1] = str(d / "long.bin")
+    return args
+
+
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
-                                   _profile_missing_key])
+                                   _profile_missing_key, _profile_not_object,
+                                   _profile_other_hash, _profile_u_too_wide,
+                                   _profile_v_too_wide])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()
@@ -194,6 +228,17 @@ class TestSelftestAndAttack:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
+
+    def test_library_error_fails_its_suite_only(self, monkeypatch, capsys):
+        def reject(*args):
+            raise RejectHash("forced")
+        monkeypatch.setattr(cli, "bob_verify", reject)
+        assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        fails = [ln for ln in out if ln.startswith("FAIL  ")]
+        assert len(fails) == 1
+        assert "protocol round trip" in fails[0] and "RejectHash" in fails[0]
+        assert out[-1] == "FAIL: selftest on profile mini, 1 failing suite(s)"
 
     def test_attack_csv(self, capsys):
         assert main(["attack", "--trials", "150", "--seed", "9"]) == 0

@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourpoint.errors import MissingRoot, NonInvertible, SingularPoint
-from fourpoint.genfunc import (GenParams, PrfMasked, RelativeScale, RootBased,
-                               exp_at, root_based, s_M, salt_generator)
+from fourpoint.errors import NonInvertible, SingularPoint
+from fourpoint.genfunc import GenParams, PrfMasked, exp_at, s_M, salt_generator
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from fourpoint.oscillator import OscSeed, TableOscillator, eval_at
 
@@ -14,24 +13,14 @@ def fe(v):
     return FieldElem(v, M257)
 
 
-def make_gp(conv, q_i=5, q_j=7, p=3, K=4, C=2):
+def make_gp(q_i=5, q_j=7, p=3, K=4, C=2):
     phi = TableOscillator(OscSeed((2, -1, 0, 3, -2, 1, 1, -3), K, C), M257)
     psi = TableOscillator(OscSeed((1, 1, 2, -2, 0, 4, -1, 5), K, C), M257)
-    return GenParams(fe(p), fe(q_i), fe(q_j), C, phi, psi, conv, M257)
+    return GenParams(fe(p), fe(q_i), fe(q_j), C, phi, psi,
+                     PrfMasked(b"\x22" * 32), M257)
 
 
 class TestConventions:
-    def test_root_based_needs_root(self):
-        # 16 has a square root; 3 has no fourth root mod 257
-        conv = root_based(fe(16), 2)
-        assert mod_pow(conv.r, 2).value == 16
-        with pytest.raises(MissingRoot):
-            root_based(fe(3), 4)
-
-    def test_relative_scale_rejects_zero(self):
-        with pytest.raises(NonInvertible):
-            RelativeScale(fe(0))
-
     def test_prf_mask_is_never_zero(self):
         conv = PrfMasked(b"\xaa" * 32)
         for n in range(-40, 40):
@@ -40,7 +29,7 @@ class TestConventions:
 
 
 class TestExpShiftLaw:
-    # every convention must satisfy exp(t + d) = exp(t) * p^d
+    # p^t must satisfy exp(t + d) = exp(t) * p^d
 
     @given(n=st.integers(min_value=-10**4, max_value=10**4),
            d=st.integers(min_value=0, max_value=30))
@@ -51,35 +40,10 @@ class TestExpShiftLaw:
         assert exp_at(conv, fe(3), t + d) \
             == exp_at(conv, fe(3), t) * mod_pow(fe(3), d)
 
-    @given(n=st.integers(min_value=-10**4, max_value=10**4),
-           d=st.integers(min_value=0, max_value=30))
-    @settings(max_examples=60)
-    def test_relative_scale(self, n, d):
-        conv = RelativeScale(fe(29))
-        t = EvalPoint(n, 4, M257)
-        assert exp_at(conv, fe(3), t + d) \
-            == exp_at(conv, fe(3), t) * mod_pow(fe(3), d)
-
-    @given(n=st.integers(min_value=0, max_value=10**4),
-           d=st.integers(min_value=0, max_value=30))
-    @settings(max_examples=60)
-    def test_root_based(self, n, d):
-        p = mod_pow(fe(5), 2)  # guaranteed square
-        conv = root_based(p, 2)
-        t = EvalPoint(n, 2, M257)
-        assert exp_at(conv, p, t + d) == exp_at(conv, p, t) * mod_pow(p, d)
-
-    def test_root_based_interpolates_fractions(self):
-        # r^n walks the half-integer grid; whole steps recover p exactly
-        p = mod_pow(fe(5), 2)
-        conv = root_based(p, 2)
-        assert exp_at(conv, p, EvalPoint(2, 2, M257)) == p
-        assert exp_at(conv, p, EvalPoint(1, 2, M257)) == conv.r
-
 
 class TestSM:
     def test_formula_composition(self):
-        gp = make_gp(RelativeScale(fe(1)))
+        gp = make_gp()
         t = EvalPoint(7, 4, M257)
         want = (exp_at(gp.conv, gp.p, t)
                 + gp.q_i * eval_at(gp.phi, t, gp.C)
@@ -87,7 +51,7 @@ class TestSM:
         assert s_M(gp, t) == want
 
     def test_singular_point_rejected(self):
-        gp = make_gp(RelativeScale(fe(1)))
+        gp = make_gp()
         t = EvalPoint(257, 4, M257)  # 257/4 has field image 0
         assert t.img.value == 0
         with pytest.raises(SingularPoint):
@@ -95,12 +59,12 @@ class TestSM:
 
     def test_gcd_guard_on_p(self):
         with pytest.raises(NonInvertible):
-            make_gp(RelativeScale(fe(1)), p=0)
+            make_gp(p=0)
 
     @given(n=st.integers(min_value=-10**4, max_value=10**4))
     @settings(max_examples=60)
     def test_defined_everywhere_else(self, n):
-        gp = make_gp(PrfMasked(b"\x22" * 32))
+        gp = make_gp()
         t = EvalPoint(n, 4, M257)
         if t.img.value == 0:
             with pytest.raises(SingularPoint):

@@ -3,15 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourpoint.errors import NonInvertible, Unsupported
-from fourpoint.modmath import (EXHAUSTIVE_ROOT_BOUND, WHITELISTED_MODULI,
-                               EvalPoint, FieldElem, Modulus,
-                               is_probable_prime, kth_root, mod_inv,
-                               mod_pow, reduce_rational, xgcd)
+from fourpoint.errors import NonInvertible
+from fourpoint.modmath import (WHITELISTED_MODULI, EvalPoint, FieldElem,
+                               Modulus, is_probable_prime, mod_inv, mod_pow,
+                               reduce_rational, xgcd)
 from fourpoint.protocol import PRODUCTION_PRIME
 
-from oracles import (brute_kth_roots, exhaustive_inverse, naive_pow,
-                     trial_division_is_prime)
+from oracles import exhaustive_inverse, naive_pow, trial_division_is_prime
 
 M257 = Modulus(257)
 M17 = Modulus(17)
@@ -174,38 +172,6 @@ class TestReduceRational:
             return
         got = reduce_rational(B, i, K, M257)
         assert (got * K).value == (B * K + i) % 257
-
-
-class TestKthRoot:
-    def test_no_fourth_root_of_three(self):
-        # existence test: 3^((257-1)/gcd(4,256)) = 3^64 = 241 != 1
-        assert kth_root(fe(3), 4) is None
-        assert brute_kth_roots(3, 4, 257) == []
-
-    def test_square_root_of_sixteen(self):
-        r = kth_root(fe(16), 2)
-        assert r is not None and (r ** 2).value == 16
-        assert r.value in brute_kth_roots(16, 2, 257)
-
-    def test_coprime_exponent_always_solvable(self):
-        # gcd(3, 256) = 1, so cubing is a bijection on Z_257^*
-        for a in (2, 3, 5, 100, 200):
-            r = kth_root(fe(a), 3)
-            assert (r ** 3).value == a
-
-    def test_zero_rejected(self):
-        with pytest.raises(NonInvertible):
-            kth_root(fe(0), 2)
-
-    @given(x=nonzero_257, K=st.integers(min_value=1, max_value=8))
-    def test_root_of_power_exists(self, x, K):
-        target = mod_pow(fe(x), K)
-        r = kth_root(target, K)
-        assert r is not None
-        assert mod_pow(r, K) == target
-
-    def test_exhaustive_bound_is_generous(self):
-        assert 257 < EXHAUSTIVE_ROOT_BOUND
 
 
 class TestEvalPoint:

@@ -7,7 +7,7 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               AbortZeroIndex, BadLength, FieldOverflow,
                               ProtocolAbort, RejectDenominator, RejectHash,
                               RejectRange, RejectSession, SingularPoint,
-                              Unsupported, VerificationError)
+                              VerificationError)
 from fourpoint.genfunc import s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
@@ -49,8 +49,24 @@ class TestProfiles:
         assert load_profile(path) == PRODUCTION
 
     def test_bad_hash_rejected(self):
-        with pytest.raises(Unsupported):
-            Profile("x", Modulus(257), 2, 4, 2, 4, 8, 8, hash_name="md5")
+        d = profile_to_dict(TOY)
+        assert d["hash"] == "sha3-256"
+        d["hash"] = "md5"
+        with pytest.raises(ValueError):
+            profile_from_dict(d)
+
+    def test_envelope_must_fit_the_wire(self):
+        # u rides in 4 bytes, v in the 8-byte check encoding
+        with pytest.raises(ValueError):
+            Profile("x", Modulus(257), 2, 4, 2, 4, 33, 8)
+        with pytest.raises(ValueError):
+            Profile("x", Modulus(PRODUCTION_PRIME), 2, 4, 2, 4, 8, 65)
+        # the limits themselves are allowed, as production shows
+        Profile("x", Modulus(PRODUCTION_PRIME), 2, 4, 2, 4, 32, 64)
+        assert PRODUCTION.u_bound == 1 << 32
+        assert PRODUCTION.v_bound == protocol.CHECK_V_BOUND
+        # v_bound is capped by M, so wide v_bits are fine on a small modulus
+        assert Profile("x", Modulus(257), 2, 4, 2, 4, 8, 70).v_bound == 257
 
     def test_wide_modulus_rejected(self):
         wide = (1 << 260) + 45  # prime > 256 bits
