@@ -15,7 +15,6 @@ from pathlib import Path
 from .errors import (BadLength, FieldOverflow, FourPointError,
                      ProtocolAbort, SingularDenominator, VerificationError)
 from .invariant import InvariantTuple, eval_invariant, expected_constant
-from .harness import emit_csv, new_game, run_random_adversary
 from .modmath import xgcd
 from .oscillator import eval_at
 from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
@@ -46,32 +45,24 @@ class NonceLog:
     def __init__(self, path):
         self.path = Path(path)
 
-    def _with_lock(self, fn):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+", encoding="ascii") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                return fn(fh)
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
     def claim(self, S: bytes, z: bytes) -> bool:
         """Record (S, z) unless already present; False if it was.
 
         The scan and the append happen under one lock, so two senders
-        cannot both claim the same nonce.
+        cannot both claim the same nonce. Closing the file flushes the
+        entry and then drops the lock; an explicit unlock before the
+        close would let a rival scan before the entry reached the file.
         """
         entry = f"{_fingerprint(S)} {z.hex()}"
-
-        def scan_and_append(fh):
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with open(self.path, "a+", encoding="ascii") as fh:
+            if fcntl is not None:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+            fh.seek(0)
             if any(line.strip() == entry for line in fh):
                 return False
             fh.write(entry + "\n")
             return True
-        return self._with_lock(scan_and_append)
 
 
 def cmd_send(args) -> int:
@@ -133,6 +124,7 @@ def cmd_recv(args) -> int:
 def _selftest_suites(profile: Profile, rng: random.Random):
     """Yield (label, callable) pairs, each returning a detail string; one
     list of 200 games (10 at production scale) feeds every suite."""
+    from .harness import new_game  # send and recv start without the harness
     mod = profile.mod
     games = [new_game(profile, rng)
              for _ in range(10 if mod.M.bit_length() > 64 else 200)]
@@ -219,6 +211,7 @@ def cmd_attack(args) -> int:
     if args.adversary != "random":
         print(f"unknown adversary {args.adversary!r}", file=sys.stderr)
         return 2
+    from .harness import emit_csv, run_random_adversary
     profile = _resolve_profile(args.profile)
     report = run_random_adversary(profile, args.trials, seed=args.seed)
     sys.stdout.write(emit_csv([report]))

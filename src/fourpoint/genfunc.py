@@ -12,17 +12,16 @@ All four shifted evaluation points of a session share i and K, so the
 anchor cancels out of the invariant ratio.
 """
 
-from dataclasses import dataclass
 import math
 from hashlib import sha3_256
+from typing import NamedTuple
 
 from .errors import NonInvertible, SingularPoint
 from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
 
 
-@dataclass(frozen=True)
-class PrfMasked:
+class PrfMasked(NamedTuple):
     """p^(a + i/K) := p^a * PRF(i, K), the keyed mask."""
 
     key: bytes
@@ -39,22 +38,19 @@ def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
     return (p ** t.floor()) * conv.anchor(t.frac_num(), t.K, p.mod)
 
 
-@dataclass(frozen=True)
-class GenParams:
+class GenParams(NamedTuple("GenParams", [
+        ("p", FieldElem), ("q_i", FieldElem), ("q_j", FieldElem),
+        ("C", int), ("phi", Oscillator), ("psi", Oscillator),
+        ("conv", PrfMasked), ("mod", Modulus)])):
     """Everything s_M needs at one amplitude pair (q_i, q_j)."""
 
-    p: FieldElem
-    q_i: FieldElem
-    q_j: FieldElem
-    C: int
-    phi: Oscillator
-    psi: Oscillator
-    conv: PrfMasked
-    mod: Modulus
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if math.gcd(self.p.value, self.mod.M) != 1:
             raise NonInvertible(f"base {self.p.value} shares a factor with M")
+        return self
 
 
 def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:

@@ -14,9 +14,9 @@ s1/s3 swaps with replayed hashes are all rejected).
 """
 
 from collections import Counter
-from dataclasses import dataclass
 import math
 import random
+from typing import NamedTuple
 
 from .errors import ProtocolAbort, SingularDenominator, VerificationError
 from .genfunc import s_M
@@ -27,8 +27,7 @@ from .protocol import (CHECK_V_BOUND, Message, Profile, Session,
                        derive_session)
 
 
-@dataclass(frozen=True)
-class AdversaryView:
+class AdversaryView(NamedTuple):
     """Exactly the public fields; nothing else crosses the interface."""
 
     s1: int
@@ -39,14 +38,12 @@ class AdversaryView:
     M: int
 
 
-@dataclass(frozen=True)
-class Forgery:
+class Forgery(NamedTuple):
     s_star: int
     delta_star: int
 
 
-@dataclass(frozen=True)
-class _Hidden:
+class _Hidden(NamedTuple):
     S: bytes
     session: Session
     v: int
@@ -54,8 +51,7 @@ class _Hidden:
     s2: FieldElem
 
 
-@dataclass(frozen=True)
-class GameInstance:
+class GameInstance(NamedTuple):
     profile: Profile
     transcript: Message
     hidden: _Hidden
@@ -128,8 +124,7 @@ def wilson_interval(wins: int, trials: int, z: float = 1.96) -> tuple[float, flo
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(NamedTuple):
     game_id: str
     adversary: str
     trials: int
@@ -204,8 +199,7 @@ def matching_count(V: int, m: int) -> int:
     return math.perm(V, m)
 
 
-@dataclass(frozen=True)
-class ReuseReport:
+class ReuseReport(NamedTuple):
     V: int
     splices: int
     accepted: int

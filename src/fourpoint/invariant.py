@@ -15,16 +15,15 @@ analytic_invariant_check is the floating-point reference of the same
 identity on the real line, using literal sin/cos oscillators.
 """
 
-from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 from .errors import DomainError, NonInvertible, SingularDenominator
 from .genfunc import s_M
 from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(NamedTuple):
     """Four aligned evaluations plus the offsets that produced them."""
 
     s0: FieldElem

@@ -11,15 +11,14 @@ Inverses come from the built-in pow(a, -1, M); xgcd stays only as an
 independent oracle for the tests and the fixture ledger.
 """
 
-from dataclasses import dataclass
-import random
+from hashlib import sha3_256
 
 from .errors import NonInvertible
 
 # 2^256 - 2^32 - 977, the secp256k1 field prime; any 256-bit prime works.
 PRODUCTION_PRIME = (1 << 256) - (1 << 32) - 977
 
-# Known primes that Modulus accepts without the randomized test; the test
+# Known primes that Modulus accepts without the Miller-Rabin test; the test
 # suite checks each one.
 WHITELISTED_MODULI = frozenset({17, 257, PRODUCTION_PRIME})
 
@@ -27,7 +26,9 @@ MILLER_RABIN_ROUNDS = 64  # error < 4^-64 = 2^-128 per the Modulus contract
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases."""
+    """Miller-Rabin with `rounds` bases hashed from (n, round): the verdict
+    repeats, the global `random` state is untouched, and the bases depend
+    on n, so no composite can be built against a fixed base set."""
     if n < 2:
         return False
     if n in (2, 3):
@@ -39,8 +40,9 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
-        a = random.randrange(2, n - 1)
+    for k in range(rounds):
+        digest = sha3_256(b"%x:%x" % (n, k)).digest()
+        a = int.from_bytes(digest, "big") % (n - 3) + 2
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -53,17 +55,33 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Modulus:
-    """The ring modulus M, a prime."""
+    """The ring modulus M, a prime; immutable, equal by value. M is a slot,
+    not a NamedTuple field: every FieldElem operation reads it, and a slot
+    read costs about half a tuple field read."""
 
-    M: int
+    __slots__ = ("M",)
 
-    def __post_init__(self):
-        if self.M < 3:
+    def __init__(self, M: int):
+        if M < 3:
             raise ValueError("modulus must be >= 3")
-        if self.M not in WHITELISTED_MODULI and not is_probable_prime(self.M):
-            raise ValueError(f"modulus {self.M} failed the primality test")
+        if M not in WHITELISTED_MODULI and not is_probable_prime(M):
+            raise ValueError(f"modulus {M} failed the primality test")
+        object.__setattr__(self, "M", M)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Modulus is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return Modulus, (self.M,)
+
+    def __eq__(self, other):
+        return isinstance(other, Modulus) and self.M == other.M
+
+    def __hash__(self):
+        return hash(self.M)
 
     def __repr__(self):
         return f"Modulus({self.M})"

@@ -12,8 +12,8 @@ seed in memory: the worked examples, and as_table, which materializes a
 PRF oscillator over the same _prf_value and so agrees with it everywhere.
 """
 
-from dataclasses import dataclass
 from hashlib import sha3_256
+from typing import NamedTuple
 
 from .errors import SeedTooLarge
 from .modmath import EvalPoint, FieldElem, Modulus
@@ -25,21 +25,19 @@ TABLE_CAP = 1 << 20
 _INDEX_WIDTH = 48  # bytes; covers indices below 2^384
 
 
-@dataclass(frozen=True)
-class OscSeed:
+class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
+                                     ("C", int)])):
     """Explicit seed table: P = K*C integers, one antiperiod block."""
 
-    values: tuple
-    K: int
-    C: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.K < 1 or self.C < 1:
+    def __new__(cls, values, K: int, C: int):
+        self = super().__new__(cls, tuple(values), K, C)
+        if K < 1 or C < 1:
             raise ValueError("K and C must be >= 1")
-        if len(self.values) != self.K * self.C:
-            raise ValueError(
-                f"seed length {len(self.values)} != K*C = {self.K * self.C}")
+        if len(self.values) != K * C:
+            raise ValueError(f"seed length {len(self.values)} != K*C = {K * C}")
+        return self
 
     @property
     def P(self) -> int:

@@ -16,10 +16,9 @@ Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
 """
 
-from dataclasses import dataclass
 import hmac
-import json
 from hashlib import sha3_256
+from typing import NamedTuple
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, NonInvertible, ProtocolAbort,
@@ -55,24 +54,19 @@ def _h_int(*parts: bytes) -> int:
     return int.from_bytes(_h(*parts), "big")
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple("Profile", [
+        ("name", str), ("mod", Modulus), ("K_min", int), ("K_max", int),
+        ("C_min", int), ("C_max", int), ("u_bits", int), ("v_bits", int)])):
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
 
     The envelope must fit the wire: u below 2^32 and v below the 8-byte
     check encoding, so every in-envelope message can be sent.
     """
 
-    name: str
-    mod: Modulus
-    K_min: int
-    K_max: int
-    C_min: int
-    C_max: int
-    u_bits: int
-    v_bits: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mod.M.bit_length() > 256:
             raise ValueError("modulus too wide for the 32-byte wire fields")
         if self.u_bound > _U_BOUND:
@@ -83,6 +77,7 @@ class Profile:
             raise ValueError("bad K range")
         if not (2 <= self.C_min <= self.C_max):
             raise ValueError("bad C range")
+        return self
 
     @property
     def u_bound(self) -> int:
@@ -129,35 +124,43 @@ def profile_to_dict(profile: Profile) -> dict:
     }
 
 
+_PROFILE_TYPES = {"name": str, "M": (str, int), "K_min": int, "K_max": int,
+                  "C_min": int, "C_max": int, "u_bits": int, "v_bits": int}
+
+
 def profile_from_dict(d: dict) -> Profile:
-    """Inverse of profile_to_dict; ValueError on malformed input."""
+    """Inverse of profile_to_dict; ValueError on malformed input: a missing
+    key, or a null or wrongly typed value ("M" is a decimal string or an
+    integer, "name" a string, the rest integers)."""
     if not isinstance(d, dict):
         raise ValueError("profile must be a JSON object")
     if d.get("hash", _HASH_NAME) != _HASH_NAME:
         raise ValueError(f"hash {d['hash']!r} not supported; "
                          f"only {_HASH_NAME}")
-    try:
-        return Profile(d["name"], Modulus(int(d["M"])),
-                       int(d["K_min"]), int(d["K_max"]),
-                       int(d["C_min"]), int(d["C_max"]),
-                       int(d["u_bits"]), int(d["v_bits"]))
-    except KeyError as exc:
-        raise ValueError(f"profile is missing key {exc}") from None
+    for key, kind in _PROFILE_TYPES.items():
+        if key not in d:
+            raise ValueError(f"profile is missing key {key!r}")
+        if not isinstance(d[key], kind) or isinstance(d[key], bool):
+            raise ValueError(f"profile key {key!r} has a "
+                             f"{type(d[key]).__name__} value")
+    return Profile(mod=Modulus(int(d["M"])),
+                   **{key: d[key] for key in _PROFILE_TYPES if key != "M"})
 
 
 def load_profile(path) -> Profile:
+    import json  # here, so that runs on builtin profiles start without it
     with open(path, "r", encoding="ascii") as fh:
         return profile_from_dict(json.load(fh))
 
 
 def dump_profile(profile: Profile, path) -> None:
+    import json
     with open(path, "w", encoding="ascii") as fh:
         json.dump(profile_to_dict(profile), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """Everything derived from (S, z) under one profile."""
 
     S: bytes
@@ -211,23 +214,22 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
                    GenParams(p, q3, q4, C, phi, psi, conv, mod))
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple("Message", [
+        ("s1", FieldElem), ("s3", FieldElem), ("u", int), ("z", bytes),
+        ("h_check", bytes)])):
     """The transmitted tuple; serializes to exactly 132 bytes."""
 
-    s1: FieldElem
-    s3: FieldElem
-    u: int
-    z: bytes
-    h_check: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.u < _U_BOUND:
             raise ValueError("u out of 32-bit range")
         if len(self.z) != NONCE_LEN:
             raise ValueError("nonce must be 32 bytes")
         if len(self.h_check) != 32:
             raise ValueError("check hash must be 32 bytes")
+        return self
 
 
 def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,

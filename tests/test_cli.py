@@ -129,6 +129,25 @@ class TestNonceHandling:
         assert not log.claim(b"secret", z)
         assert log.claim(b"other secret", z)
 
+    def test_entry_is_written_before_the_lock_is_given_up(self, workdir,
+                                                          monkeypatch):
+        # a rival sender that takes the lock the moment it is given up
+        # must find the entry in the file
+        log = NonceLog(workdir / "nonces.log")
+        z = bytes.fromhex(self.Z)
+        rival = []
+
+        class Flock:
+            LOCK_EX, LOCK_UN = 2, 8
+
+            def flock(self, fd, op):
+                if op == self.LOCK_UN and not rival:
+                    rival.append(NonceLog(log.path).claim(b"secret", z))
+        monkeypatch.setattr(cli, "fcntl", Flock())
+        assert log.claim(b"secret", z)
+        assert True not in rival
+        assert not log.claim(b"secret", z)
+
     def test_explicit_nonce_reuse_keeps_earlier_message(self, workdir):
         opted = ["--z", self.Z, "--allow-explicit-nonce"]
         assert main(send_args(workdir, v=17, extra=opted)) == 0
@@ -189,6 +208,10 @@ def _profile_not_object(d):
     return send_args(d) + ["--profile", str(d / "p.json")]
 
 
+def _profile_null_value(d):
+    return send_args(d) + ["--profile", _write_profile(d, TOY, u_bits=None)]
+
+
 def _profile_other_hash(d):
     return send_args(d) + ["--profile", _write_profile(d, TOY, hash="md5")]
 
@@ -211,7 +234,8 @@ def _profile_v_too_wide(d):
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
                                    _profile_missing_key, _profile_not_object,
-                                   _profile_other_hash, _profile_u_too_wide,
+                                   _profile_null_value, _profile_other_hash,
+                                   _profile_u_too_wide,
                                    _profile_v_too_wide])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0

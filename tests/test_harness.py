@@ -18,7 +18,7 @@ class TestGame:
         game = new_game(TOY, random.Random(1))
         view = game.view()
         assert isinstance(view, AdversaryView)
-        assert set(view.__dataclass_fields__) \
+        assert set(view._fields) \
             == {"s1", "s3", "u", "z", "h_check", "M"}
 
     def test_replaying_s3_with_excluded_offset_does_not_count(self):

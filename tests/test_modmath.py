@@ -1,8 +1,12 @@
+import copy
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourpoint import modmath
 from fourpoint.errors import NonInvertible
 from fourpoint.modmath import (WHITELISTED_MODULI, EvalPoint, FieldElem,
                                Modulus, is_probable_prime, mod_inv, mod_pow,
@@ -20,6 +24,19 @@ nonzero_257 = st.integers(min_value=1, max_value=256)
 
 def fe(v, mod=M257):
     return FieldElem(v, mod)
+
+
+def strong_liar(a, n):
+    """True iff base a fails to witness that odd n is composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1
+                                  for r in range(1, s))
+
+
+SPSP_2357 = 3215031751  # 151 * 751 * 28351
 
 
 class TestIsProbablePrime:
@@ -44,6 +61,32 @@ class TestIsProbablePrime:
             if n < 1 << 16:
                 assert trial_division_is_prime(n), n
 
+    def test_rejects_strong_pseudoprime_to_small_bases(self):
+        assert SPSP_2357 == 151 * 751 * 28351
+        assert all(strong_liar(a, SPSP_2357) for a in (2, 3, 5, 7))
+        assert not is_probable_prime(SPSP_2357)
+
+    def test_global_random_state_untouched(self):
+        state = random.getstate()
+        assert is_probable_prime(PRODUCTION_PRIME)
+        assert not is_probable_prime(SPSP_2357)
+        assert random.getstate() == state
+
+    def test_verdict_repeats(self):
+        # about 27% of bases are strong liars for SPSP_2357, so one random
+        # round per call would give both verdicts over 50 calls
+        assert len({is_probable_prime(SPSP_2357, rounds=1)
+                    for _ in range(50)}) == 1
+
+    def test_whitelist_short_circuits(self, monkeypatch):
+        def refuse(n, rounds=modmath.MILLER_RABIN_ROUNDS):
+            raise AssertionError(f"Miller-Rabin ran on {n}")
+        monkeypatch.setattr(modmath, "is_probable_prime", refuse)
+        for n in WHITELISTED_MODULI:
+            assert Modulus(n).M == n
+        with pytest.raises(AssertionError):
+            Modulus(101)
+
 
 class TestModulus:
     def test_accepts_primes(self):
@@ -61,6 +104,18 @@ class TestModulus:
         for bad in (-7, 0, 1, 2):
             with pytest.raises(ValueError):
                 Modulus(bad)
+
+    def test_immutable_and_equal_by_value(self):
+        m = Modulus(257)
+        for mutate in (lambda: setattr(m, "M", 17), lambda: delattr(m, "M"),
+                       lambda: setattr(m, "extra", 1)):
+            with pytest.raises(AttributeError):
+                mutate()
+        assert m.M == 257
+        assert m == Modulus(257) and hash(m) == hash(Modulus(257))
+        assert m != Modulus(17) and m != 257
+        assert pickle.loads(pickle.dumps(m)) == m
+        assert copy.deepcopy(m) == m
 
 
 class TestFieldElem:

@@ -55,6 +55,25 @@ class TestProfiles:
         with pytest.raises(ValueError):
             profile_from_dict(d)
 
+    @pytest.mark.parametrize("key, value", [
+        ("u_bits", None), ("u_bits", True), ("u_bits", 8.0), ("u_bits", "8"),
+        ("K_min", [2]), ("M", None), ("M", 257.0), ("name", 7)])
+    def test_wrongly_typed_value_rejected(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            profile_from_dict({**profile_to_dict(TOY), key: value})
+
+    def test_integer_modulus_accepted(self):
+        assert profile_from_dict({**profile_to_dict(TOY), "M": 257}) == TOY
+
+    def test_records_are_immutable(self, session_factory):
+        sess = session_factory(TOY)
+        for record, field in ((TOY, "u_bits"), (sess, "p"),
+                              (sess.gen_numer, "q_i")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                setattr(record, "extra", None)
+
     def test_envelope_must_fit_the_wire(self):
         # u rides in 4 bytes, v in the 8-byte check encoding
         with pytest.raises(ValueError):
