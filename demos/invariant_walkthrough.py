@@ -37,8 +37,8 @@ def main():
     print("\n== 2. the masked generating function ==")
     psi = TableOscillator(OscSeed((1, 0, 2, -2, 1, 4, -1, 5), 4, 2), M)
     p = fe(3)
-    numer = GenParams(p, fe(12), fe(35), 2, phi, psi, MASK, M)
-    denom = GenParams(p, fe(7), fe(11), 2, phi, psi, MASK, M)
+    numer = GenParams(p, fe(12), fe(35), phi, psi, MASK)
+    denom = GenParams(p, fe(7), fe(11), phi, psi, MASK)
     t = EvalPoint(143, 4, M)  # the rational point 35.75
     print(f"base point t = 143/4, field image {t.img.value}")
     u, v = 2, 5

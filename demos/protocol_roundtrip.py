@@ -38,8 +38,9 @@ def main():
         except ProtocolAbort as exc:
             print(f"abort ({exc}); redrawing nonce")
 
-    print(f"\nsession: p={sess.p.value} K={sess.K} C={sess.C} "
-          f"i={sess.i} t={sess.t.n}/{sess.K}")
+    t = sess.t
+    print(f"\nsession: p={sess.p.value} K={t.K} C={sess.gen_numer.phi.C} "
+          f"i={t.frac_num()} t={t.n}/{t.K}")
     blob = serialize(msg)
     print(f"\nwire message ({len(blob)} bytes: s1 | s3 | u | z | check):")
     hexdump(blob)

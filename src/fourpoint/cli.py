@@ -147,7 +147,7 @@ def _selftest_suites(profile: Profile, rng: random.Random):
 
     def suite_roundtrip():
         for game in games:
-            assert bob_verify(game.hidden.S, game.transcript,
+            assert bob_verify(game.hidden.session.S, game.transcript,
                               profile) == game.hidden.v
         return f"{len(games)} round trips"
 
@@ -162,8 +162,7 @@ def _selftest_suites(profile: Profile, rng: random.Random):
         for game in games:
             sess = game.hidden.session
             for osc in (sess.gen_numer.phi, sess.gen_numer.psi):
-                assert eval_at(osc, sess.t + 1, sess.C) \
-                    == -eval_at(osc, sess.t, sess.C)
+                assert eval_at(osc, sess.t + 1) == -eval_at(osc, sess.t)
         return f"{2 * len(games)} session oscillators under t -> t+1"
 
     def suite_tamper():
@@ -174,7 +173,7 @@ def _selftest_suites(profile: Profile, rng: random.Random):
             mutated[bit // 8] ^= 1 << (bit % 8)
             try:
                 forged = deserialize(bytes(mutated), profile)
-                bob_verify(game.hidden.S, forged, profile)
+                bob_verify(game.hidden.session.S, forged, profile)
                 raise AssertionError("tampered message accepted")
             except (BadLength, FieldOverflow, VerificationError):
                 pass

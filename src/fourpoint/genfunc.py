@@ -12,7 +12,6 @@ All four shifted evaluation points of a session share i and K, so the
 anchor cancels out of the invariant ratio.
 """
 
-import math
 from hashlib import sha3_256
 from typing import NamedTuple
 
@@ -40,16 +39,16 @@ def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
 
 class GenParams(NamedTuple("GenParams", [
         ("p", FieldElem), ("q_i", FieldElem), ("q_j", FieldElem),
-        ("C", int), ("phi", Oscillator), ("psi", Oscillator),
-        ("conv", PrfMasked), ("mod", Modulus)])):
+        ("phi", Oscillator), ("psi", Oscillator), ("conv", PrfMasked)])):
     """Everything s_M needs at one amplitude pair (q_i, q_j)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if math.gcd(self.p.value, self.mod.M) != 1:
-            raise NonInvertible(f"base {self.p.value} shares a factor with M")
+        if self.p.value == 0:  # M is prime: only 0 has no inverse
+            raise NonInvertible("base p is 0 mod M")
         return self
 
 
@@ -59,8 +58,8 @@ def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:
     if img.value == 0:
         raise SingularPoint(f"t = {t!r} reduces to 0 mod M")
     numerator = (exp_at(gp.conv, gp.p, t)
-                 + gp.q_i * eval_at(gp.phi, t, gp.C)
-                 + gp.q_j * eval_at(gp.psi, t, gp.C))
+                 + gp.q_i * eval_at(gp.phi, t)
+                 + gp.q_j * eval_at(gp.psi, t))
     return numerator * mod_inv(img)
 
 
@@ -70,6 +69,6 @@ def salt_generator(H_of_salt: FieldElem, p: FieldElem, i: int) -> FieldElem:
     Different salts give different streams whose pairwise ratios
     salt_generator(a) / salt_generator(b) = p^(a-b) are salt-independent.
     """
-    if math.gcd(H_of_salt.value, H_of_salt.mod.M) != 1:
+    if H_of_salt.value == 0:
         raise NonInvertible("salt image not invertible")
     return H_of_salt * mod_pow(p, i)

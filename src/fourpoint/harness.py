@@ -44,15 +44,13 @@ class Forgery(NamedTuple):
 
 
 class _Hidden(NamedTuple):
-    S: bytes
-    session: Session
+    session: Session  # holds S and the profile
     v: int
     s0: FieldElem
     s2: FieldElem
 
 
 class GameInstance(NamedTuple):
-    profile: Profile
     transcript: Message
     hidden: _Hidden
     aborts: int  # redraws consumed before an honest transcript appeared
@@ -60,7 +58,7 @@ class GameInstance(NamedTuple):
     def view(self) -> AdversaryView:
         m = self.transcript
         return AdversaryView(m.s1.value, m.s3.value, m.u, m.z, m.h_check,
-                             self.profile.mod.M)
+                             self.hidden.session.profile.mod.M)
 
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
@@ -79,8 +77,7 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
             continue
         s0 = s_M(sess.gen_numer, sess.t)
         s2 = s_M(sess.gen_denom, sess.t + 2 * u)
-        hidden = _Hidden(S, sess, v, s0, s2)
-        return GameInstance(profile, msg, hidden, aborts)
+        return GameInstance(msg, _Hidden(sess, v, s0, s2), aborts)
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
@@ -90,16 +87,16 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
     u, v = msg.u, hid.v
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
-    mod = game.profile.mod
-    s_star = FieldElem(forgery.s_star, mod)
+    sess = hid.session
+    s_star = FieldElem(forgery.s_star, sess.p.mod)
     try:
-        v_star = recover_v(hid.s0, msg.s1, hid.s2, s_star,
-                           hid.session.t.img, u, hid.session.p, mod)
+        v_star = recover_v(hid.s0, msg.s1, hid.s2, s_star, sess.t.img, u,
+                           sess.p)
     except SingularDenominator:
         return False
     if v_star.value >= CHECK_V_BOUND:
         return False
-    expected = compute_check(hid.S, v_star.value, msg.s1, s_star, u, msg.z)
+    expected = compute_check(sess.S, v_star.value, msg.s1, s_star, u, msg.z)
     return expected == msg.h_check
 
 
@@ -174,14 +171,13 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     raw ints, skipping the singular one where recover_v would raise. For
     every valid game the count is 1 and the witness is the honest s3.
     """
-    mod = game.profile.mod
-    M = mod.M
-    if M > 1 << 16:
-        raise ValueError("exhaustive sweep needs M <= 2^16")
     hid = game.hidden
     msg = game.transcript
+    M = hid.session.p.mod.M
+    if M > 1 << 16:
+        raise ValueError("exhaustive sweep needs M <= 2^16")
     a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
-                           msg.u, hid.session.p, mod)
+                           msg.u, hid.session.p)
     v = hid.v
     witnesses = []
     for cand in range(M):

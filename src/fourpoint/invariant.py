@@ -58,23 +58,22 @@ def expected_constant(p: FieldElem, u: int, mod: Modulus) -> FieldElem:
     return mod_inv(mod_pow(p, 2 * u))
 
 
-def check_denominator(s1: FieldElem, s3: FieldElem, p: FieldElem, u: int,
-                      mod: Modulus) -> bool:
-    """True iff the recovery denominator D = 2*(s1*p^2u - s3) is invertible."""
-    D = (s1 * mod_pow(p, 2 * u) - s3) * 2
-    return math.gcd(D.value, mod.M) == 1
+def check_denominator(s1: FieldElem, s3: FieldElem, p: FieldElem,
+                      u: int) -> bool:
+    """True iff D = 2*(s1*p^2u - s3) is nonzero, so invertible (M is prime)."""
+    return ((s1 * mod_pow(p, 2 * u) - s3) * 2).value != 0
 
 
 def recovery_map(s0: FieldElem, s1: FieldElem, s2: FieldElem,
-                 t_img: FieldElem, u: int, p: FieldElem,
-                 mod: Modulus) -> tuple[int, int, int]:
+                 t_img: FieldElem, u: int,
+                 p: FieldElem) -> tuple[int, int, int]:
     """Residues (a, c, e) of the recovery as a Moebius map in s3.
 
     With s0, s1, s2, t, u, p fixed, the identity solved for v reads
     v(s3) = (a + c*s3) / (2*(e - s3)), where e = s1*p^2u,
     a = -s0*p^2u*t - e*(t+1) + s2*(t+2u) and c = t+2u+1.
     """
-    M = mod.M
+    M = p.mod.M
     p2u = mod_pow(p, 2 * u).value
     t = t_img.value
     e = s1.value * p2u % M
@@ -84,17 +83,16 @@ def recovery_map(s0: FieldElem, s1: FieldElem, s2: FieldElem,
 
 
 def recover_v(s0: FieldElem, s1: FieldElem, s2: FieldElem, s3: FieldElem,
-              t_img: FieldElem, u: int, p: FieldElem,
-              mod: Modulus) -> FieldElem:
+              t_img: FieldElem, u: int, p: FieldElem) -> FieldElem:
     """Solve the invariant identity for v: recovery_map evaluated at s3.
 
     v = (a + c*s3) / (2*(e - s3)), the map lemma1_exhaustive sweeps;
     SingularDenominator when 2*(s1*p^2u - s3) is not invertible. For an
     honest tuple the result is v mod M.
     """
-    a, c, e = recovery_map(s0, s1, s2, t_img, u, p, mod)
-    Dinv = _invert_checked(FieldElem(2 * (e - s3.value), mod))
-    return FieldElem((a + c * s3.value) * Dinv.value, mod)
+    a, c, e = recovery_map(s0, s1, s2, t_img, u, p)
+    Dinv = _invert_checked(FieldElem(2 * (e - s3.value), p.mod))
+    return FieldElem((a + c * s3.value) * Dinv.value, p.mod)
 
 
 def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]]:

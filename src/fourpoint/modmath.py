@@ -2,8 +2,8 @@
 
 Everything here is pure and allocation-light: a Modulus wraps the prime M,
 FieldElem is a canonical residue with operator overloads, and the free
-functions (mod_inv, mod_pow, reduce_rational) are the arithmetic core the
-rest of the package builds on. Canonical representatives live in [0, M);
+functions (mod_inv, mod_pow) are the arithmetic core the rest of the
+package builds on. Canonical representatives live in [0, M);
 negative intermediates are reduced with the Euclidean remainder, which is
 what Python's % already gives for a positive modulus.
 
@@ -194,22 +194,13 @@ def mod_pow(base: FieldElem, exponent: int) -> FieldElem:
     return FieldElem(pow(base.value, exponent, base.mod.M), base.mod)
 
 
-def reduce_rational(B: int, i: int, K: int, mod: Modulus) -> FieldElem:
-    """Field image of the rational point B + i/K: ((B mod M)*K + i) * K^-1.
-
-    Raises NonInvertible when K shares a factor with M.
-    """
-    Kinv = mod_inv(FieldElem(K, mod))
-    return FieldElem((B % mod.M) * K + i, mod) * Kinv
-
-
 class EvalPoint:
     """Exact rational grid point t = n/K plus its field image mod M.
 
     The rational form drives oscillator indexing (which needs the exact
     numerator); the field image drives all Z_M arithmetic. Integer shifts
     move the numerator by multiples of K, so `t + 3` is the grid point
-    three whole units to the right.
+    three whole units to the right. NonInvertible when M divides K.
     """
 
     __slots__ = ("n", "K", "mod", "img")
@@ -220,15 +211,12 @@ class EvalPoint:
         self.n = n
         self.K = K
         self.mod = mod
-        self.img = reduce_rational(0, n, K, mod)
-
-    def shift(self, delta: int) -> "EvalPoint":
-        return EvalPoint(self.n + delta * self.K, self.K, self.mod)
+        self.img = FieldElem(n, mod) * mod_inv(FieldElem(K, mod))
 
     def __add__(self, delta: int):
         if not isinstance(delta, int):
             return NotImplemented
-        return self.shift(delta)
+        return EvalPoint(self.n + delta * self.K, self.K, self.mod)
 
     def floor(self) -> int:
         return self.n // self.K

@@ -30,6 +30,7 @@ class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
     """Explicit seed table: P = K*C integers, one antiperiod block."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
     def __new__(cls, values, K: int, C: int):
         self = super().__new__(cls, tuple(values), K, C)
@@ -126,8 +127,8 @@ def eval_arg(osc: Oscillator, x: EvalPoint) -> FieldElem:
     return eval_index(osc, x.n)
 
 
-def eval_at(osc: Oscillator, t: EvalPoint, C: int) -> FieldElem:
-    """Oscillator evaluated at argument C*t, the generating-function form.
+def eval_at(osc: Oscillator, t: EvalPoint) -> FieldElem:
+    """Oscillator at argument osc.C * t, the generating-function form.
 
     For t = n/K the argument C*t sits at index (C*t)*K = C*n. A unit shift
     of t moves the index by C*K = P, so in t this composition flips sign
@@ -135,6 +136,4 @@ def eval_at(osc: Oscillator, t: EvalPoint, C: int) -> FieldElem:
     """
     if t.K != osc.K:
         raise ValueError(f"grid mismatch: point K={t.K}, oscillator K={osc.K}")
-    if C != osc.C:
-        raise ValueError(f"period mismatch: argument C={C}, oscillator C={osc.C}")
-    return eval_index(osc, C * t.n)
+    return eval_index(osc, osc.C * t.n)

@@ -60,10 +60,12 @@ class Profile(NamedTuple("Profile", [
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
 
     The envelope must fit the wire: u below 2^32 and v below the 8-byte
-    check encoding, so every in-envelope message can be sent.
+    check encoding, so every in-envelope message can be sent. The grid
+    must fit the PRF index: K_max * C_max at most 2^384.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -77,6 +79,8 @@ class Profile(NamedTuple("Profile", [
             raise ValueError("bad K range")
         if not (2 <= self.C_min <= self.C_max):
             raise ValueError("bad C range")
+        if self.K_max * self.C_max > 1 << 8 * oscillator._INDEX_WIDTH:
+            raise ValueError("K_max * C_max too wide for the PRF index")
         return self
 
     @property
@@ -113,19 +117,13 @@ def get_profile(name: str) -> Profile:
                          f"choose from {sorted(_BUILTIN_PROFILES)}") from None
 
 
-def profile_to_dict(profile: Profile) -> dict:
-    return {
-        "name": profile.name,
-        "M": str(profile.mod.M),
-        "K_min": profile.K_min, "K_max": profile.K_max,
-        "C_min": profile.C_min, "C_max": profile.C_max,
-        "u_bits": profile.u_bits, "v_bits": profile.v_bits,
-        "hash": _HASH_NAME,
-    }
-
-
 _PROFILE_TYPES = {"name": str, "M": (str, int), "K_min": int, "K_max": int,
                   "C_min": int, "C_max": int, "u_bits": int, "v_bits": int}
+
+
+def profile_to_dict(profile: Profile) -> dict:
+    d = {key: getattr(profile, key) for key in _PROFILE_TYPES if key != "M"}
+    return {**d, "M": str(profile.mod.M), "hash": _HASH_NAME}
 
 
 def profile_from_dict(d: dict) -> Profile:
@@ -167,12 +165,8 @@ class Session(NamedTuple):
     z: bytes
     profile: Profile
     p: FieldElem
-    B: int
-    K: int
-    C: int
-    i: int
-    t: EvalPoint
-    gen_numer: GenParams  # amplitude pair (q1, q2): produces s0 and s1
+    t: EvalPoint  # B + i/K: B = t.floor(), K = t.K, i = t.frac_num()
+    gen_numer: GenParams  # pair (q1, q2) for s0, s1; period C = phi.C
     gen_denom: GenParams  # amplitude pair (q3, q4): produces s2 and s3
 
 
@@ -180,8 +174,8 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     """Deterministically expand (S, z) into a full Session.
 
     Raises AbortZeroIndex when the fractional index draws 0 and
-    AbortSingular when the evaluation point collides with 0 mod M (or K
-    shares a factor with M); callers redraw the nonce and retry.
+    AbortSingular when the evaluation point collides with 0 mod M (or M
+    divides K); callers redraw the nonce and retry.
     """
     if len(S) < profile.min_secret_len:
         raise ValueError(f"secret must be >= {profile.min_secret_len} bytes")
@@ -209,9 +203,8 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     phi = oscillator.generate(S, z, "phi", K, C, mod)
     psi = oscillator.generate(S, z, "psi", K, C, mod)
     conv = PrfMasked(_h(TAG_PRF, S, z))
-    return Session(S, z, profile, p, B, K, C, i, t,
-                   GenParams(p, q1, q2, C, phi, psi, conv, mod),
-                   GenParams(p, q3, q4, C, phi, psi, conv, mod))
+    return Session(S, z, profile, p, t, GenParams(p, q1, q2, phi, psi, conv),
+                   GenParams(p, q3, q4, phi, psi, conv))
 
 
 class Message(NamedTuple("Message", [
@@ -220,6 +213,7 @@ class Message(NamedTuple("Message", [
     """The transmitted tuple; serializes to exactly 132 bytes."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -256,7 +250,7 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
         s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
     except SingularPoint as exc:
         raise AbortSingular(str(exc)) from None
-    if not check_denominator(s1, s3, sess.p, u, profile.mod):
+    if not check_denominator(s1, s3, sess.p, u):
         raise AbortNonInvertible("recovery denominator not invertible")
     h_check = compute_check(sess.S, v, s1, s3, u, sess.z)
     return Message(s1, s3, u, sess.z, h_check)
@@ -282,11 +276,10 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
         s2 = s_M(sess.gen_denom, sess.t + 2 * msg.u)
     except SingularPoint as exc:
         raise RejectSession(f"evaluation point singular: {exc}") from None
-    if not check_denominator(msg.s1, msg.s3, sess.p, msg.u, profile.mod):
+    if not check_denominator(msg.s1, msg.s3, sess.p, msg.u):
         raise RejectDenominator("denominator check failed")
     try:
-        v_star = recover_v(s0, msg.s1, s2, msg.s3, sess.t.img,
-                           msg.u, sess.p, profile.mod)
+        v_star = recover_v(s0, msg.s1, s2, msg.s3, sess.t.img, msg.u, sess.p)
     except SingularDenominator as exc:
         raise RejectDenominator(str(exc)) from None
     v = v_star.value

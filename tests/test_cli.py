@@ -1,15 +1,20 @@
 import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fourpoint
 from fourpoint import cli
 from fourpoint.cli import NonceLog, main
 from fourpoint.errors import ProtocolAbort, RejectHash
 from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, alice_generate,
                                 derive_session, dump_profile, profile_to_dict)
+
+SRC = str(Path(fourpoint.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -231,12 +236,19 @@ def _profile_v_too_wide(d):
     return args
 
 
+def _profile_grid_too_wide(d):
+    # K = 2^384 does not fit the 48-byte PRF index
+    return send_args(d) + ["--profile", _write_profile(
+        d, TOY, K_min=1 << 384, K_max=1 << 384)]
+
+
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
                                    _profile_missing_key, _profile_not_object,
                                    _profile_null_value, _profile_other_hash,
                                    _profile_u_too_wide,
-                                   _profile_v_too_wide])
+                                   _profile_v_too_wide,
+                                   _profile_grid_too_wide])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()
@@ -320,7 +332,10 @@ class TestProfileFiles:
 
 
 def test_installed_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fourpoint.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "send" in proc.stdout and "recv" in proc.stdout

@@ -16,8 +16,8 @@ def fe(v):
 def make_gp(q_i=5, q_j=7, p=3, K=4, C=2):
     phi = TableOscillator(OscSeed((2, -1, 0, 3, -2, 1, 1, -3), K, C), M257)
     psi = TableOscillator(OscSeed((1, 1, 2, -2, 0, 4, -1, 5), K, C), M257)
-    return GenParams(fe(p), fe(q_i), fe(q_j), C, phi, psi,
-                     PrfMasked(b"\x22" * 32), M257)
+    return GenParams(fe(p), fe(q_i), fe(q_j), phi, psi,
+                     PrfMasked(b"\x22" * 32))
 
 
 class TestConventions:
@@ -46,8 +46,8 @@ class TestSM:
         gp = make_gp()
         t = EvalPoint(7, 4, M257)
         want = (exp_at(gp.conv, gp.p, t)
-                + gp.q_i * eval_at(gp.phi, t, gp.C)
-                + gp.q_j * eval_at(gp.psi, t, gp.C)) * mod_inv(t.img)
+                + gp.q_i * eval_at(gp.phi, t)
+                + gp.q_j * eval_at(gp.psi, t)) * mod_inv(t.img)
         assert s_M(gp, t) == want
 
     def test_singular_point_rejected(self):

@@ -75,7 +75,7 @@ class TestLemma1:
             game = new_game(profile, rng)
             hid, msg = game.hidden, game.transcript
             args = (hid.s0, msg.s1, hid.s2)
-            rest = (hid.session.t.img, msg.u, hid.session.p, profile.mod)
+            rest = (hid.session.t.img, msg.u, hid.session.p)
             a, c, e = recovery_map(*args, *rest)
             witnesses = []
             for cand in range(M):

@@ -87,7 +87,7 @@ class TestRecoverV:
             except Exception:
                 continue
             got = recover_v(tu.s0, tu.s1, tu.s2, tu.s3, sess.t.img, u,
-                            sess.p, M257)
+                            sess.p)
             assert got.value == v
             done += 1
 
@@ -96,12 +96,12 @@ class TestRecoverV:
         p, u = fe(3), 1
         s1 = fe(7)
         s3 = s1 * mod_pow(p, 2 * u)
-        assert not check_denominator(s1, s3, p, u, M257)
+        assert not check_denominator(s1, s3, p, u)
         with pytest.raises(SingularDenominator):
-            recover_v(fe(1), s1, fe(2), s3, fe(5), u, p, M257)
+            recover_v(fe(1), s1, fe(2), s3, fe(5), u, p)
 
     def test_open_denominator(self):
-        assert check_denominator(fe(7), fe(8), fe(3), 1, M257)
+        assert check_denominator(fe(7), fe(8), fe(3), 1)
 
 
 class TestFiber:

@@ -10,7 +10,7 @@ from fourpoint import modmath
 from fourpoint.errors import NonInvertible
 from fourpoint.modmath import (WHITELISTED_MODULI, EvalPoint, FieldElem,
                                Modulus, is_probable_prime, mod_inv, mod_pow,
-                               reduce_rational, xgcd)
+                               xgcd)
 from fourpoint.protocol import PRODUCTION_PRIME
 
 from oracles import exhaustive_inverse, naive_pow, trial_division_is_prime
@@ -205,35 +205,20 @@ class TestModPow:
         assert mod_pow(fe(base), exp).value == naive_pow(base, exp, 257)
 
 
-class TestReduceRational:
-    def test_frozen_values(self):
-        # 3/4 = 3 * 4^-1 = 3 * 193 = 579 = 2*257 + 65
-        assert reduce_rational(0, 3, 4, M257).value == 65
-        assert reduce_rational(5, 0, 4, M257).value == 5
-        # 35.75 = (0*4 + 143)/4 -> 143 * 193 mod 257
-        assert reduce_rational(0, 143, 4, M257).value == 100
-
-    def test_non_coprime_denominator(self):
-        with pytest.raises(NonInvertible):
-            reduce_rational(0, 1, 257, M257)
-        with pytest.raises(NonInvertible):
-            reduce_rational(1, 2, 34, M17)
-
-    @given(B=st.integers(min_value=-300, max_value=300),
-           i=st.integers(min_value=0, max_value=300),
-           K=st.integers(min_value=1, max_value=300))
-    def test_clears_denominator(self, B, i, K):
-        if math.gcd(K, 257) != 1:
-            return
-        got = reduce_rational(B, i, K, M257)
-        assert (got * K).value == (B * K + i) % 257
-
-
 class TestEvalPoint:
-    def test_image_matches_reduce_rational(self):
-        t = EvalPoint(143, 4, M257)
-        assert t.img == reduce_rational(0, 143, 4, M257)
-        assert t.img.value == 100
+    def test_image_is_n_over_K(self):
+        # 3/4 = 3 * 4^-1 = 3 * 193 = 579 = 2*257 + 65
+        assert EvalPoint(3, 4, M257).img.value == 65
+        assert EvalPoint(20, 4, M257).img.value == 5
+        # 35.75 = 143/4 -> 143 * 193 mod 257
+        assert EvalPoint(143, 4, M257).img.value == 100
+
+    @given(n=st.integers(min_value=-10**5, max_value=10**5),
+           K=st.integers(min_value=1, max_value=600))
+    def test_image_clears_denominator(self, n, K):
+        if K % 257 == 0:
+            return
+        assert (EvalPoint(n, K, M257).img * K).value == n % 257
 
     def test_floor_and_frac(self):
         t = EvalPoint(143, 4, M257)
@@ -247,11 +232,13 @@ class TestEvalPoint:
         t = EvalPoint(143, 4, M257)
         assert (t + 2).n == 151
         assert (t + 2).img == t.img + 2
-        assert t.shift(-36).floor() == -1
+        assert (t + -36).floor() == -1
 
     def test_non_coprime_grid_rejected(self):
         with pytest.raises(NonInvertible):
             EvalPoint(1, 257, M257)
+        with pytest.raises(NonInvertible):
+            EvalPoint(36, 34, M17)
 
     @given(n=st.integers(min_value=-10**6, max_value=10**6),
            a=st.integers(min_value=-50, max_value=50),

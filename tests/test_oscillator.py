@@ -73,14 +73,14 @@ class TestAntiperiodicity:
         # composed with the C*t argument map, one whole t-step flips sign
         osc = walkthrough_osc()
         t = EvalPoint(n, 4, M257)
-        assert eval_at(osc, t + 1, 2) == -eval_at(osc, t, 2)
+        assert eval_at(osc, t + 1) == -eval_at(osc, t)
 
     def test_grid_mismatch_rejected(self):
         osc = walkthrough_osc()
         with pytest.raises(ValueError):
             eval_arg(osc, EvalPoint(1, 5, M257))
         with pytest.raises(ValueError):
-            eval_at(osc, EvalPoint(1, 4, M257), 3)
+            eval_at(osc, EvalPoint(1, 5, M257))
 
 
 class TestModeEquivalence:

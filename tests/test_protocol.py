@@ -86,6 +86,21 @@ class TestProfiles:
         assert PRODUCTION.v_bound == protocol.CHECK_V_BOUND
         # v_bound is capped by M, so wide v_bits are fine on a small modulus
         assert Profile("x", Modulus(257), 2, 4, 2, 4, 8, 70).v_bound == 257
+        # every grid index K*C must fit the 48-byte PRF index
+        with pytest.raises(ValueError):
+            Profile("x", Modulus(257), 2, 1 << 384, 2, 4, 8, 8)
+        Profile("x", Modulus(257), 2, 1 << 382, 2, 4, 8, 8)
+
+    def test_make_and_replace_validate(self):
+        # the NamedTuple constructors that bypass __new__ run its checks too
+        with pytest.raises(ValueError):
+            TOY._replace(u_bits=40)
+        mod = Modulus(257)
+        with pytest.raises(ValueError):
+            Message._make((FieldElem(1, mod), FieldElem(2, mod), 1,
+                           bytes(31), bytes(32)))
+        assert TOY._replace(u_bits=8).u_bound == 1 << 8
+        assert Profile._make(TOY) == TOY
 
     def test_wide_modulus_rejected(self):
         wide = (1 << 260) + 45  # prime > 256 bits
@@ -104,8 +119,9 @@ class TestDeriveSession:
         S, z = b"a shared secret!", b"\x05" * 32
         a = derive_session(S, z, TOY)
         b = derive_session(S, z, TOY)
-        assert (a.p, a.B, a.K, a.C, a.i) == (b.p, b.B, b.K, b.C, b.i)
+        assert a.p == b.p
         assert a.t == b.t
+        assert a.gen_numer.phi.C == b.gen_numer.phi.C
         assert (a.gen_numer.q_i, a.gen_numer.q_j) \
             == (b.gen_numer.q_i, b.gen_numer.q_j)
         assert (a.gen_denom.q_i, a.gen_denom.q_j) \
@@ -115,16 +131,16 @@ class TestDeriveSession:
         S = b"a shared secret!"
         a = derive_session(S, b"\x00" * 32, TOY)
         b = derive_session(S, b"\x01" * 32, TOY)
-        assert (a.p, a.B, a.K, a.i) != (b.p, b.B, b.K, b.i)
+        assert (a.p, a.t) != (b.p, b.t)
 
     def test_parameters_in_range(self, session_factory):
         for profile in (TOY, MINI):
             for _ in range(20):
                 s = session_factory(profile)
                 assert 2 <= s.p.value <= profile.mod.M - 1
-                assert profile.K_min <= s.K <= profile.K_max
-                assert profile.C_min <= s.C <= profile.C_max
-                assert 1 <= s.i < s.K
+                assert profile.K_min <= s.t.K <= profile.K_max
+                assert profile.C_min <= s.gen_numer.phi.C <= profile.C_max
+                assert 1 <= s.t.frac_num() < s.t.K
                 assert s.t.img.value != 0
 
     def test_secret_length_enforced(self):
@@ -271,7 +287,7 @@ class TestRejectionTaxonomy:
         bad = Message(msg.s1 + 1, msg.s3, msg.u, msg.z, msg.h_check)
         v_star = recover_v(s_M(sess.gen_numer, sess.t), bad.s1,
                            s_M(sess.gen_denom, sess.t + 2 * msg.u), bad.s3,
-                           sess.t.img, msg.u, sess.p, PRODUCTION.mod)
+                           sess.t.img, msg.u, sess.p)
         assert v_star.value >= protocol.CHECK_V_BOUND
         calls = []
         real = protocol.compute_check
@@ -298,7 +314,7 @@ class TestRejectionTaxonomy:
                 s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
             except SingularPoint:
                 continue
-            if check_denominator(s1, s3, sess.p, u, TOY.mod):
+            if check_denominator(s1, s3, sess.p, u):
                 break
         h = compute_check(sess.S, v, s1, s3, u, sess.z)
         with pytest.raises(RejectRange):
