@@ -8,6 +8,7 @@ Library layout:
   protocol    session derivation, Alice/Bob, 132-byte wire format
   harness     forgery games, adversaries, exhaustive oracles
   cli         `fourpoint` command-line front end
+  selftest    the CLI's property suites and fixture generators
 """
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,

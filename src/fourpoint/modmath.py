@@ -203,15 +203,21 @@ class EvalPoint:
     three whole units to the right. NonInvertible when M divides K.
     """
 
-    __slots__ = ("n", "K", "mod", "img")
+    __slots__ = ("n", "K", "mod")
 
     def __init__(self, n: int, K: int, mod: Modulus):
         if K < 1:
             raise ValueError("grid denominator must be >= 1")
+        if K % mod.M == 0:  # M is prime: only multiples of M lack an inverse
+            raise NonInvertible(f"{K} has no inverse mod {mod.M}")
         self.n = n
         self.K = K
         self.mod = mod
-        self.img = FieldElem(n, mod) * mod_inv(FieldElem(K, mod))
+
+    @property
+    def img(self) -> FieldElem:
+        """n * K^-1 mod M, computed when read: it costs an inverse."""
+        return FieldElem(self.n, self.mod) * mod_inv(FieldElem(self.K, self.mod))
 
     def __add__(self, delta: int):
         if not isinstance(delta, int):

@@ -7,10 +7,16 @@ oscillator keys, the exponent-mask key) is derived from (S, z) by SHA3-256
 under fixed ASCII domain-separation tags, so the receiver reconstructs the
 whole session from the nonce alone.
 
-The sender evaluates the generating function at four aligned points and
-transmits (s1, s3, u, z, h_check): 132 bytes on the wire. The receiver
-recomputes s0 and s2, solves the invariant identity for v, and accepts
-only if the check hash over (S, v, s1, s3, u, z) matches.
+The sender transmits (s1, s3, u, z, h_check): 132 bytes on the wire. The
+receiver recomputes s0 and s2, solves the invariant identity for v, and
+accepts only if the check hash over (S, v, s1, s3, u, z) matches.
+
+Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
+2u+2v+1, share t = n/K, n = B*K + i, so s_d = K*N_d / (n + d*K) with
+N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi): X = p^B * anchor(i, K) is each
+party's one full-width pow, Phi and Psi the oscillators at t. The sender
+shares one inverse between s1 and s3; the receiver scales recovery_map by
+K, so v costs one inverse. s_M and recover_v remain the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -21,11 +27,11 @@ from hashlib import sha3_256
 from typing import NamedTuple
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
-                     BadLength, FieldOverflow, NonInvertible, ProtocolAbort,
-                     RejectDenominator, RejectHash, RejectRange,
-                     RejectSession, SingularDenominator, SingularPoint)
-from .genfunc import GenParams, PrfMasked, s_M
-from .invariant import check_denominator, recover_v
+                     BadLength, FieldOverflow, ProtocolAbort,
+                     RejectDenominator, RejectHash, RejectRange, RejectSession)
+from .genfunc import GenParams, PrfMasked, exp_at
+from .genfunc import s_M  # noqa: F401  unused here; perfbench traces it
+from .invariant import check_denominator, recover_v  # noqa: F401  likewise
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
 from . import oscillator
 
@@ -190,13 +196,10 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     i = _h_int(TAG_T, S, z) % K
     if i == 0:
         raise AbortZeroIndex("fractional index i = 0")
-    B = _h_int(TAG_B, S, z) % M
-    try:
-        t = EvalPoint(B * K + i, K, mod)
-    except NonInvertible as exc:
-        raise AbortSingular(f"grid denominator not invertible: {exc}") from None
-    if t.img.value == 0:
-        raise AbortSingular("base point t reduces to 0 mod M")
+    n = (_h_int(TAG_B, S, z) % M) * K + i
+    if K % M == 0 or n % M == 0:
+        raise AbortSingular("grid denominator or base point t is 0 mod M")
+    t = EvalPoint(n, K, mod)
 
     q1, q2, q3, q4 = (FieldElem(_h_int(TAG_Q, S, z, bytes([k])), mod)
                       for k in (1, 2, 3, 4))
@@ -236,21 +239,34 @@ def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
               u.to_bytes(4, "big"), z)
 
 
+def _kernel(sess: Session) -> tuple[int, int, int]:
+    """X = p^t, q1*Phi + q2*Psi and q3*Phi + q4*Psi at the base point t."""
+    gn, gd, t = sess.gen_numer, sess.gen_denom, sess.t
+    phi, psi = (oscillator.eval_at(osc, t).value for osc in (gn.phi, gn.psi))
+    return (exp_at(gn.conv, sess.p, t).value,
+            gn.q_i.value * phi + gn.q_j.value * psi,
+            gd.q_i.value * phi + gd.q_j.value * psi)
+
+
 def alice_generate(sess: Session, u: int, v: int) -> Message:
-    """Sender side: four evaluations, denominator check, check hash."""
+    """Sender side: s1 and s3, denominator check, check hash. AbortSingular
+    if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
     profile = sess.profile
     if not 1 <= u < profile.u_bound:
         raise ValueError(f"u must be in [1, {profile.u_bound})")
     if not 0 <= v < profile.v_bound:
         raise ValueError(f"v must be in [0, {profile.v_bound})")
-    try:
-        s_M(sess.gen_numer, sess.t)                        # s0
-        s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
-        s_M(sess.gen_denom, sess.t + 2 * u)                # s2
-        s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
-    except SingularPoint as exc:
-        raise AbortSingular(str(exc)) from None
-    if not check_denominator(s1, s3, sess.p, u):
+    M, p, K, n = profile.mod.M, sess.p.value, sess.t.K, sess.t.n
+    n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
+    if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
+        raise AbortSingular("an evaluation point reduces to 0 mod M")
+    X, A1, A3 = _kernel(sess)
+    p2u = pow(p, 2 * u, M)
+    X1 = X * pow(p, 2 * v + 1, M) % M  # odd offsets flip both oscillators
+    scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
+    s1 = FieldElem((X1 - A1) * n3 % M * scale, profile.mod)
+    s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, profile.mod)
+    if (s1.value * p2u - s3.value) % M == 0:
         raise AbortNonInvertible("recovery denominator not invertible")
     h_check = compute_check(sess.S, v, s1, s3, u, sess.z)
     return Message(s1, s3, u, sess.z, h_check)
@@ -271,18 +287,20 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
         sess = derive_session(S, msg.z, profile)
     except ProtocolAbort as exc:
         raise RejectSession(f"session recomputation aborted: {exc}") from None
-    try:
-        s0 = s_M(sess.gen_numer, sess.t)
-        s2 = s_M(sess.gen_denom, sess.t + 2 * msg.u)
-    except SingularPoint as exc:
-        raise RejectSession(f"evaluation point singular: {exc}") from None
-    if not check_denominator(msg.s1, msg.s3, sess.p, msg.u):
+    u, p, K, n, M = msg.u, sess.p.value, sess.t.K, sess.t.n, profile.mod.M
+    if (n + 2 * u * K) % M == 0:
+        raise RejectSession("evaluation point t + 2u reduces to 0 mod M")
+    if msg.s1.mod.M != M or msg.s3.mod.M != M:
+        raise ValueError("mixed moduli")
+    p2u, s3 = pow(p, 2 * u, M), msg.s3.value
+    e = msg.s1.value * p2u % M
+    if e == s3:
         raise RejectDenominator("denominator check failed")
-    try:
-        v_star = recover_v(s0, msg.s1, s2, msg.s3, sess.t.img, msg.u, sess.p)
-    except SingularDenominator as exc:
-        raise RejectDenominator(str(exc)) from None
-    v = v_star.value
+    X, A1, A3 = _kernel(sess)
+    # recovery_map's a and c times K, from N0 = s0*t and N2 = s2*(t+2u)
+    Ka = -K * (X + A1) * p2u - e * (n + K) + K * (X * p2u + A3)
+    Kc = n + (2 * u + 1) * K
+    v = (Ka + Kc * s3) % M * pow(2 * K * (e - s3) % M, -1, M) % M
     encodable = v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0,
                              msg.s1, msg.s3, msg.u, msg.z)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fourpoint
-from fourpoint import cli
+from fourpoint import cli, selftest
 from fourpoint.cli import NonceLog, main
 from fourpoint.errors import ProtocolAbort, RejectHash
 from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, alice_generate,
@@ -268,7 +268,7 @@ class TestSelftestAndAttack:
     def test_library_error_fails_its_suite_only(self, monkeypatch, capsys):
         def reject(*args):
             raise RejectHash("forced")
-        monkeypatch.setattr(cli, "bob_verify", reject)
+        monkeypatch.setattr(selftest, "bob_verify", reject)
         assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 1
         out = capsys.readouterr().out.splitlines()
         fails = [ln for ln in out if ln.startswith("FAIL  ")]
