@@ -13,10 +13,10 @@ accepts only if the check hash over (S, v, s1, s3, u, z) matches.
 
 Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
 2u+2v+1, share t = n/K, n = B*K + i, so s_d = K*N_d / (n + d*K) with
-N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi): X = p^B * anchor(i, K) is each
-party's one full-width pow, Phi and Psi the oscillators at t. The sender
-shares one inverse between s1 and s3; the receiver scales recovery_map by
-K, so v costs one inverse. s_M and recover_v remain the reference.
+N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). The
+sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and one
+inverse serves s1 and s3. X cancels out of the receiver's recovery, so v
+costs one inverse and no full-width pow. s_M and recover_v are the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -239,12 +239,11 @@ def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
               u.to_bytes(4, "big"), z)
 
 
-def _kernel(sess: Session) -> tuple[int, int, int]:
-    """X = p^t, q1*Phi + q2*Psi and q3*Phi + q4*Psi at the base point t."""
+def _kernel(sess: Session) -> tuple[int, int]:
+    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at the base point t."""
     gn, gd, t = sess.gen_numer, sess.gen_denom, sess.t
     phi, psi = (oscillator.eval_at(osc, t).value for osc in (gn.phi, gn.psi))
-    return (exp_at(gn.conv, sess.p, t).value,
-            gn.q_i.value * phi + gn.q_j.value * psi,
+    return (gn.q_i.value * phi + gn.q_j.value * psi,
             gd.q_i.value * phi + gd.q_j.value * psi)
 
 
@@ -260,9 +259,9 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    X, A1, A3 = _kernel(sess)
+    A1, A3 = _kernel(sess)
     p2u = pow(p, 2 * u, M)
-    X1 = X * pow(p, 2 * v + 1, M) % M  # odd offsets flip both oscillators
+    X1 = exp_at(sess.gen_numer.conv, sess.p, sess.t + (2 * v + 1)).value
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
     s1 = FieldElem((X1 - A1) * n3 % M * scale, profile.mod)
     s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, profile.mod)
@@ -296,9 +295,9 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     e = msg.s1.value * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    X, A1, A3 = _kernel(sess)
-    # recovery_map's a and c times K, from N0 = s0*t and N2 = s2*(t+2u)
-    Ka = -K * (X + A1) * p2u - e * (n + K) + K * (X * p2u + A3)
+    A1, A3 = _kernel(sess)
+    # recovery_map's a and c times K; X cancels from -p^2u*N0 + N2
+    Ka = K * (A3 - A1 * p2u) - e * (n + K)
     Kc = n + (2 * u + 1) * K
     v = (Ka + Kc * s3) % M * pow(2 * K * (e - s3) % M, -1, M) % M
     encodable = v < CHECK_V_BOUND

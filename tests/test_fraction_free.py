@@ -1,10 +1,13 @@
 """The fraction-free protocol path against the s_M / recover_v definition.
 
-alice_generate and bob_verify compute s1, s3 and the recovered v on raw
-ints from one exponentiation and one inverse per party. The reference
-below evaluates the generating function at each point with s_M and
-solves for v with recover_v, as the protocol did before. Both must give
-the same bytes, the same typed reason and the same v on every input.
+alice_generate computes s1 and s3 on raw ints from one full-width
+exponentiation and one inverse. bob_verify recovers v from one inverse
+and no full-width exponentiation: X = p^t cancels out of its recovery,
+so it never evaluates p^B or the PRF mask. The reference below evaluates
+the generating function at each point with s_M and solves for v with
+recover_v, as the protocol did before. Both must give the same bytes,
+the same typed reason and the same v on every input, including the
+corners of the (u, v) envelope.
 """
 
 import builtins
@@ -18,7 +21,8 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular, BadLength,
                               RejectHash, RejectRange, RejectSession,
                               SingularDenominator, SingularPoint,
                               VerificationError)
-from fourpoint.genfunc import s_M
+from fourpoint import protocol
+from fourpoint.genfunc import PrfMasked, s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem
 from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
@@ -95,6 +99,40 @@ def flip(blob, bit):
     return bytes(out)
 
 
+def matches_the_reference(rng, S, sess, u, v):
+    """Send (u, v) both ways, then receive the blob and three single-bit
+    flips of it both ways; False when the send aborted (alike)."""
+    profile = sess.profile
+    got = outcome(alice_generate, sess, u, v)
+    want = outcome(reference_generate, sess, u, v)
+    if not isinstance(want, Message):
+        assert got is want
+        return False
+    assert isinstance(got, Message) and serialize(got) == serialize(want)
+    blob = serialize(want)
+    blobs = [blob] + [flip(blob, rng.randrange(len(blob) * 8))
+                      for _ in range(3)]
+    for data in blobs:
+        assert (receive(bob_verify, S, data, profile)
+                == receive(reference_verify, S, data, profile))
+    assert receive(bob_verify, S, blob, profile) == v
+    return True
+
+
+def fresh_session(rng, profile):
+    """(S, session) on the first nonce that does not abort."""
+    while True:
+        S = rng.randbytes(32)
+        try:
+            return S, derive_session(S, rng.randbytes(32), profile)
+        except ProtocolAbort:
+            continue
+
+
+PROFILES = pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
+                                   ids=lambda p: p.name)
+
+
 @pytest.mark.parametrize("profile, sessions", [
     (MINI, 1500), (TOY, 600), (PRODUCTION, 40)])
 def test_same_bytes_reasons_and_v_as_the_reference(profile, sessions):
@@ -108,25 +146,58 @@ def test_same_bytes_reasons_and_v_as_the_reference(profile, sessions):
             continue
         u = rng.randrange(1, profile.u_bound)
         v = rng.randrange(0, profile.v_bound)
-        got = outcome(alice_generate, sess, u, v)
-        want = outcome(reference_generate, sess, u, v)
-        if isinstance(want, Message):
-            assert isinstance(got, Message) and serialize(got) == serialize(want)
+        if matches_the_reference(rng, S, sess, u, v):
+            sent += 1
         else:
-            assert got is want
             aborted += 1
-            continue
-        sent += 1
-        blob = serialize(want)
-        blobs = [blob] + [flip(blob, rng.randrange(len(blob) * 8))
-                          for _ in range(3)]
-        for data in blobs:
-            assert (receive(bob_verify, S, data, profile)
-                    == receive(reference_verify, S, data, profile))
-        assert receive(bob_verify, S, blob, profile) == v
     assert sent > sessions // 2
     if profile is MINI:
         assert aborted  # the abort paths were compared too
+
+
+@PROFILES
+def test_envelope_corners_match_the_reference(profile):
+    # The sender's exponent B + 2v+1 and the receiver's 2u are largest at
+    # the top corners of the envelope.
+    rng = random.Random(f"corners/{profile.name}")
+    sends = 3 if profile is PRODUCTION else 20
+    for u in (1, profile.u_bound - 1):
+        for v in (0, profile.v_bound - 1):
+            sent = 0
+            for _ in range(100 * sends):  # redraw the nonce on an abort
+                S, sess = fresh_session(rng, profile)
+                sent += matches_the_reference(rng, S, sess, u, v)
+                if sent == sends:
+                    break
+            assert sent == sends, (u, v)
+
+
+@PROFILES
+def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
+        profile, monkeypatch):
+    rng = random.Random(f"cancellation/{profile.name}")
+    cases = []  # (S, blob, what bob_verify makes of it unpatched)
+    for _ in range(10 if profile is PRODUCTION else 100):
+        S, sess = fresh_session(rng, profile)
+        v = rng.randrange(profile.v_bound)
+        try:
+            msg = alice_generate(sess, rng.randrange(1, profile.u_bound), v)
+        except ProtocolAbort:
+            continue
+        blob = serialize(msg)
+        cases.append((S, blob, v))
+        cases += [(S, data, receive(bob_verify, S, data, profile))
+                  for data in (flip(blob, rng.randrange(len(blob) * 8))
+                               for _ in range(3))]
+    assert len(cases) >= 20
+
+    def unreachable(*args):
+        raise AssertionError("the receiver evaluated the exponential term")
+
+    monkeypatch.setattr(protocol, "exp_at", unreachable)
+    monkeypatch.setattr(PrfMasked, "anchor", unreachable)
+    for S, data, want in cases:
+        assert receive(bob_verify, S, data, profile) == want
 
 
 def test_discarded_s2_point_still_aborts():
@@ -146,7 +217,8 @@ def test_discarded_s2_point_still_aborts():
         reference_generate(sess, u, v)
 
 
-def test_one_full_width_pow_and_one_inverse_per_party(monkeypatch):
+def test_one_full_width_pow_for_the_sender_none_for_the_receiver(
+        monkeypatch):
     rng = random.Random(5)
     S, z = rng.randbytes(32), rng.randbytes(32)
     u, v = rng.randrange(1, PRODUCTION.u_bound), rng.randrange(1 << 64)
@@ -158,21 +230,24 @@ def test_one_full_width_pow_and_one_inverse_per_party(monkeypatch):
         return real_pow(base, exp, mod)
 
     def budget(fn, *args):
+        """fn's result and its pow exponents: over 65 bits, 34 to 65 bits,
+        and the count of inverses."""
         calls.clear()
         monkeypatch.setattr(builtins, "pow", counting_pow)
         try:
             result = fn(*args)
         finally:
             monkeypatch.setattr(builtins, "pow", real_pow)
-        return (result, sum(e.bit_length() > 65 for e in calls),
-                calls.count(-1))
+        widths = [e.bit_length() for e in calls]
+        return (result, sum(w > 65 for w in widths),
+                sum(33 < w <= 65 for w in widths), calls.count(-1))
 
-    msg, wide, inverses = budget(
+    msg, wide, middle, inverses = budget(
         lambda: alice_generate(derive_session(S, z, PRODUCTION), u, v))
-    assert (wide, inverses) == (1, 1)
-    got, wide, inverses = budget(bob_verify, S, msg, PRODUCTION)
+    assert (wide, middle, inverses) == (1, 0, 1)
+    got, wide, middle, inverses = budget(bob_verify, S, msg, PRODUCTION)
     assert got == v
-    assert (wide, inverses) == (1, 1)
+    assert (wide, middle, inverses) == (0, 0, 1)
 
 
 def test_foreign_modulus_refused_like_the_reference():
