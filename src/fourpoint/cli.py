@@ -18,11 +18,6 @@ from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
                        derive_session, deserialize, get_profile,
                        load_profile, serialize)
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX: proceed without advisory locking
-    fcntl = None
-
 _AUTO_NONCE_TRIES = 64
 
 
@@ -37,7 +32,7 @@ def _fingerprint(S: bytes) -> str:
 
 
 class NonceLog:
-    """Line-oriented hex file of (secret fingerprint, nonce) pairs."""
+    """Directory of empty files, one per (secret fingerprint, nonce) pair."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -45,21 +40,17 @@ class NonceLog:
     def claim(self, S: bytes, z: bytes) -> bool:
         """Record (S, z) unless already present; False if it was.
 
-        The scan and the append happen under one lock, so two senders
-        cannot both claim the same nonce. Closing the file flushes the
-        entry and then drops the lock; an explicit unlock before the
-        close would let a rival scan before the entry reached the file.
+        O_CREAT|O_EXCL tests for the entry and creates it in one atomic
+        step, so two senders cannot both claim the same nonce.
         """
-        entry = f"{_fingerprint(S)} {z.hex()}"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a+", encoding="ascii") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            fh.seek(0)
-            if any(line.strip() == entry for line in fh):
-                return False
-            fh.write(entry + "\n")
-            return True
+        self.path.mkdir(parents=True, exist_ok=True)
+        try:
+            fd = os.open(self.path / f"{_fingerprint(S)}-{z.hex()}",
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return False
+        os.close(fd)
+        return True
 
 
 def cmd_send(args) -> int:
@@ -100,7 +91,8 @@ def cmd_send(args) -> int:
 
 
 def cmd_recv(args) -> int:
-    data = Path(args.infile).read_bytes()
+    with open(args.infile, "rb") as fh:
+        data = fh.read(MESSAGE_LEN + 1)  # one byte over tells a long file
     profile = _resolve_profile(args.profile)
     S = Path(args.secret_file).read_bytes()
     try:
@@ -175,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", help="explicit nonce (hex); fixtures only")
     p.add_argument("--allow-explicit-nonce", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--nonce-log", default="fourpoint-nonces.log")
+    p.add_argument("--nonce-log", default="fourpoint-nonces.log",
+                   help="directory of used nonces, one empty file each")
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("recv", help="verify a message and print v")

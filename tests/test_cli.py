@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import fourpoint
-from fourpoint import cli, selftest
+from fourpoint import selftest
 from fourpoint.cli import NonceLog, main
 from fourpoint.errors import ProtocolAbort, RejectHash
+from fourpoint.modmath import is_probable_prime
 from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, alice_generate,
                                 derive_session, dump_profile, profile_to_dict)
 
@@ -91,6 +95,20 @@ class TestSendRecv:
         assert main(recv_args(workdir)) == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_oversized_input_is_malformed_without_reading_it(self, workdir,
+                                                             capsys):
+        with open(workdir / "big.bin", "wb") as fh:
+            fh.truncate(64 << 20)  # sparse: 64 MB of zeros, no disk used
+        tracemalloc.start()
+        try:
+            rc = main(recv_args(workdir, "big.bin"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "malformed" in capsys.readouterr().err
+        assert peak < 1 << 20
+
     def test_out_of_range_v(self, workdir):
         assert main(send_args(workdir, v=257)) == 2
         assert main(send_args(workdir, v=-1)) == 2
@@ -134,25 +152,6 @@ class TestNonceHandling:
         assert not log.claim(b"secret", z)
         assert log.claim(b"other secret", z)
 
-    def test_entry_is_written_before_the_lock_is_given_up(self, workdir,
-                                                          monkeypatch):
-        # a rival sender that takes the lock the moment it is given up
-        # must find the entry in the file
-        log = NonceLog(workdir / "nonces.log")
-        z = bytes.fromhex(self.Z)
-        rival = []
-
-        class Flock:
-            LOCK_EX, LOCK_UN = 2, 8
-
-            def flock(self, fd, op):
-                if op == self.LOCK_UN and not rival:
-                    rival.append(NonceLog(log.path).claim(b"secret", z))
-        monkeypatch.setattr(cli, "fcntl", Flock())
-        assert log.claim(b"secret", z)
-        assert True not in rival
-        assert not log.claim(b"secret", z)
-
     def test_explicit_nonce_reuse_keeps_earlier_message(self, workdir):
         opted = ["--z", self.Z, "--allow-explicit-nonce"]
         assert main(send_args(workdir, v=17, extra=opted)) == 0
@@ -170,8 +169,33 @@ class TestNonceHandling:
             assert rc == 0
             zs.add(out.read_bytes()[68:100])
         assert len(zs) == 5
-        log = (workdir / "nonces.log").read_text().strip().splitlines()
-        assert len(log) == 5
+        assert len(list((workdir / "nonces.log").iterdir())) == 5
+
+    def test_concurrent_claims_of_one_nonce_admit_one(self, workdir):
+        log = NonceLog(workdir / "nonces.log")
+        z = bytes.fromhex(self.Z)
+
+        def race(pairs):
+            start = threading.Barrier(len(pairs))
+
+            def claim(pair):
+                start.wait()
+                return log.claim(*pair)
+            with ThreadPoolExecutor(len(pairs)) as pool:
+                return list(pool.map(claim, pairs))
+
+        assert sorted(race([(b"secret", z)] * 8)) == [False] * 7 + [True]
+        assert race([(b"secret", bytes([k]) * 32) for k in range(8)]) \
+            == [True] * 8
+
+    def test_old_single_file_log_fails_closed(self, workdir, capsys):
+        # a log written by the line-per-entry format sits where the
+        # directory goes; send must stop rather than start a fresh log
+        (workdir / "nonces.log").write_text(f"{'0' * 32} {self.Z}\n")
+        assert main(send_args(workdir)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "nonces.log" in err[0]
+        assert not (workdir / "msg.bin").exists()
 
 
 def _short_secret(d):
@@ -242,13 +266,22 @@ def _profile_grid_too_wide(d):
         d, TOY, K_min=1 << 384, K_max=1 << 384)]
 
 
+def _profile_modulus_too_wide(d):
+    # a prime that the primality test passes but the 32-byte fields cannot
+    # hold
+    M = (1 << 256) + 297
+    assert is_probable_prime(M)
+    return send_args(d) + ["--profile", _write_profile(d, TOY, M=str(M))]
+
+
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
                                    _profile_missing_key, _profile_not_object,
                                    _profile_null_value, _profile_other_hash,
                                    _profile_u_too_wide,
                                    _profile_v_too_wide,
-                                   _profile_grid_too_wide])
+                                   _profile_grid_too_wide,
+                                   _profile_modulus_too_wide])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()
@@ -275,6 +308,20 @@ class TestSelftestAndAttack:
         assert len(fails) == 1
         assert "protocol round trip" in fails[0] and "RejectHash" in fails[0]
         assert out[-1] == "FAIL: selftest on profile mini, 1 failing suite(s)"
+
+    def test_wrong_v_fails_round_trip_and_tamper_suites(self, monkeypatch,
+                                                        capsys):
+        # a receiver that accepts everything with a wrong value fails the
+        # suites' own assertions, not a library error
+        monkeypatch.setattr(selftest, "bob_verify", lambda *args: -1)
+        assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        fails = [ln for ln in out if ln.startswith("FAIL  ")]
+        assert len(fails) == 2
+        assert "protocol round trip" in fails[0]
+        assert "tamper rejection" in fails[1]
+        assert "tampered message accepted" in fails[1]
+        assert out[-1] == "FAIL: selftest on profile mini, 2 failing suite(s)"
 
     def test_attack_csv(self, capsys):
         assert main(["attack", "--trials", "150", "--seed", "9"]) == 0

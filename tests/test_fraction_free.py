@@ -259,3 +259,25 @@ def test_foreign_modulus_refused_like_the_reference():
     for verify in (bob_verify, reference_verify):
         with pytest.raises(ValueError, match="mixed moduli"):
             verify(S, foreign, PRODUCTION)
+
+
+def test_hash_bound_value_at_v_bound_rejected_as_out_of_range():
+    # On mini v_bound is 16 and M is 17, so v = 16 is recoverable and
+    # encodable: only the last range check can refuse it, after the hash
+    # has matched.
+    v = MINI.v_bound
+    assert v < MINI.mod.M
+    rng = random.Random(1)
+    reached = 0
+    for _ in range(200):
+        S, sess = fresh_session(rng, MINI)
+        try:
+            msg = reference_generate(sess, rng.randrange(1, MINI.u_bound), v)
+        except ProtocolAbort:
+            continue
+        with pytest.raises(RejectRange, match=f"recovered value {v} outside"):
+            bob_verify(S, msg, MINI)
+        with pytest.raises(RejectRange, match="out of range"):
+            reference_verify(S, msg, MINI)
+        reached += 1
+    assert reached > 100
