@@ -1,8 +1,10 @@
-"""Command-line front end: send/recv message files, self tests, attack
-simulations, and regression fixture generation.
+"""Command-line front end: send, recv, selftest, attack and fixtures.
 
-Exit codes: 0 success; 1 rejected verification or failed suite; 2 abort,
-range, or malformed-input conditions; 3 nonce reuse.
+Commands raise typed errors; only `main` maps them to output and exit
+codes: 0 success; 1 VerificationError (`rejected` on stdout) or a failing
+selftest suite; 2 BadLength or FieldOverflow (`malformed input: ...`),
+ProtocolAbort (`<command> failed: <Class>: ...`), OSError or ValueError
+(`<command>: ...`); 3 a nonce already used for this secret (`send --z`).
 """
 
 import argparse
@@ -14,11 +16,12 @@ from pathlib import Path
 
 from .errors import (BadLength, FieldOverflow, FourPointError,
                      ProtocolAbort, VerificationError)
-from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
-                       derive_session, deserialize, get_profile,
+from .protocol import (MESSAGE_LEN, NONCE_LEN, Profile, alice_generate,
+                       bob_verify, derive_session, deserialize, get_profile,
                        load_profile, serialize)
 
 _AUTO_NONCE_TRIES = 64
+SECRET_CAP = 4096  # bytes; a longer --secret-file is refused unread
 
 
 def _resolve_profile(arg: str) -> Profile:
@@ -27,8 +30,12 @@ def _resolve_profile(arg: str) -> Profile:
     return get_profile(arg)
 
 
-def _fingerprint(S: bytes) -> str:
-    return sha3_256(S).hexdigest()[:32]
+def _read_secret(path) -> bytes:
+    with open(path, "rb") as fh:
+        S = fh.read(SECRET_CAP + 1)  # one byte over tells a long file
+    if len(S) > SECRET_CAP:
+        raise ValueError(f"secret file {path} is over {SECRET_CAP} bytes")
+    return S
 
 
 class NonceLog:
@@ -44,9 +51,9 @@ class NonceLog:
         step, so two senders cannot both claim the same nonce.
         """
         self.path.mkdir(parents=True, exist_ok=True)
+        path = self.path / f"{sha3_256(S).hexdigest()[:32]}-{z.hex()}"
         try:
-            fd = os.open(self.path / f"{_fingerprint(S)}-{z.hex()}",
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             return False
         os.close(fd)
@@ -54,31 +61,22 @@ class NonceLog:
 
 
 def cmd_send(args) -> int:
-    S = Path(args.secret_file).read_bytes()
+    S = _read_secret(args.secret_file)
     profile = _resolve_profile(args.profile)
-    log = NonceLog(args.nonce_log)
 
-    if args.z is not None:
-        if not args.allow_explicit_nonce:
-            print("--z requires --allow-explicit-nonce", file=sys.stderr)
-            return 2
-        try:
-            z = bytes.fromhex(args.z)
-        except ValueError:
-            print("--z must be hex", file=sys.stderr)
-            return 2
-        nonces = [z]
-    else:
-        nonces = (os.urandom(32) for _ in range(_AUTO_NONCE_TRIES))
+    if args.z is not None and not args.allow_explicit_nonce:
+        raise ValueError("--z requires --allow-explicit-nonce")
+    nonces = ([bytes.fromhex(args.z)] if args.z is not None else
+              (os.urandom(NONCE_LEN) for _ in range(_AUTO_NONCE_TRIES)))
 
-    last_error = "no usable nonce"
+    abort = ProtocolAbort("no usable nonce")
     for z in nonces:
         try:
             msg = alice_generate(derive_session(S, z, profile), args.u, args.v)
         except ProtocolAbort as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
+            abort = exc
             continue
-        if not log.claim(S, z):
+        if not NonceLog(args.nonce_log).claim(S, z):
             if args.z is not None:
                 print("nonce already used for this secret", file=sys.stderr)
                 return 3
@@ -86,36 +84,23 @@ def cmd_send(args) -> int:
         Path(args.out).write_bytes(serialize(msg))
         print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
         return 0
-    print(f"send failed: {last_error}", file=sys.stderr)
-    return 2
+    raise abort
 
 
 def cmd_recv(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read(MESSAGE_LEN + 1)  # one byte over tells a long file
     profile = _resolve_profile(args.profile)
-    S = Path(args.secret_file).read_bytes()
-    try:
-        msg = deserialize(data, profile)
-    except (BadLength, FieldOverflow) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return 2
-    try:
-        v = bob_verify(S, msg, profile)
-    except VerificationError:
-        # one word for every reason, so the output is no oracle
-        print("rejected")
-        return 1
-    print(v)
+    S = _read_secret(args.secret_file)
+    print(bob_verify(S, deserialize(data, profile), profile))
     return 0
 
 
 def cmd_selftest(args) -> int:
     from .selftest import selftest_suites  # send and recv start without it
     profile = _resolve_profile(args.profile)
-    rng = random.Random(args.seed)
     fails = 0
-    for label, suite in selftest_suites(profile, rng):
+    for label, suite in selftest_suites(profile, random.Random(args.seed)):
         try:
             detail = suite()
             print(f"PASS  {label:32} {detail}")
@@ -133,8 +118,7 @@ def cmd_selftest(args) -> int:
 
 def cmd_attack(args) -> int:
     if args.adversary != "random":
-        print(f"unknown adversary {args.adversary!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown adversary {args.adversary!r}")
     from .harness import emit_csv, run_random_adversary
     profile = _resolve_profile(args.profile)
     report = run_random_adversary(profile, args.trials, seed=args.seed)
@@ -199,11 +183,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        # unreadable files, malformed profile JSON, short secrets, and
-        # out-of-range arguments
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
+    except VerificationError:
+        print("rejected")  # one word for every reason, so no oracle
+        return 1
+    except (BadLength, FieldOverflow) as exc:
+        why = f"malformed input: {exc}"
+    except ProtocolAbort as exc:
+        why = f"{args.command} failed: {type(exc).__name__}: {exc}"
+    except (OSError, ValueError) as exc:  # files, profiles, arguments
+        why = f"{args.command}: {exc}"
+    print(why, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from hashlib import sha3_256
 from typing import NamedTuple
 
 from .errors import NonInvertible, SingularPoint
-from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
+from .modmath import EvalPoint, FieldElem, Modulus, mod_inv
+from .modmath import mod_pow  # noqa: F401  unused here; perfbench traces it
 from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
 
 
@@ -61,14 +62,3 @@ def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:
                  + gp.q_i * eval_at(gp.phi, t)
                  + gp.q_j * eval_at(gp.psi, t))
     return numerator * mod_inv(img)
-
-
-def salt_generator(H_of_salt: FieldElem, p: FieldElem, i: int) -> FieldElem:
-    """Salt-anchored exponent H(s) * p^i.
-
-    Different salts give different streams whose pairwise ratios
-    salt_generator(a) / salt_generator(b) = p^(a-b) are salt-independent.
-    """
-    if H_of_salt.value == 0:
-        raise NonInvertible("salt image not invertible")
-    return H_of_salt * mod_pow(p, i)

@@ -3,7 +3,8 @@ property suites over one list of forgery-game instances, and the
 regression vectors and dual-oracle ledger under tests/fixtures/.
 
 `send` and `recv` never run this code, so the CLI imports it only inside
-those two commands.
+those two commands. The suites raise AssertionError themselves rather
+than use `assert`, so that they still check under `python -O`.
 """
 
 import random
@@ -37,29 +38,35 @@ def selftest_suites(profile: Profile, rng: random.Random):
             except SingularDenominator:
                 singular += 1
                 continue
-            assert got == expected_constant(hid.session.p, msg.u, mod)
+            if got != expected_constant(hid.session.p, msg.u, mod):
+                raise AssertionError
             exact += 1
-        assert exact, "no session had an invertible invariant denominator"
+        if not exact:
+            raise AssertionError("no session had an invertible invariant "
+                                 "denominator")
         return f"{exact} sessions exact, {singular} singular skipped"
 
     def suite_roundtrip():
         for game in games:
-            assert bob_verify(game.hidden.session.S, game.transcript,
-                              profile) == game.hidden.v
+            if bob_verify(game.hidden.session.S, game.transcript,
+                          profile) != game.hidden.v:
+                raise AssertionError
         return f"{len(games)} round trips"
 
     def suite_serialize():
         for game in games:
             blob = serialize(game.transcript)
-            assert len(blob) == MESSAGE_LEN
-            assert deserialize(blob, profile) == game.transcript
+            if (len(blob) != MESSAGE_LEN
+                    or deserialize(blob, profile) != game.transcript):
+                raise AssertionError
         return f"{len(games)} blobs, length and round trip"
 
     def suite_antiperiodic():
         for game in games:
             sess = game.hidden.session
             for osc in (sess.gen_numer.phi, sess.gen_numer.psi):
-                assert eval_at(osc, sess.t + 1) == -eval_at(osc, sess.t)
+                if eval_at(osc, sess.t + 1) != -eval_at(osc, sess.t):
+                    raise AssertionError
         return f"{2 * len(games)} session oscillators under t -> t+1"
 
     def suite_tamper():

@@ -109,6 +109,29 @@ class TestSendRecv:
         assert "malformed" in capsys.readouterr().err
         assert peak < 1 << 20
 
+    def test_oversized_secret_is_refused_without_reading_it(self, workdir,
+                                                            capsys):
+        main(send_args(workdir))
+        with open(workdir / "big.bin", "wb") as fh:
+            fh.truncate(64 << 20)  # sparse: 64 MB of zeros, no disk used
+        capsys.readouterr()
+        send = send_args(workdir)
+        send[send.index("--out") + 1] = str(workdir / "new.bin")
+        for argv in (send, recv_args(workdir)):
+            argv[argv.index("--secret-file") + 1] = str(workdir / "big.bin")
+            tracemalloc.start()
+            try:
+                rc = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 2
+            captured = capsys.readouterr()
+            assert len(captured.err.strip().splitlines()) == 1
+            assert captured.out == ""
+            assert peak < 1 << 20
+        assert not (workdir / "new.bin").exists()
+
     def test_out_of_range_v(self, workdir):
         assert main(send_args(workdir, v=257)) == 2
         assert main(send_args(workdir, v=-1)) == 2
@@ -322,6 +345,23 @@ class TestSelftestAndAttack:
         assert "tamper rejection" in fails[1]
         assert "tampered message accepted" in fails[1]
         assert out[-1] == "FAIL: selftest on profile mini, 2 failing suite(s)"
+
+    def test_suites_still_check_under_optimize(self):
+        # python -O strips assert statements, so a suite that checked with
+        # them would pass a receiver that returns the wrong v
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from fourpoint import cli, selftest\n"
+                "selftest.bob_verify = lambda *args: -1\n"
+                "sys.exit(cli.main(['selftest', '--profile', 'mini']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        fails = [ln for ln in proc.stdout.splitlines()
+                 if ln.startswith("FAIL  ")]
+        assert fails and "protocol round trip" in fails[0]
 
     def test_attack_csv(self, capsys):
         assert main(["attack", "--trials", "150", "--seed", "9"]) == 0

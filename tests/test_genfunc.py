@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import NonInvertible, SingularPoint
-from fourpoint.genfunc import GenParams, PrfMasked, exp_at, s_M, salt_generator
+from fourpoint.genfunc import GenParams, PrfMasked, exp_at, s_M
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from fourpoint.oscillator import OscSeed, TableOscillator, eval_at
 
@@ -71,30 +71,3 @@ class TestSM:
                 s_M(gp, t)
         else:
             s_M(gp, t)  # must not raise
-
-
-class TestSaltGenerator:
-    def test_shift_by_power(self):
-        H = fe(113)
-        assert salt_generator(H, fe(3), 35) == H * mod_pow(fe(3), 35)
-        # the 35.75 walkthrough mask: 186 * 113 = 21018 = 81*257 + 201
-        assert salt_generator(fe(113), fe(3), 35).value \
-            == (113 * 186) % 257 == 201
-
-    def test_identity_at_zero(self):
-        assert salt_generator(fe(113), fe(3), 0) == fe(113)
-
-    def test_bad_salt_image_rejected(self):
-        with pytest.raises(NonInvertible):
-            salt_generator(fe(0), fe(3), 3)
-
-    @given(h1=st.integers(min_value=1, max_value=256),
-           h2=st.integers(min_value=1, max_value=256),
-           a=st.integers(min_value=0, max_value=64),
-           b=st.integers(min_value=0, max_value=64))
-    @settings(max_examples=100)
-    def test_ratio_is_salt_independent(self, h1, h2, a, b):
-        p = fe(3)
-        r1 = salt_generator(fe(h1), p, a) * mod_inv(salt_generator(fe(h1), p, b))
-        r2 = salt_generator(fe(h2), p, a) * mod_inv(salt_generator(fe(h2), p, b))
-        assert r1 == r2 == mod_pow(p, a) * mod_inv(mod_pow(p, b))

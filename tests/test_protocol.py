@@ -301,6 +301,18 @@ class TestRejectionTaxonomy:
         assert len(calls) == 1
         assert calls[0][1] == 0
 
+    def test_reject_range_at_the_check_encoding_bound(self):
+        # s1 and s3 built for v = 2^64, the first value the 8-byte check
+        # encoding cannot hold: recovery yields exactly 2^64, which must be
+        # a range rejection, not an OverflowError from the encoding
+        sess = fresh_session(PRODUCTION, random.Random(5))
+        u, v = 7, protocol.CHECK_V_BOUND
+        s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
+        s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
+        with pytest.raises(RejectRange, match=f"recovered value {v} "):
+            bob_verify(sess.S, Message(s1, s3, u, sess.z, bytes(32)),
+                       PRODUCTION)
+
     @pytest.mark.parametrize("u", [0, TOY.u_bound, (1 << 32) - 1])
     def test_reject_u_outside_envelope(self, u):
         # a message the sender could never emit, with a consistent hash:
@@ -371,9 +383,12 @@ class TestWireFormat:
                 deserialize(b"\x00" * n, TOY)
 
     def test_field_overflow(self):
-        blob = b"\xff" * 64 + (1).to_bytes(4, "big") + bytes(64)
-        with pytest.raises(FieldOverflow):
-            deserialize(blob, TOY)
+        M = TOY.mod.M.to_bytes(32, "big")
+        tail = (1).to_bytes(4, "big") + bytes(64)
+        # all ones, then s1 = M and s3 = M: the first value out of range
+        for fields in (b"\xff" * 64, M + bytes(32), bytes(32) + M):
+            with pytest.raises(FieldOverflow):
+                deserialize(fields + tail, TOY)
 
     def test_cross_profile_overflow(self, session_factory):
         # production field values exceed the toy modulus
