@@ -33,9 +33,18 @@ class PrfMasked(NamedTuple):
         return int.from_bytes(digest, "big") % (mod.M - 1) + 1
 
 
+def exp_value(conv: PrfMasked, p: int, n: int, K: int, mod: Modulus) -> int:
+    """exp_at at t = n/K on raw ints, in [0, M)."""
+    B, i = divmod(n, K)
+    return pow(p, B, mod.M) * conv.anchor(i, K, mod) % mod.M
+
+
 def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
     """p^t as p^floor(t) * anchor(i, K)."""
-    return (p ** t.floor()) * conv.anchor(t.frac_num(), t.K, p.mod)
+    try:
+        return FieldElem(exp_value(conv, p.value, t.n, t.K, p.mod), p.mod)
+    except ValueError:  # floor(t) < 0 and p = 0
+        raise NonInvertible(f"p has no inverse mod {p.mod.M}") from None
 
 
 class GenParams(NamedTuple("GenParams", [

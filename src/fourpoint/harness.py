@@ -167,9 +167,10 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
 
     Exhaustive, so only meaningful at desk scale. Recovery is the Moebius
     map v(s*) = (a + c*s*) / (2*(e - s*)) of recovery_map, which recover_v
-    also evaluates: the map is computed once, then every candidate runs on
-    raw ints, skipping the singular one where recover_v would raise. For
-    every valid game the count is 1 and the witness is the honest s3.
+    also evaluates. As M is prime and v < M, v(s*) = v exactly when
+    a + c*s* = 2v*(e - s*) mod M and s* is not the singular e, so the
+    sweep runs on raw ints and needs no inverse. For every valid game the
+    count is 1 and the witness is the honest s3.
     """
     hid = game.hidden
     msg = game.transcript
@@ -178,15 +179,9 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
         raise ValueError("exhaustive sweep needs M <= 2^16")
     a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
                            msg.u, hid.session.p)
-    v = hid.v
-    witnesses = []
-    for cand in range(M):
-        try:
-            Dinv = pow(2 * (e - cand), -1, M)
-        except ValueError:
-            continue
-        if (a + c * cand) * Dinv % M == v:
-            witnesses.append(cand)
+    two_v = 2 * hid.v
+    witnesses = [cand for cand in range(M) if cand != e
+                 and (a + c * cand - two_v * (e - cand)) % M == 0]
     return len(witnesses), witnesses
 
 
@@ -210,8 +205,9 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
     cross-transcript splice (s1 from one, s3 from another) replaying the
     check hash from either side. All splices must be rejected.
     """
-    if not 1 <= V_max <= 1000:
-        raise ValueError("V_max must be in [1, 1000]")
+    if not 1 <= V_max <= min(1000, profile.v_bound):
+        raise ValueError(f"V_max must be in [1, 1000] and at most the "
+                         f"profile's v_bound = {profile.v_bound}")
     rng = random.Random(seed)
     v_pool = rng.sample(range(profile.v_bound), V_max)
     while True:

@@ -102,17 +102,20 @@ def generate(S: bytes, z: bytes, label: str, K: int, C: int,
     return PrfOscillator(key, K, C, mod)
 
 
-def eval_index(osc: Oscillator, j: int) -> FieldElem:
-    """Oscillator value at integer index j, reduced mod M.
+def index_value(osc: Oscillator, j: int) -> int:
+    """Oscillator value at integer index j, as an int in (-M, M).
 
     divmod against the positive P gives the Euclidean block/offset pair,
     so negative indices extend the antiperiodic pattern leftward.
     """
     block, m = divmod(j, osc.P)
     v = osc.seed_value(m)
-    if block % 2:
-        v = -v
-    return FieldElem(v, osc.mod)
+    return -v if block % 2 else v
+
+
+def eval_index(osc: Oscillator, j: int) -> FieldElem:
+    """index_value reduced mod M."""
+    return FieldElem(index_value(osc, j), osc.mod)
 
 
 def eval_arg(osc: Oscillator, x: EvalPoint) -> FieldElem:
@@ -136,4 +139,9 @@ def eval_at(osc: Oscillator, t: EvalPoint) -> FieldElem:
     """
     if t.K != osc.K:
         raise ValueError(f"grid mismatch: point K={t.K}, oscillator K={osc.K}")
-    return eval_index(osc, osc.C * t.n)
+    return FieldElem(value_at(osc, t.n), osc.mod)
+
+
+def value_at(osc: Oscillator, n: int) -> int:
+    """eval_at at t = n/K on raw ints, in (-M, M): index_value at C*n."""
+    return index_value(osc, osc.C * n)

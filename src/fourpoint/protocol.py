@@ -29,8 +29,8 @@ from typing import NamedTuple
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
-from .genfunc import GenParams, PrfMasked, exp_at
-from .genfunc import s_M  # noqa: F401  unused here; perfbench traces it
+from .genfunc import GenParams, PrfMasked, exp_value
+from .genfunc import exp_at, s_M  # noqa: F401  unused here; traced or patched
 from .invariant import check_denominator, recover_v  # noqa: F401  likewise
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
 from . import oscillator
@@ -53,11 +53,8 @@ _U_BOUND = 1 << 32  # u travels in a 4-byte wire field
 _HASH_NAME = "sha3-256"  # the one hash; profile files name it
 
 
-def _h(*parts: bytes) -> bytes:
-    return sha3_256(b"".join(parts)).digest()
-
-def _h_int(*parts: bytes) -> int:
-    return int.from_bytes(_h(*parts), "big")
+def _h_int(data: bytes) -> int:
+    return int.from_bytes(sha3_256(data).digest(), "big")
 
 
 class Profile(NamedTuple("Profile", [
@@ -165,15 +162,26 @@ def dump_profile(profile: Profile, path) -> None:
 
 
 class Session(NamedTuple):
-    """Everything derived from (S, z) under one profile."""
+    """Everything derived from (S, z) under one profile; gen_numer and
+    gen_denom build the typed s_M parameters each time they are read."""
 
     S: bytes
     z: bytes
     profile: Profile
     p: FieldElem
     t: EvalPoint  # B + i/K: B = t.floor(), K = t.K, i = t.frac_num()
-    gen_numer: GenParams  # pair (q1, q2) for s0, s1; period C = phi.C
-    gen_denom: GenParams  # amplitude pair (q3, q4): produces s2 and s3
+    q: tuple  # amplitudes (q1, q2, q3, q4) as ints in [0, M)
+    phi: oscillator.PrfOscillator  # period C = phi.C
+    psi: oscillator.PrfOscillator
+    conv: PrfMasked  # the anchor key
+
+    def _gen(self, qa: int, qb: int) -> GenParams:
+        mod = self.p.mod
+        return GenParams(self.p, FieldElem(qa, mod), FieldElem(qb, mod),
+                         self.phi, self.psi, self.conv)
+
+    gen_numer = property(lambda self: self._gen(*self.q[:2]))  # s0 and s1
+    gen_denom = property(lambda self: self._gen(*self.q[2:]))  # s2 and s3
 
 
 def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
@@ -187,27 +195,25 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
         raise ValueError(f"secret must be >= {profile.min_secret_len} bytes")
     if len(z) != NONCE_LEN:
         raise ValueError(f"nonce must be exactly {NONCE_LEN} bytes")
-    mod = profile.mod
-    M = mod.M
+    mod, M, Sz = profile.mod, profile.mod.M, S + z
 
-    p = FieldElem(_h_int(TAG_P, S, z) % (M - 2) + 2, mod)
-    K = _h_int(TAG_K, S, z) % (profile.K_max - profile.K_min + 1) + profile.K_min
-    C = _h_int(TAG_C, S, z) % (profile.C_max - profile.C_min + 1) + profile.C_min
-    i = _h_int(TAG_T, S, z) % K
+    p = FieldElem(_h_int(TAG_P + Sz) % (M - 2) + 2, mod)
+    K = _h_int(TAG_K + Sz) % (profile.K_max - profile.K_min + 1) + profile.K_min
+    C = _h_int(TAG_C + Sz) % (profile.C_max - profile.C_min + 1) + profile.C_min
+    i = _h_int(TAG_T + Sz) % K
     if i == 0:
         raise AbortZeroIndex("fractional index i = 0")
-    n = (_h_int(TAG_B, S, z) % M) * K + i
+    n = (_h_int(TAG_B + Sz) % M) * K + i
     if K % M == 0 or n % M == 0:
         raise AbortSingular("grid denominator or base point t is 0 mod M")
-    t = EvalPoint(n, K, mod)
 
-    q1, q2, q3, q4 = (FieldElem(_h_int(TAG_Q, S, z, bytes([k])), mod)
-                      for k in (1, 2, 3, 4))
-    phi = oscillator.generate(S, z, "phi", K, C, mod)
-    psi = oscillator.generate(S, z, "psi", K, C, mod)
-    conv = PrfMasked(_h(TAG_PRF, S, z))
-    return Session(S, z, profile, p, t, GenParams(p, q1, q2, phi, psi, conv),
-                   GenParams(p, q3, q4, phi, psi, conv))
+    qSz = TAG_Q + Sz
+    q = (_h_int(qSz + b"\x01") % M, _h_int(qSz + b"\x02") % M,
+         _h_int(qSz + b"\x03") % M, _h_int(qSz + b"\x04") % M)
+    return Session(S, z, profile, p, EvalPoint(n, K, mod), q,
+                   oscillator.generate(S, z, "phi", K, C, mod),
+                   oscillator.generate(S, z, "psi", K, C, mod),
+                   PrfMasked(sha3_256(TAG_PRF + Sz).digest()))
 
 
 class Message(NamedTuple("Message", [
@@ -232,19 +238,20 @@ class Message(NamedTuple("Message", [
 def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
                   u: int, z: bytes) -> bytes:
     """Binding hash over (S, v, s1, s3, u, z) with fixed field widths."""
-    return _h(TAG_CHECK, S,
-              v.to_bytes(_CHECK_V_WIDTH, "big"),
-              s1.value.to_bytes(_FIELD_WIDTH, "big"),
-              s3.value.to_bytes(_FIELD_WIDTH, "big"),
-              u.to_bytes(4, "big"), z)
+    return sha3_256(b"".join((TAG_CHECK, S,
+                              v.to_bytes(_CHECK_V_WIDTH, "big"),
+                              s1.value.to_bytes(_FIELD_WIDTH, "big"),
+                              s3.value.to_bytes(_FIELD_WIDTH, "big"),
+                              u.to_bytes(4, "big"), z))).digest()
 
 
 def _kernel(sess: Session) -> tuple[int, int]:
-    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at the base point t."""
-    gn, gd, t = sess.gen_numer, sess.gen_denom, sess.t
-    phi, psi = (oscillator.eval_at(osc, t).value for osc in (gn.phi, gn.psi))
-    return (gn.q_i.value * phi + gn.q_j.value * psi,
-            gd.q_i.value * phi + gd.q_j.value * psi)
+    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t, unreduced."""
+    n = sess.t.n
+    phi = oscillator.value_at(sess.phi, n)
+    psi = oscillator.value_at(sess.psi, n)
+    q1, q2, q3, q4 = sess.q
+    return q1 * phi + q2 * psi, q3 * phi + q4 * psi
 
 
 def alice_generate(sess: Session, u: int, v: int) -> Message:
@@ -261,7 +268,7 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
     A1, A3 = _kernel(sess)
     p2u = pow(p, 2 * u, M)
-    X1 = exp_at(sess.gen_numer.conv, sess.p, sess.t + (2 * v + 1)).value
+    X1 = exp_value(sess.conv, p, n1, K, profile.mod)  # p^t at t + 2v+1
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
     s1 = FieldElem((X1 - A1) * n3 % M * scale, profile.mod)
     s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, profile.mod)

@@ -5,6 +5,8 @@ multiplication, explicit list unrolling. Tests freeze a constant only
 after the fast implementation and one of these oracles agree on it.
 """
 
+import hashlib
+
 
 def exhaustive_inverse(a: int, M: int) -> int | None:
     """Scan Z_M for the inverse of a; None if a is not invertible."""
@@ -55,3 +57,33 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def naive_session(S: bytes, z: bytes, profile) -> dict | str:
+    """Every session value straight from its SHA3-256 tag, with hashlib.
+
+    Returns the name of the abort ("AbortZeroIndex" or "AbortSingular")
+    when derivation must redraw; otherwise p, K, C, i, B, q (q1..q4), the
+    two oscillator keys and the anchor key.
+    """
+    def digest(tag: bytes, suffix: bytes = b"") -> bytes:
+        return hashlib.sha3_256(tag + S + z + suffix).digest()
+
+    def draw(tag: bytes, suffix: bytes = b"") -> int:
+        return int.from_bytes(digest(tag, suffix), "big")
+
+    M = profile.mod.M
+    p = draw(b"IBC.p") % (M - 2) + 2
+    K = draw(b"IBC.K") % (profile.K_max - profile.K_min + 1) + profile.K_min
+    C = draw(b"IBC.C") % (profile.C_max - profile.C_min + 1) + profile.C_min
+    i = draw(b"IBC.t") % K
+    if i == 0:
+        return "AbortZeroIndex"
+    B = draw(b"IBC.B") % M
+    if K % M == 0 or (B * K + i) % M == 0:
+        return "AbortSingular"
+    return {"p": p, "K": K, "C": C, "i": i, "B": B,
+            "q": [draw(b"IBC.q", bytes([k])) % M for k in (1, 2, 3, 4)],
+            "phi_key": digest(b"IBC.osc.phi"),
+            "psi_key": digest(b"IBC.osc.psi"),
+            "anchor_key": digest(b"IBC.prf")}

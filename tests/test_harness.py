@@ -9,7 +9,7 @@ from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                matching_count, new_game, random_adversary,
                                run_random_adversary, wilson_interval)
 from fourpoint.invariant import recover_v, recovery_map
-from fourpoint.modmath import FieldElem
+from fourpoint.modmath import FieldElem, Modulus
 from fourpoint.protocol import MINI, TOY
 
 
@@ -97,6 +97,13 @@ class TestLemma1:
         game = new_game(PRODUCTION, random.Random(9))
         with pytest.raises(ValueError):
             lemma1_exhaustive(game)
+        # the primes on either side of the 2^16 cap
+        above = TOY._replace(name="above", mod=Modulus(65537))
+        with pytest.raises(ValueError, match="2\\^16"):
+            lemma1_exhaustive(new_game(above, random.Random(9)))
+        below = TOY._replace(name="below", mod=Modulus(65521))
+        game = new_game(below, random.Random(9))
+        assert lemma1_exhaustive(game) == (1, [game.transcript.s3.value])
 
 
 class TestWilson:
@@ -175,3 +182,6 @@ class TestLemma2:
         for bad in (0, 1001):
             with pytest.raises(ValueError):
                 lemma2_reuse_experiment(TOY, bad)
+        # MINI has only 16 distinct v values
+        with pytest.raises(ValueError, match="v_bound"):
+            lemma2_reuse_experiment(MINI, 17)

@@ -11,6 +11,7 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular,
 from fourpoint.genfunc import s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
+from fourpoint.oscillator import eval_at
 from fourpoint import protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, Profile,
@@ -20,6 +21,10 @@ from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
                                 profile_to_dict, serialize)
 
 from conftest import fresh_session
+from oracles import naive_session
+
+PROFILES = pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
+                                   ids=lambda p: p.name)
 
 
 class TestProfiles:
@@ -153,6 +158,55 @@ class TestDeriveSession:
         for bad in (b"", b"\x00" * 31, b"\x00" * 33):
             with pytest.raises(ValueError):
                 derive_session(b"a shared secret!", bad, TOY)
+
+    @PROFILES
+    def test_fields_match_the_hashlib_oracle(self, profile):
+        # raw fields and the typed s_M views, value by value
+        rng = random.Random(f"derive/{profile.name}")
+        aborts = set()
+        for _ in range(200):
+            S, z = rng.randbytes(32), rng.randbytes(32)
+            want = naive_session(S, z, profile)
+            if isinstance(want, str):
+                with pytest.raises(ProtocolAbort) as info:
+                    derive_session(S, z, profile)
+                assert type(info.value).__name__ == want
+                aborts.add(want)
+                continue
+            sess = derive_session(S, z, profile)
+            K, C = want["K"], want["C"]
+            assert {"p": sess.p.value, "K": sess.t.K, "C": sess.phi.C,
+                    "i": sess.t.frac_num(), "B": sess.t.floor(),
+                    "q": list(sess.q), "phi_key": sess.phi.key,
+                    "psi_key": sess.psi.key,
+                    "anchor_key": sess.conv.key} == want
+            gn, gd = sess.gen_numer, sess.gen_denom
+            assert [gn.q_i.value, gn.q_j.value,
+                    gd.q_i.value, gd.q_j.value] == want["q"]
+            for gp in (gn, gd):
+                assert gp.p == sess.p
+                assert (gp.phi.key, gp.psi.key, gp.conv.key) \
+                    == (want["phi_key"], want["psi_key"], want["anchor_key"])
+                assert (gp.phi.K, gp.phi.C, gp.psi.K, gp.psi.C) == (K, C, K, C)
+        if profile is MINI:
+            assert aborts == {"AbortZeroIndex", "AbortSingular"}
+
+    @PROFILES
+    def test_kernel_is_q_times_eval_at(self, profile):
+        # the odd blocks flip the oscillator sign: both parities of B
+        # must occur, or a wrong sign rule in the kernel would pass
+        rng = random.Random(f"kernel/{profile.name}")
+        parities = set()
+        for _ in range(200):
+            sess = fresh_session(profile, rng)
+            t = sess.t
+            A1, A3 = protocol._kernel(sess)
+            for A, gp in ((A1, sess.gen_numer), (A3, sess.gen_denom)):
+                want = (gp.q_i * eval_at(gp.phi, t)
+                        + gp.q_j * eval_at(gp.psi, t))
+                assert A % profile.mod.M == want.value
+            parities.add(t.floor() % 2)
+        assert parities == {0, 1}
 
     def test_derive_abort_paths_reachable(self):
         # mini scale makes both derivation aborts likely enough to hunt
@@ -352,6 +406,13 @@ class TestRejectionTaxonomy:
         sess, msg = valid_pair(TOY)
         with pytest.raises(VerificationError):
             bob_verify(b"b" * len(sess.S), msg, TOY)
+
+    @pytest.mark.parametrize("field", ["s1", "s3"])
+    def test_one_foreign_modulus_refused(self, field):
+        sess, msg = valid_pair(PRODUCTION)
+        foreign = msg._replace(**{field: FieldElem(1, TOY.mod)})
+        with pytest.raises(ValueError, match="mixed moduli"):
+            bob_verify(sess.S, foreign, PRODUCTION)
 
 
 class TestWireFormat:
