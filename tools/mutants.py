@@ -8,8 +8,8 @@ Run from the repository root:
 Each target is module.function or module.Class.method under
 src/fourpoint. The runner parses the module with the stdlib `ast`, makes
 one mutant per site inside the target, and runs the test suite against
-each mutant in a private copy of the repository, one mutant at a time
-per worker. A mutant is killed when the tests fail or time out; it
+each mutant in a private copy of the repository, one mutant at a time.
+A mutant is killed when the tests fail or time out; it
 survives when they pass. Mutations:
 
 - arithmetic: + and - swapped, * to +, // to *, ** to *, % dropped
@@ -23,8 +23,7 @@ survives when they pass. Mutations:
 Docstrings and f-strings are left alone. Mutants are written back with
 ast.unparse, which drops comments, so the suite must first pass on the
 target modules unparsed but unmutated. Survivors are listed at the end;
-the exit code is 0 only when every mutant was killed. --jobs workers
-run at once, at most the CPU count.
+the exit code is 0 only when every mutant was killed.
 """
 
 import argparse
@@ -32,12 +31,10 @@ import ast
 import copy
 import os
 from pathlib import Path
-import queue
 import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,18 +67,10 @@ def find_target(tree: ast.Module, dotted: str) -> ast.AST:
     return node
 
 
-def skipped(fn: ast.AST) -> set:
-    """Ids of the nodes no mutation may touch: docstrings and f-strings."""
-    out = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.JoinedStr):
-            out.update(id(n) for n in ast.walk(node))
-    body = getattr(fn, "body", [])
-    if (body and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)):
-        out.add(id(body[0].value))
-    return out
+def skipped(nodes: list) -> set:
+    """Ids of the nodes no mutation may touch: those inside f-strings."""
+    return {id(n) for node in nodes if isinstance(node, ast.JoinedStr)
+            for n in ast.walk(node)}
 
 
 def mutations(node: ast.AST) -> list:
@@ -137,12 +126,12 @@ def make_mutants(module: str, dotted: str) -> list:
     """(module, label, mutated source) for every site in the target."""
     path = ROOT / PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    fn = find_target(tree, dotted)
-    skip = skipped(fn)
-    sites = [k for k, node in enumerate(ast.walk(fn)) if id(node) not in skip]
+    nodes = list(ast.walk(find_target(tree, dotted)))
+    skip = skipped(nodes)
     out = []
-    for k in sites:
-        node = list(ast.walk(fn))[k]
+    for k, node in enumerate(nodes):
+        if id(node) in skip:
+            continue
         for n, (desc, _) in enumerate(mutations(node)):
             tree2 = copy.deepcopy(tree)
             node2 = list(ast.walk(find_target(tree2, dotted)))[k]
@@ -174,64 +163,46 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("targets", nargs="*", default=DEFAULT_TARGETS,
                     help="module.function (default: %(default)s)")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
-    if not 1 <= args.jobs <= (os.cpu_count() or 1):
-        ap.error(f"--jobs must be in [1, {os.cpu_count()}]")
 
     mutants = []
     for target in args.targets:
         module, dotted = target.split(".", 1)
         mutants += make_mutants(module, dotted)
+    modules = {module for module, _, _ in mutants}
 
     with tempfile.TemporaryDirectory(prefix="fourpoint-mutants-") as tmp:
-        workers = queue.Queue()
-        for w in range(args.jobs):
-            work = Path(tmp) / f"w{w}"
-            for name in COPIED:
-                src = ROOT / name
-                if src.is_dir():
-                    shutil.copytree(src, work / name, ignore=shutil.
-                                    ignore_patterns("__pycache__"))
-                else:
-                    shutil.copy2(src, work / name)
-            workers.put(work)
+        work = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, work / name, ignore=shutil.
+                                ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, work / name)
 
-        base = workers.get()
-        for module in {module for module, _, _ in mutants}:
-            path = base / PACKAGE / f"{module}.py"
+        for module in modules:
+            path = work / PACKAGE / f"{module}.py"
             path.write_text(ast.unparse(ast.parse(path.read_text(
                 encoding="utf-8"))) + "\n", encoding="utf-8")
         t0 = perf_counter()
-        passed = run_tests(base, timeout=600)
-        for module in {module for module, _, _ in mutants}:
-            shutil.copy2(ROOT / PACKAGE / f"{module}.py",
-                         base / PACKAGE / f"{module}.py")
-        if not passed:
+        if not run_tests(work, timeout=600):
             print("the suite fails on the unparsed, unmutated targets")
             return 2
         timeout = 3 * (perf_counter() - t0) + 10
-        workers.put(base)
         print(f"{len(mutants)} mutants; suite {perf_counter() - t0:.1f} s, "
               f"timeout {timeout:.0f} s", flush=True)
 
-        def one(mutant):
-            module, label, source = mutant
-            work = workers.get()
+        results = []
+        for module, label, source in mutants:
             target = work / PACKAGE / f"{module}.py"
             original = target.read_text(encoding="utf-8")
-            try:
-                target.write_text(source, encoding="utf-8")
-                killed = not run_tests(work, timeout)
-            finally:
-                target.write_text(original, encoding="utf-8")
-                workers.put(work)
+            target.write_text(source, encoding="utf-8")
+            killed = not run_tests(work, timeout)
+            target.write_text(original, encoding="utf-8")
             print(f"{'killed  ' if killed else 'SURVIVED'} {label}",
                   flush=True)
-            return label, killed
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, mutants))
+            results.append((label, killed))
 
     survivors = [label for label, killed in results if not killed]
     print(f"score: {len(results) - len(survivors)}/{len(results)} killed")
