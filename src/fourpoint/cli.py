@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=int, required=True, help="secret payload")
     p.add_argument("--u", type=int, default=1, help="public spacing")
     p.add_argument("--z", help="explicit nonce (hex); fixtures only")
-    p.add_argument("--allow-explicit-nonce", action="store_true")
+    p.add_argument("--allow-explicit-nonce", action="store_true",
+                   help="accept --z; reusing a nonce can disclose payloads")
     p.add_argument("--out", required=True)
     p.add_argument("--nonce-log", default="fourpoint-nonces.log",
                    help="directory of used nonces, one empty file each")

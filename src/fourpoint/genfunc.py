@@ -16,21 +16,35 @@ from hashlib import sha3_256
 from typing import NamedTuple
 
 from .errors import NonInvertible, SingularPoint
-from .modmath import EvalPoint, FieldElem, Modulus, mod_inv
-from .modmath import mod_pow  # noqa: F401  unused here; perfbench traces it
+from .modmath import EvalPoint, FieldElem, Modulus
+from .modmath import mod_inv, mod_pow  # noqa: F401  perfbench traces them
 from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
 
 
-class PrfMasked(NamedTuple):
-    """p^(a + i/K) := p^a * PRF(i, K), the keyed mask."""
+class PrfMasked:
+    """p^(a + i/K) := p^a * PRF(i, K), the keyed mask; equal by key. It
+    remembers its last ((i, K, M), anchor) for its own lifetime."""
 
-    key: bytes
+    __slots__ = ("key", "_last", "_value")
+
+    def __init__(self, key: bytes):
+        self.key, self._last, self._value = key, (), None
+
+    def __eq__(self, other):
+        return isinstance(other, PrfMasked) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def anchor(self, i: int, K: int, mod: Modulus) -> int:
         """Mask in [1, M-1]; never 0, so exp_at stays invertible."""
-        digest = sha3_256(self.key + i.to_bytes(_INDEX_WIDTH, "big")
-                          + K.to_bytes(_INDEX_WIDTH, "big")).digest()
-        return int.from_bytes(digest, "big") % (mod.M - 1) + 1
+        at = (i, K, mod.M)
+        if at != self._last:
+            digest = sha3_256(self.key + i.to_bytes(_INDEX_WIDTH, "big")
+                              + K.to_bytes(_INDEX_WIDTH, "big")).digest()
+            self._value = int.from_bytes(digest, "big") % (mod.M - 1) + 1
+            self._last = at
+        return self._value
 
 
 def exp_value(conv: PrfMasked, p: int, n: int, K: int, mod: Modulus) -> int:
@@ -63,11 +77,14 @@ class GenParams(NamedTuple("GenParams", [
 
 
 def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:
-    """(p^t + q_i*phi(Ct) + q_j*psi(Ct)) / t mod M."""
-    img = t.img
-    if img.value == 0:
+    """(p^t + q_i*phi(Ct) + q_j*psi(Ct)) / t mod M, on ints."""
+    img = t.img.value
+    if img == 0:
         raise SingularPoint(f"t = {t!r} reduces to 0 mod M")
-    numerator = (exp_at(gp.conv, gp.p, t)
-                 + gp.q_i * eval_at(gp.phi, t)
-                 + gp.q_j * eval_at(gp.psi, t))
-    return numerator * mod_inv(img)
+    x = exp_at(gp.conv, gp.p, t).value
+    phi, psi = eval_at(gp.phi, t).value, eval_at(gp.psi, t).value
+    if not (gp.p.mod.M == gp.q_i.mod.M == gp.q_j.mod.M == gp.phi.mod.M
+            == gp.psi.mod.M == t.mod.M):
+        raise ValueError("mixed moduli")
+    return FieldElem((x + gp.q_i.value * phi + gp.q_j.value * psi)
+                     * pow(img, -1, t.mod.M), t.mod)

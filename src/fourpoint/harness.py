@@ -168,8 +168,8 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     Exhaustive, so only meaningful at desk scale. Recovery is the Moebius
     map v(s*) = (a + c*s*) / (2*(e - s*)) of recovery_map, which recover_v
     also evaluates. As M is prime and v < M, v(s*) = v exactly when
-    a + c*s* = 2v*(e - s*) mod M and s* is not the singular e, so the
-    sweep runs on raw ints and needs no inverse. For every valid game the
+    a + c*s* = 2v*(e - s*) mod M, i.e. (c + 2v)*s* = 2v*e - a, and s* is
+    not the singular e: raw ints, no inverse. For every valid game the
     count is 1 and the witness is the honest s3.
     """
     hid = game.hidden
@@ -179,9 +179,9 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
         raise ValueError("exhaustive sweep needs M <= 2^16")
     a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
                            msg.u, hid.session.p)
-    two_v = 2 * hid.v
-    witnesses = [cand for cand in range(M) if cand != e
-                 and (a + c * cand - two_v * (e - cand)) % M == 0]
+    k0, k1 = (2 * hid.v * e - a) % M, c + 2 * hid.v
+    witnesses = [cand for cand in range(M)
+                 if k1 * cand % M == k0 and cand != e]
     return len(witnesses), witnesses
 
 

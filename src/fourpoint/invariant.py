@@ -18,7 +18,7 @@ identity on the real line, using literal sin/cos oscillators.
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, NonInvertible, SingularDenominator
+from .errors import DomainError, SingularDenominator
 from .genfunc import s_M
 from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 
@@ -35,12 +35,13 @@ class InvariantTuple(NamedTuple):
     v: int
 
 
-def _invert_checked(x: FieldElem) -> FieldElem:
+def _invert_checked(x: int, M: int) -> int:
+    """x^-1 mod M for x in [0, M); SingularDenominator when x is 0."""
     try:
-        return mod_inv(x)
-    except NonInvertible:
-        raise SingularDenominator(f"denominator {x.value} not invertible "
-                                  f"mod {x.mod.M}") from None
+        return pow(x, -1, M)
+    except ValueError:
+        raise SingularDenominator(f"denominator {x} not invertible "
+                                  f"mod {M}") from None
 
 
 def eval_invariant(tu: InvariantTuple, mod: Modulus) -> FieldElem:
@@ -50,7 +51,7 @@ def eval_invariant(tu: InvariantTuple, mod: Modulus) -> FieldElem:
     b = 2 * tu.u
     numerator = tu.s0 * timg + tu.s1 * (timg + a)
     denominator = tu.s2 * (timg + b) + tu.s3 * (timg + a + b)
-    return numerator * _invert_checked(denominator)
+    return numerator * _invert_checked(denominator.value, timg.mod.M)
 
 
 def expected_constant(p: FieldElem, u: int, mod: Modulus) -> FieldElem:
@@ -73,8 +74,10 @@ def recovery_map(s0: FieldElem, s1: FieldElem, s2: FieldElem,
     v(s3) = (a + c*s3) / (2*(e - s3)), where e = s1*p^2u,
     a = -s0*p^2u*t - e*(t+1) + s2*(t+2u) and c = t+2u+1.
     """
+    if u < 0:
+        raise ValueError("exponent must be nonnegative")
     M = p.mod.M
-    p2u = mod_pow(p, 2 * u).value
+    p2u = pow(p.value, 2 * u, M)
     t = t_img.value
     e = s1.value * p2u % M
     a = (-s0.value * p2u * t - e * (t + 1) + s2.value * (t + 2 * u)) % M
@@ -91,8 +94,8 @@ def recover_v(s0: FieldElem, s1: FieldElem, s2: FieldElem, s3: FieldElem,
     honest tuple the result is v mod M.
     """
     a, c, e = recovery_map(s0, s1, s2, t_img, u, p)
-    Dinv = _invert_checked(FieldElem(2 * (e - s3.value), p.mod))
-    return FieldElem((a + c * s3.value) * Dinv.value, p.mod)
+    Dinv = _invert_checked(2 * (e - s3.value) % p.mod.M, p.mod.M)
+    return FieldElem((a + c * s3.value) * Dinv, p.mod)
 
 
 def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]]:

@@ -217,7 +217,7 @@ class EvalPoint:
     @property
     def img(self) -> FieldElem:
         """n * K^-1 mod M, computed when read: it costs an inverse."""
-        return FieldElem(self.n, self.mod) * mod_inv(FieldElem(self.K, self.mod))
+        return FieldElem(self.n * pow(self.K, -1, self.mod.M), self.mod)
 
     def __add__(self, delta: int):
         if not isinstance(delta, int):

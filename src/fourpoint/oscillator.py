@@ -66,16 +66,20 @@ class TableOscillator:
 
 
 class PrfOscillator:
-    """Oscillator recomputing each table entry from a keyed PRF."""
+    """Oscillator hashing each table entry on demand; keeps the last one."""
 
     mode = "prf"
+    __slots__ = ("K", "C", "P", "mod", "key", "_m", "_value")
 
     def __init__(self, key: bytes, K: int, C: int, mod: Modulus):
         self.K, self.C, self.P, self.mod = K, C, K * C, mod
-        self.key = key
+        self.key, self._m, self._value = key, -1, None  # no index is < 0
 
     def seed_value(self, m: int) -> int:
-        return _prf_value(self.key, m, self.mod)
+        if m != self._m:
+            self._value = _prf_value(self.key, m, self.mod)
+            self._m = m
+        return self._value
 
     def as_table(self) -> TableOscillator:
         """Materialize the full table (must fit under TABLE_CAP)."""

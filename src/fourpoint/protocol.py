@@ -30,7 +30,7 @@ from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
 from .genfunc import GenParams, PrfMasked, exp_value
-from .genfunc import exp_at, s_M  # noqa: F401  unused here; traced or patched
+from .genfunc import s_M  # noqa: F401  unused here; perfbench traces it
 from .invariant import check_denominator, recover_v  # noqa: F401  likewise
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
 from . import oscillator

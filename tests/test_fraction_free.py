@@ -194,7 +194,7 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
     def unreachable(*args):
         raise AssertionError("the receiver evaluated the exponential term")
 
-    monkeypatch.setattr(protocol, "exp_at", unreachable)
+    monkeypatch.setattr(protocol, "exp_value", unreachable)
     monkeypatch.setattr(PrfMasked, "anchor", unreachable)
     for S, data, want in cases:
         assert receive(bob_verify, S, data, profile) == want

@@ -61,6 +61,20 @@ class TestSM:
         with pytest.raises(NonInvertible):
             make_gp(p=0)
 
+    @pytest.mark.parametrize("part", ["p", "q_i", "q_j", "phi", "psi", "t"])
+    def test_mixed_moduli_rejected(self, part):
+        M17 = Modulus(17)
+        gp, t = make_gp(), EvalPoint(7, 4, M257)
+        if part == "t":
+            t = EvalPoint(7, 4, M17)
+        elif part in ("phi", "psi"):
+            osc = TableOscillator(OscSeed(range(8), 4, 2), M17)
+            gp = gp._replace(**{part: osc})
+        else:
+            gp = gp._replace(**{part: FieldElem(getattr(gp, part).value, M17)})
+        with pytest.raises(ValueError, match="mixed moduli"):
+            s_M(gp, t)
+
     @given(n=st.integers(min_value=-10**4, max_value=10**4))
     @settings(max_examples=60)
     def test_defined_everywhere_else(self, n):

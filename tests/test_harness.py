@@ -10,7 +10,7 @@ from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                run_random_adversary, wilson_interval)
 from fourpoint.invariant import recover_v, recovery_map
 from fourpoint.modmath import FieldElem, Modulus
-from fourpoint.protocol import MINI, TOY
+from fourpoint.protocol import CHECK_V_BOUND, MINI, PRODUCTION, TOY
 
 
 class TestGame:
@@ -45,6 +45,20 @@ class TestGame:
         view = game.view()
         wrong = (view.s3 + 1) % view.M
         assert not adjudicate(game, Forgery(wrong, 5))
+
+    def test_recovery_at_the_check_encoding_bound_loses(self):
+        # s* = (2V*e - a) / (c + 2V) recovers exactly V = 2^64, which the
+        # 8-byte check encoding cannot hold: the forgery loses, no raise
+        game = new_game(PRODUCTION, random.Random(5))
+        hid, msg, M = game.hidden, game.transcript, PRODUCTION.mod.M
+        a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
+                               msg.u, hid.session.p)
+        V = CHECK_V_BOUND
+        s_star = (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
+        rest = (hid.session.t.img, msg.u, hid.session.p)
+        assert recover_v(hid.s0, msg.s1, hid.s2,
+                         FieldElem(s_star, PRODUCTION.mod), *rest).value == V
+        assert not adjudicate(game, Forgery(s_star, 5))
 
 
 class TestLemma1:

@@ -7,7 +7,8 @@ from fourpoint.errors import DomainError, SingularDenominator
 from fourpoint.genfunc import s_M
 from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
                                  check_denominator, enumerate_fiber,
-                                 eval_invariant, expected_constant, recover_v)
+                                 eval_invariant, expected_constant, recover_v,
+                                 recovery_map)
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from fourpoint.protocol import TOY
 
@@ -99,6 +100,26 @@ class TestRecoverV:
         assert not check_denominator(s1, s3, p, u)
         with pytest.raises(SingularDenominator):
             recover_v(fe(1), s1, fe(2), s3, fe(5), u, p)
+
+    def test_negative_u_refused(self):
+        # the exponent 2u must be nonnegative, as mod_pow requires
+        s0, s1, s2, s3, t_img, p = fe(1), fe(7), fe(2), fe(8), fe(5), fe(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            recovery_map(s0, s1, s2, t_img, -1, p)
+        with pytest.raises(ValueError, match="nonnegative"):
+            recover_v(s0, s1, s2, s3, t_img, -1, p)
+        assert recover_v(s0, s1, s2, s3, t_img, 0, p).value \
+            == (-5 - 7 * 6 + 2 * 5 + 6 * 8) * pow(2 * (7 - 8), -1, 257) % 257
+
+    @pytest.mark.parametrize("M", [257, (1 << 256) - (1 << 32) - 977])
+    def test_recovery_map_returns_residues(self, M):
+        mod, rng = Modulus(M), random.Random(M)
+        for _ in range(200):
+            s0, s1, s2, t_img, p = (FieldElem(rng.randrange(M), mod)
+                                    for _ in range(5))
+            u = rng.randrange(1 << 32)
+            assert all(0 <= x < M
+                       for x in recovery_map(s0, s1, s2, t_img, u, p))
 
     def test_open_denominator(self):
         assert check_denominator(fe(7), fe(8), fe(3), 1)

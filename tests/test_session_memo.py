@@ -1,0 +1,129 @@
+"""Each oscillator and anchor hashes a session value once.
+
+A session reads each oscillator at one seed index (t + d sits at
+C*n + d*P) and every point shares one anchor (i, K), so PrfOscillator and
+PrfMasked remember their last value. These tests count the hashes through
+a patched hook, check that the memo never returns a stale value, and
+check that the memo belongs to one session object only.
+"""
+
+from collections import Counter
+import hashlib
+import random
+
+import pytest
+
+from fourpoint import genfunc, oscillator
+from fourpoint.errors import ProtocolAbort
+from fourpoint.genfunc import PrfMasked
+from fourpoint.harness import new_game
+from fourpoint.modmath import Modulus
+from fourpoint.oscillator import PrfOscillator, _prf_value
+from fourpoint.protocol import (PRODUCTION, TOY, alice_generate, bob_verify,
+                                derive_session)
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """Counter of PRF-value hashes ("prf") and anchor hashes ("anchor")."""
+    counts = Counter()
+    prf_value, sha3_256 = oscillator._prf_value, genfunc.sha3_256
+
+    def counted_prf_value(*args):
+        counts["prf"] += 1
+        return prf_value(*args)
+
+    def counted_sha3_256(*args):  # genfunc hashes only in PrfMasked.anchor
+        counts["anchor"] += 1
+        return sha3_256(*args)
+
+    monkeypatch.setattr(oscillator, "_prf_value", counted_prf_value)
+    monkeypatch.setattr(genfunc, "sha3_256", counted_sha3_256)
+    return counts
+
+
+def anchor_hash(key: bytes, i: int, K: int, M: int) -> int:
+    digest = hashlib.sha3_256(key + i.to_bytes(48, "big")
+                              + K.to_bytes(48, "big")).digest()
+    return int.from_bytes(digest, "big") % (M - 1) + 1
+
+
+def test_round_trip_hashes_two_values_and_one_anchor_per_sender(hashes):
+    rng = random.Random(1)
+    checked = 0
+    while checked < 20:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        try:
+            sess = derive_session(S, z, TOY)
+            hashes.clear()
+            msg = alice_generate(sess, rng.randrange(1, TOY.u_bound),
+                                 rng.randrange(TOY.v_bound))
+        except ProtocolAbort:
+            continue
+        assert hashes == {"prf": 2, "anchor": 1}
+        hashes.clear()
+        bob_verify(S, msg, TOY)
+        assert hashes == {"prf": 2}
+        checked += 1
+
+
+def test_game_hashes_two_values_and_one_anchor(hashes):
+    clean = 0
+    for seed in range(40):
+        hashes.clear()
+        game = new_game(TOY, random.Random(seed))
+        if game.aborts == 0:
+            assert hashes == {"prf": 2, "anchor": 1}, seed
+            clean += 1
+    assert clean >= 30
+
+
+def test_interleaved_seed_reads_match_a_fresh_hash():
+    rng = random.Random(2)
+    mod = TOY.mod
+    osc = PrfOscillator(rng.randbytes(32), 4, 8, mod)
+    for m in [0, 0, 5, 5, 0, 31, 5] + [rng.randrange(32) for _ in range(200)]:
+        assert osc.seed_value(m) == _prf_value(osc.key, m, mod)
+    assert osc.as_table().table == tuple(_prf_value(osc.key, m, mod)
+                                         for m in range(osc.P))
+    for m in (31, 0, 31):
+        assert osc.seed_value(m) == _prf_value(osc.key, m, mod)
+
+
+def test_interleaved_anchor_reads_match_a_fresh_hash():
+    rng = random.Random(3)
+    key = rng.randbytes(32)
+    conv = PrfMasked(key)
+    moduli = (Modulus(17), TOY.mod, PRODUCTION.mod)
+    reads = [(1, 4, 0), (1, 4, 0), (1, 4, 1), (2, 4, 1), (2, 5, 1),
+             (1, 4, 0), (1, 4, 2), (1, 4, 2)]
+    reads += [(rng.randrange(1, 3), rng.randrange(3, 5), rng.randrange(3))
+              for _ in range(200)]
+    for i, K, which in reads:
+        mod = moduli[which]
+        assert conv.anchor(i, K, mod) == anchor_hash(key, i, K, mod.M)
+
+
+def test_prf_masked_is_equal_and_hashed_by_key():
+    a, b = PrfMasked(b"\x01" * 32), PrfMasked(b"\x01" * 32)
+    a.anchor(1, 4, TOY.mod)
+    assert a == b and hash(a) == hash(b)
+    assert a != PrfMasked(b"\x02" * 32)
+
+
+def test_sessions_from_one_nonce_share_no_memo(hashes):
+    rng = random.Random(4)
+    while True:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        try:
+            sess = derive_session(S, z, TOY)
+            alice_generate(sess, 3, 7)
+            break
+        except ProtocolAbort:
+            continue
+    other = derive_session(S, sess.z, TOY)
+    assert other.conv == sess.conv and other.conv is not sess.conv
+    assert other.phi is not sess.phi and other.psi is not sess.psi
+    hashes.clear()
+    alice_generate(other, 3, 7)
+    assert hashes == {"prf": 2, "anchor": 1}
