@@ -39,7 +39,7 @@ def main():
             print(f"abort ({exc}); redrawing nonce")
 
     t = sess.t
-    print(f"\nsession: p={sess.p.value} K={t.K} C={sess.gen_numer.phi.C} "
+    print(f"\nsession: p={sess.p.value} K={t.K} C={sess.phi.C} "
           f"i={t.frac_num()} t={t.n}/{t.K}")
     blob = serialize(msg)
     print(f"\nwire message ({len(blob)} bytes: s1 | s3 | u | z | check):")

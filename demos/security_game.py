@@ -7,8 +7,9 @@ Three desk-scale experiments:
   2. the exhaustive uniqueness sweep: among all M candidate s* values,
      exactly one recovers the hidden v, and it is the honest s3;
   3. the nonce-reuse splice: crossing s1/s3 between transcripts that
-     share (S, z, u) never verifies, which is why the CLI refuses to
-     reuse an explicit nonce.
+     share (S, z, u) never verifies, because the check hash rejects it.
+     That is forgery, not hiding: reuse is forbidden because messages
+     under one nonce disclose each other's v (ROADMAP item 6).
 """
 
 import random

@@ -4,7 +4,8 @@ Commands raise typed errors; only `main` maps them to output and exit
 codes: 0 success; 1 VerificationError (`rejected` on stdout) or a failing
 selftest suite; 2 BadLength or FieldOverflow (`malformed input: ...`),
 ProtocolAbort (`<command> failed: <Class>: ...`), OSError or ValueError
-(`<command>: ...`); 3 a nonce already used for this secret (`send --z`).
+(`<command>: ...`). `send` takes no nonce: it draws each from os.urandom.
+Code that needs a fixed nonce calls derive_session(S, z, profile).
 """
 
 import argparse
@@ -63,27 +64,18 @@ class NonceLog:
 def cmd_send(args) -> int:
     S = _read_secret(args.secret_file)
     profile = _resolve_profile(args.profile)
-
-    if args.z is not None and not args.allow_explicit_nonce:
-        raise ValueError("--z requires --allow-explicit-nonce")
-    nonces = ([bytes.fromhex(args.z)] if args.z is not None else
-              (os.urandom(NONCE_LEN) for _ in range(_AUTO_NONCE_TRIES)))
-
     abort = ProtocolAbort("no usable nonce")
-    for z in nonces:
+    for _ in range(_AUTO_NONCE_TRIES):
+        z = os.urandom(NONCE_LEN)
         try:
             msg = alice_generate(derive_session(S, z, profile), args.u, args.v)
         except ProtocolAbort as exc:
             abort = exc
             continue
-        if not NonceLog(args.nonce_log).claim(S, z):
-            if args.z is not None:
-                print("nonce already used for this secret", file=sys.stderr)
-                return 3
-            continue
-        Path(args.out).write_bytes(serialize(msg))
-        print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
-        return 0
+        if NonceLog(args.nonce_log).claim(S, z):  # a repeated draw is skipped
+            Path(args.out).write_bytes(serialize(msg))
+            print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
+            return 0
     raise abort
 
 
@@ -148,9 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default="toy")
     p.add_argument("--v", type=int, required=True, help="secret payload")
     p.add_argument("--u", type=int, default=1, help="public spacing")
-    p.add_argument("--z", help="explicit nonce (hex); fixtures only")
-    p.add_argument("--allow-explicit-nonce", action="store_true",
-                   help="accept --z; reusing a nonce can disclose payloads")
     p.add_argument("--out", required=True)
     p.add_argument("--nonce-log", default="fourpoint-nonces.log",
                    help="directory of used nonces, one empty file each")

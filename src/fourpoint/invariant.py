@@ -105,10 +105,11 @@ def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]
     and s2 it reproduces expected_constant(p, u). Singular evaluation
     points propagate as SingularPoint per element.
     """
+    numer, denom = session.gen_numer, session.gen_denom  # built per read
     pairs = []
     for v in v_list:
-        s1 = s_M(session.gen_numer, session.t + (2 * v + 1))
-        s3 = s_M(session.gen_denom, session.t + (2 * u + 2 * v + 1))
+        s1 = s_M(numer, session.t + (2 * v + 1))
+        s3 = s_M(denom, session.t + (2 * u + 2 * v + 1))
         pairs.append((s1, s3))
     return pairs
 

@@ -183,6 +183,9 @@ class Session(NamedTuple):
     gen_numer = property(lambda self: self._gen(*self.q[:2]))  # s0 and s1
     gen_denom = property(lambda self: self._gen(*self.q[2:]))  # s2 and s3
 
+    def __repr__(self):  # public parts only: S and all derived from it stay out
+        return f"Session(z={self.z.hex()}, profile={self.profile.name})"
+
 
 def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     """Deterministically expand (S, z) into a full Session.

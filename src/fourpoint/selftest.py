@@ -64,7 +64,7 @@ def selftest_suites(profile: Profile, rng: random.Random):
     def suite_antiperiodic():
         for game in games:
             sess = game.hidden.session
-            for osc in (sess.gen_numer.phi, sess.gen_numer.psi):
+            for osc in (sess.phi, sess.psi):
                 if eval_at(osc, sess.t + 1) != -eval_at(osc, sess.t):
                     raise AssertionError
         return f"{2 * len(games)} session oscillators under t -> t+1"

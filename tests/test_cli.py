@@ -140,33 +140,30 @@ class TestSendRecv:
 class TestNonceHandling:
     Z = "ab" * 32
 
-    def test_explicit_nonce_needs_opt_in(self, workdir):
-        assert main(send_args(workdir, extra=["--z", self.Z])) == 2
+    def test_explicit_nonce_is_an_unknown_argument(self, workdir, capsys):
+        # send draws every nonce itself; the CLI has no route to reuse one
+        with pytest.raises(SystemExit) as exc:
+            main(send_args(workdir, extra=["--z", self.Z]))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --z" in capsys.readouterr().err
+        assert not (workdir / "msg.bin").exists()
 
-    def test_explicit_nonce_reuse_blocked(self, workdir):
-        opted = ["--z", self.Z, "--allow-explicit-nonce"]
-        assert main(send_args(workdir, extra=opted)) == 0
-        assert main(send_args(workdir, extra=opted)) == 3
-
-    def test_explicit_nonce_must_be_hex(self, workdir, capsys):
-        opted = ["--z", "zz" * 32, "--allow-explicit-nonce"]
-        assert main(send_args(workdir, extra=opted)) == 2
-        assert "hex" in capsys.readouterr().err
-
-    def test_explicit_nonce_that_aborts(self, workdir, capsys):
-        # the first nonce 0, 1, 2, ... whose session aborts for send_args'
-        # secret, u and v
+    def test_explicit_nonce_that_aborts(self, workdir, capsys, monkeypatch):
+        # an RNG stuck on the first nonce 0, 1, 2, ... whose session aborts
+        # for send_args' secret, u and v: every try aborts
         S = (workdir / "secret.bin").read_bytes()
         for k in itertools.count():
             z = k.to_bytes(32, "big")
             try:
                 alice_generate(derive_session(S, z, TOY), 5, 17)
-            except ProtocolAbort:
+            except ProtocolAbort as exc:
+                kind = type(exc).__name__
                 break
-        opted = ["--z", z.hex(), "--allow-explicit-nonce"]
-        assert main(send_args(workdir, extra=opted)) == 2
-        assert "send failed" in capsys.readouterr().err
+        monkeypatch.setattr(os, "urandom", lambda n: z)
+        assert main(send_args(workdir)) == 2
+        assert capsys.readouterr().err.startswith(f"send failed: {kind}: ")
         assert not (workdir / "msg.bin").exists()
+        assert not any((workdir / "nonces.log").glob("*"))
 
     def test_second_claim_of_a_nonce_fails(self, workdir):
         log = NonceLog(workdir / "nonces.log")
@@ -175,12 +172,27 @@ class TestNonceHandling:
         assert not log.claim(b"secret", z)
         assert log.claim(b"other secret", z)
 
-    def test_explicit_nonce_reuse_keeps_earlier_message(self, workdir):
-        opted = ["--z", self.Z, "--allow-explicit-nonce"]
-        assert main(send_args(workdir, v=17, extra=opted)) == 0
+    def test_explicit_nonce_reuse_blocked(self, workdir, capsys, monkeypatch):
+        # an RNG that repeats one usable nonce: the second send finds it
+        # in the log on every try and sends nothing
+        monkeypatch.setattr(os, "urandom", lambda n: bytes.fromhex(self.Z))
+        assert main(send_args(workdir, v=17)) == 0
+        capsys.readouterr()
+        assert main(send_args(workdir, v=18)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "send failed: ProtocolAbort: no usable nonce\n"
+        assert captured.out == ""
+        assert len(list((workdir / "nonces.log").iterdir())) == 1
+
+    def test_explicit_nonce_reuse_keeps_earlier_message(self, workdir,
+                                                        monkeypatch):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes.fromhex(self.Z))
+        assert main(send_args(workdir, v=17)) == 0
         first = (workdir / "msg.bin").read_bytes()
-        assert main(send_args(workdir, v=18, extra=opted)) == 3
+        assert first[68:100] == bytes.fromhex(self.Z)
+        assert main(send_args(workdir, v=18)) == 2
         assert (workdir / "msg.bin").read_bytes() == first
+        assert main(recv_args(workdir)) == 0
 
     def test_auto_nonces_never_repeat(self, workdir):
         zs = set()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import pickle
 import random
@@ -77,6 +78,19 @@ class TestIsProbablePrime:
         # round per call would give both verdicts over 50 calls
         assert len({is_probable_prime(SPSP_2357, rounds=1)
                     for _ in range(50)}) == 1
+
+    def test_one_round_is_the_strong_test_to_its_hashed_base(self):
+        # rounds=1 exposes the one base, drawn from (n, 0), for every odd n
+        for n in range(5, 1 << 14, 2):
+            digest = hashlib.sha3_256(b"%x:%x" % (n, 0)).digest()
+            a = int.from_bytes(digest, "big") % (n - 3) + 2
+            assert is_probable_prime(n, rounds=1) == strong_liar(a, n), n
+
+    def test_even_numbers_never_reach_a_round(self):
+        # a round assumes odd n: 28 passes round 0 (its base 25 has
+        # 25^27 = 1 mod 28), so evenness is tested first
+        for n in range(4, 1 << 14, 2):
+            assert not is_probable_prime(n, rounds=1), n
 
     def test_whitelist_short_circuits(self, monkeypatch):
         def refuse(n, rounds=modmath.MILLER_RABIN_ROUNDS):

@@ -9,6 +9,7 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               RejectRange, RejectSession, SingularPoint,
                               VerificationError)
 from fourpoint.genfunc import s_M
+from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
 from fourpoint.oscillator import eval_at
@@ -147,6 +148,18 @@ class TestDeriveSession:
                 assert profile.C_min <= s.gen_numer.phi.C <= profile.C_max
                 assert 1 <= s.t.frac_num() < s.t.K
                 assert s.t.img.value != 0
+
+    def test_repr_hides_the_secret(self):
+        S = b"SECRETSECRET"
+        sess = derive_session(S, bytes(32), TOY)
+        game = new_game(TOY, random.Random(1))
+        for s in (sess, game.hidden.session):
+            secrets = [repr(s.S), s.S.hex()]
+            for key in (s.phi.key, s.psi.key, s.conv.key):
+                secrets += [repr(key), key.hex()]
+            for text in (repr(sess), str(sess), repr(game), str(game)):
+                assert not any(secret in text for secret in secrets)
+        assert repr(sess) == f"Session(z={'00' * 32}, profile=toy)"
 
     def test_secret_length_enforced(self):
         with pytest.raises(ValueError):
