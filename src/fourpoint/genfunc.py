@@ -69,11 +69,11 @@ class GenParams(NamedTuple("GenParams", [
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.p.value == 0:  # M is prime: only 0 has no inverse
+    def __new__(cls, p: FieldElem, q_i: FieldElem, q_j: FieldElem,
+                phi: Oscillator, psi: Oscillator, conv: PrfMasked):
+        if p.value == 0:  # M is prime: only 0 has no inverse
             raise NonInvertible("base p is 0 mod M")
-        return self
+        return tuple.__new__(cls, (p, q_i, q_j, phi, psi, conv))
 
 
 def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:

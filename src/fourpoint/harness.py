@@ -49,6 +49,9 @@ class _Hidden(NamedTuple):
     s0: FieldElem
     s2: FieldElem
 
+    def __repr__(self):  # public parts only: v, s0 and s2 stay out
+        return f"_Hidden(session={self.session!r})"
+
 
 class GameInstance(NamedTuple):
     transcript: Message

@@ -16,7 +16,9 @@ Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
 N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). The
 sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and one
 inverse serves s1 and s3. X cancels out of the receiver's recovery, so v
-costs one inverse and no full-width pow. s_M and recover_v are the reference.
+costs one inverse and no full-width pow, and the receiver rederives only
+(p, K, C, n, q) and the two oscillators, no Session. s_M and recover_v
+are the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -187,8 +189,9 @@ class Session(NamedTuple):
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
 
 
-def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
-    """Deterministically expand (S, z) into a full Session.
+def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
+    """(p, K, C, n, q) for (S, z) as raw ints: the nine derivation hashes
+    and their checks, which both parties run.
 
     Raises AbortZeroIndex when the fractional index draws 0 and
     AbortSingular when the evaluation point collides with 0 mod M (or M
@@ -198,9 +201,9 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
         raise ValueError(f"secret must be >= {profile.min_secret_len} bytes")
     if len(z) != NONCE_LEN:
         raise ValueError(f"nonce must be exactly {NONCE_LEN} bytes")
-    mod, M, Sz = profile.mod, profile.mod.M, S + z
+    M, Sz = profile.mod.M, S + z
 
-    p = FieldElem(_h_int(TAG_P + Sz) % (M - 2) + 2, mod)
+    p = _h_int(TAG_P + Sz) % (M - 2) + 2
     K = _h_int(TAG_K + Sz) % (profile.K_max - profile.K_min + 1) + profile.K_min
     C = _h_int(TAG_C + Sz) % (profile.C_max - profile.C_min + 1) + profile.C_min
     i = _h_int(TAG_T + Sz) % K
@@ -213,10 +216,18 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     qSz = TAG_Q + Sz
     q = (_h_int(qSz + b"\x01") % M, _h_int(qSz + b"\x02") % M,
          _h_int(qSz + b"\x03") % M, _h_int(qSz + b"\x04") % M)
-    return Session(S, z, profile, p, EvalPoint(n, K, mod), q,
+    return p, K, C, n, q
+
+
+def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
+    """Deterministically expand (S, z) into a full Session; raises as
+    _derive does."""
+    p, K, C, n, q = _derive(S, z, profile)
+    mod = profile.mod
+    return Session(S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
                    oscillator.generate(S, z, "phi", K, C, mod),
                    oscillator.generate(S, z, "psi", K, C, mod),
-                   PrfMasked(sha3_256(TAG_PRF + Sz).digest()))
+                   PrfMasked(sha3_256(TAG_PRF + S + z).digest()))
 
 
 class Message(NamedTuple("Message", [
@@ -227,15 +238,15 @@ class Message(NamedTuple("Message", [
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0 <= self.u < _U_BOUND:
+    def __new__(cls, s1: FieldElem, s3: FieldElem, u: int, z: bytes,
+                h_check: bytes):
+        if not 0 <= u < _U_BOUND:
             raise ValueError("u out of 32-bit range")
-        if len(self.z) != NONCE_LEN:
+        if len(z) != NONCE_LEN:
             raise ValueError("nonce must be 32 bytes")
-        if len(self.h_check) != 32:
+        if len(h_check) != 32:
             raise ValueError("check hash must be 32 bytes")
-        return self
+        return tuple.__new__(cls, (s1, s3, u, z, h_check))
 
 
 def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
@@ -248,12 +259,11 @@ def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
                               u.to_bytes(4, "big"), z))).digest()
 
 
-def _kernel(sess: Session) -> tuple[int, int]:
-    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t, unreduced."""
-    n = sess.t.n
-    phi = oscillator.value_at(sess.phi, n)
-    psi = oscillator.value_at(sess.psi, n)
-    q1, q2, q3, q4 = sess.q
+def _kernel(phi: oscillator.PrfOscillator, psi: oscillator.PrfOscillator,
+            n: int, q: tuple) -> tuple[int, int]:
+    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t = n/K, unreduced."""
+    phi, psi = oscillator.value_at(phi, n), oscillator.value_at(psi, n)
+    q1, q2, q3, q4 = q
     return q1 * phi + q2 * psi, q3 * phi + q4 * psi
 
 
@@ -269,7 +279,7 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    A1, A3 = _kernel(sess)
+    A1, A3 = _kernel(sess.phi, sess.psi, n, sess.q)
     p2u = pow(p, 2 * u, M)
     X1 = exp_value(sess.conv, p, n1, K, profile.mod)  # p^t at t + 2v+1
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
@@ -293,10 +303,10 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
     try:
-        sess = derive_session(S, msg.z, profile)
+        p, K, C, n, q = _derive(S, msg.z, profile)
     except ProtocolAbort as exc:
         raise RejectSession(f"session recomputation aborted: {exc}") from None
-    u, p, K, n, M = msg.u, sess.p.value, sess.t.K, sess.t.n, profile.mod.M
+    u, mod, M = msg.u, profile.mod, profile.mod.M
     if (n + 2 * u * K) % M == 0:
         raise RejectSession("evaluation point t + 2u reduces to 0 mod M")
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
@@ -305,7 +315,8 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     e = msg.s1.value * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    A1, A3 = _kernel(sess)
+    A1, A3 = _kernel(oscillator.generate(S, msg.z, "phi", K, C, mod),
+                     oscillator.generate(S, msg.z, "psi", K, C, mod), n, q)
     # recovery_map's a and c times K; X cancels from -p^2u*N0 + N2
     Ka = K * (A3 - A1 * p2u) - e * (n + K)
     Kc = n + (2 * u + 1) * K

@@ -171,6 +171,10 @@ class TestNonceHandling:
         assert log.claim(b"secret", z)
         assert not log.claim(b"secret", z)
         assert log.claim(b"other secret", z)
+        # a log whose parent directories do not exist yet creates them
+        nested = NonceLog(workdir / "new" / "dir" / "nonces.log")
+        assert nested.claim(b"secret", z)
+        assert not nested.claim(b"secret", z)
 
     def test_explicit_nonce_reuse_blocked(self, workdir, capsys, monkeypatch):
         # an RNG that repeats one usable nonce: the second send finds it

@@ -199,6 +199,16 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
     for S, data, want in cases:
         assert receive(bob_verify, S, data, profile) == want
 
+    def unbuilt(*args):
+        raise AssertionError("the receiver built a session record")
+
+    # nor does it build the records that only the sender reads
+    for name in ("derive_session", "Session", "EvalPoint"):
+        monkeypatch.setattr(protocol, name, unbuilt)
+    monkeypatch.setattr(PrfMasked, "__init__", unbuilt)
+    for S, data, want in cases:
+        assert receive(bob_verify, S, data, profile) == want
+
 
 def test_discarded_s2_point_still_aborts():
     # Only t + 2u is 0 mod 17 here: s1 and s3 exist, but the receiver's

@@ -21,6 +21,16 @@ class TestGame:
         assert set(view._fields) \
             == {"s1", "s3", "u", "z", "h_check", "M"}
 
+    def test_repr_hides_the_payload(self):
+        for seed in range(1, 40):
+            game = new_game(TOY, random.Random(seed))
+            hid = game.hidden
+            assert repr(hid) == f"_Hidden(session={hid.session!r})"
+            assert f"hidden={hid!r}, aborts=" in repr(game) == str(game)
+        # seed 1 hides v = 249, which no public part of its game spells
+        game = new_game(TOY, random.Random(1))
+        assert game.hidden.v == 249 and "249" not in repr(game)
+
     def test_replaying_s3_with_excluded_offset_does_not_count(self):
         game = new_game(TOY, random.Random(2))
         view = game.view()

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               AbortZeroIndex, BadLength, FieldOverflow,
                               ProtocolAbort, RejectDenominator, RejectHash,
-                              RejectRange, RejectSession, SingularPoint,
-                              VerificationError)
-from fourpoint.genfunc import s_M
+                              NonInvertible, RejectRange, RejectSession,
+                              SingularPoint, VerificationError)
+from fourpoint.genfunc import GenParams, s_M
 from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
@@ -107,6 +107,21 @@ class TestProfiles:
                            bytes(31), bytes(32)))
         assert TOY._replace(u_bits=8).u_bound == 1 << 8
         assert Profile._make(TOY) == TOY
+        msg = Message(FieldElem(1, mod), FieldElem(2, mod), 1, bytes(32),
+                      bytes(32))
+        for bad in ({"u": -1}, {"u": 1 << 32}, {"z": bytes(33)},
+                    {"h_check": bytes(31)}):
+            with pytest.raises(ValueError):
+                msg._replace(**bad)
+        assert msg._replace(u=(1 << 32) - 1).u == (1 << 32) - 1
+        assert Message._make(msg) == msg
+        gp = derive_session(bytes(8), bytes(32), TOY).gen_numer
+        with pytest.raises(NonInvertible):
+            gp._replace(p=FieldElem(0, mod))
+        with pytest.raises(NonInvertible):
+            GenParams._make((FieldElem(257, mod),) + gp[1:])
+        assert GenParams._make(gp) == gp
+        assert gp._replace(q_i=FieldElem(0, mod)).q_i == 0
 
     def test_wide_modulus_rejected(self):
         wide = (1 << 260) + 45  # prime > 256 bits
@@ -213,7 +228,7 @@ class TestDeriveSession:
         for _ in range(200):
             sess = fresh_session(profile, rng)
             t = sess.t
-            A1, A3 = protocol._kernel(sess)
+            A1, A3 = protocol._kernel(sess.phi, sess.psi, t.n, sess.q)
             for A, gp in ((A1, sess.gen_numer), (A3, sess.gen_denom)):
                 want = (gp.q_i * eval_at(gp.phi, t)
                         + gp.q_j * eval_at(gp.psi, t))

@@ -4,7 +4,8 @@ A session reads each oscillator at one seed index (t + d sits at
 C*n + d*P) and every point shares one anchor (i, K), so PrfOscillator and
 PrfMasked remember their last value. These tests count the hashes through
 a patched hook, check that the memo never returns a stale value, and
-check that the memo belongs to one session object only.
+check that the memo belongs to one session object only. One test counts
+every SHA3 call of a receive, which builds no session at all.
 """
 
 from collections import Counter
@@ -13,8 +14,8 @@ import random
 
 import pytest
 
-from fourpoint import genfunc, oscillator
-from fourpoint.errors import ProtocolAbort
+from fourpoint import genfunc, oscillator, protocol
+from fourpoint.errors import ProtocolAbort, RejectHash
 from fourpoint.genfunc import PrfMasked
 from fourpoint.harness import new_game
 from fourpoint.modmath import Modulus
@@ -42,6 +43,20 @@ def hashes(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def sha3_calls(monkeypatch):
+    """Counter of every SHA3-256 call the package makes ("sha3")."""
+    counts = Counter()
+
+    def counted_sha3_256(*args):
+        counts["sha3"] += 1
+        return hashlib.sha3_256(*args)
+
+    for module in (protocol, oscillator, genfunc):
+        monkeypatch.setattr(module, "sha3_256", counted_sha3_256)
+    return counts
+
+
 def anchor_hash(key: bytes, i: int, K: int, M: int) -> int:
     digest = hashlib.sha3_256(key + i.to_bytes(48, "big")
                               + K.to_bytes(48, "big")).digest()
@@ -64,6 +79,31 @@ def test_round_trip_hashes_two_values_and_one_anchor_per_sender(hashes):
         hashes.clear()
         bob_verify(S, msg, TOY)
         assert hashes == {"prf": 2}
+        checked += 1
+
+
+@pytest.mark.parametrize("profile", [TOY, PRODUCTION], ids=lambda p: p.name)
+def test_receive_to_the_check_hash_makes_14_sha3_calls(profile, sha3_calls):
+    # nine derivation hashes, two oscillator keys, two PRF values and the
+    # check hash; no anchor key, since X cancels out of recovery
+    rng = random.Random(f"sha3/{profile.name}")
+    checked = 0
+    while checked < 10:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        v = rng.randrange(profile.v_bound)
+        try:
+            msg = alice_generate(derive_session(S, z, profile),
+                                 rng.randrange(1, profile.u_bound), v)
+        except ProtocolAbort:
+            continue
+        sha3_calls.clear()
+        assert bob_verify(S, msg, profile) == v
+        assert sha3_calls == {"sha3": 14}
+        sha3_calls.clear()
+        forged = msg._replace(h_check=bytes(32))
+        with pytest.raises(RejectHash):
+            bob_verify(S, forged, profile)
+        assert sha3_calls == {"sha3": 14}
         checked += 1
 
 

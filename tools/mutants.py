@@ -17,8 +17,8 @@ survives when they pass. Mutations:
 - comparisons: < and <=, > and >=, == and !=, is and is not, in and
   not in swapped;
 - boolean: and and or swapped, `not x` becomes x, -x becomes x;
-- constants: an int c becomes c + 1, a bytes constant gets its last
-  byte changed.
+- constants: an int c becomes c + 1, True and False are swapped, a
+  bytes constant gets its last byte changed.
 
 Docstrings and f-strings are left alone. Mutants are written back with
 ast.unparse, which drops comments, so the suite must first pass on the
@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "fourpoint"
 COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml")
 
-DEFAULT_TARGETS = ("protocol.derive_session", "protocol._kernel",
-                   "protocol.alice_generate", "protocol.bob_verify",
-                   "harness.lemma1_exhaustive")
+DEFAULT_TARGETS = ("protocol._derive", "protocol.derive_session",
+                   "protocol._kernel", "protocol.alice_generate",
+                   "protocol.bob_verify", "harness.lemma1_exhaustive")
 
 _BINOP_SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
                ast.FloorDiv: ast.Mult, ast.Pow: ast.Mult}
@@ -100,7 +100,9 @@ def mutations(node: ast.AST) -> list:
         out.append(node.operand)
     elif isinstance(node, ast.Constant):
         v = node.value
-        if isinstance(v, int) and not isinstance(v, bool):
+        if isinstance(v, bool):
+            out.append(ast.Constant(not v))
+        elif isinstance(v, int):
             out.append(ast.Constant(v + 1))
         elif isinstance(v, bytes) and v:
             out.append(ast.Constant(v[:-1] + bytes([(v[-1] + 1) % 256])))
