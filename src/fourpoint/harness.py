@@ -8,23 +8,29 @@ in the receiver's recovery yields a v* whose check hash matches the
 transcript. The adjudicator holds the hidden state (it created the game);
 the adversary callback never receives it.
 
+A game stores the receiver's recovery map of its transcript, so
+adjudication calls no s_M; each lemma1_exhaustive sweep checks that map
+against the reference, s_M and invariant.recovery_map.
+
 Also here: exhaustive uniqueness sweeps (only s* = s3 recovers the honest
 v at toy scale) and the bounded-reuse splice experiment (cross-transcript
 s1/s3 swaps with replayed hashes are all rejected).
 """
 
 from collections import Counter
+import hmac
 import math
 import random
 from typing import NamedTuple
 
-from .errors import ProtocolAbort, SingularDenominator, VerificationError
+from .errors import ProtocolAbort, VerificationError
 from .genfunc import s_M
-from .invariant import recover_v, recovery_map
+from .invariant import recovery_map
+from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .modmath import FieldElem
 from .protocol import (CHECK_V_BOUND, Message, Profile, Session,
-                       alice_generate, bob_verify, compute_check,
-                       derive_session)
+                       _kernel, _recover, _recovery_map, alice_generate,
+                       bob_verify, compute_check, derive_session)
 
 
 class AdversaryView(NamedTuple):
@@ -46,10 +52,15 @@ class Forgery(NamedTuple):
 class _Hidden(NamedTuple):
     session: Session  # holds S and the profile
     v: int
-    s0: FieldElem
-    s2: FieldElem
+    u: int
+    rmap: tuple  # protocol._recovery_map of the transcript: (K*a, K*c, e)
 
-    def __repr__(self):  # public parts only: v, s0 and s2 stay out
+    # the reference s_M values at t and t + 2u, computed when read
+    s0 = property(lambda self: s_M(self.session.gen_numer, self.session.t))
+    s2 = property(lambda self: s_M(self.session.gen_denom,
+                                   self.session.t + 2 * self.u))
+
+    def __repr__(self):  # public parts only: v and the map stay out
         return f"_Hidden(session={self.session!r})"
 
 
@@ -78,13 +89,17 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         except ProtocolAbort:
             aborts += 1
             continue
-        s0 = s_M(sess.gen_numer, sess.t)
-        s2 = s_M(sess.gen_denom, sess.t + 2 * u)
-        return GameInstance(msg, _Hidden(sess, v, s0, s2), aborts)
+        # the oscillators remember the values the sender read: no hash
+        M, n, K = profile.mod.M, sess.t.n, sess.t.K
+        p2u = pow(sess.p.value, 2 * u, M)
+        rmap = _recovery_map(*_kernel(sess.phi, sess.psi, n, sess.q), p2u,
+                             msg.s1.value * p2u % M, n, K, u, M)
+        return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
-    """Winning condition, checked with the hidden state."""
+    """Winning condition, checked with the hidden state: the receiver's
+    recovery at s* in place of s3, then the check hash."""
     hid = game.hidden
     msg = game.transcript
     u, v = msg.u, hid.v
@@ -92,15 +107,13 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
         return False
     sess = hid.session
     s_star = FieldElem(forgery.s_star, sess.p.mod)
-    try:
-        v_star = recover_v(hid.s0, msg.s1, hid.s2, s_star, sess.t.img, u,
-                           sess.p)
-    except SingularDenominator:
+    if s_star.value == hid.rmap[2]:  # the recovery's singular point e
         return False
-    if v_star.value >= CHECK_V_BOUND:
+    v_star = _recover(hid.rmap, s_star.value, sess.t.K, sess.p.mod.M)
+    if v_star >= CHECK_V_BOUND:
         return False
-    expected = compute_check(sess.S, v_star.value, msg.s1, s_star, u, msg.z)
-    return expected == msg.h_check
+    expected = compute_check(sess.S, v_star, msg.s1, s_star, u, msg.z)
+    return hmac.compare_digest(expected, msg.h_check)
 
 
 def random_adversary(view: AdversaryView, rng: random.Random) -> Forgery:
@@ -168,21 +181,30 @@ def emit_csv(reports) -> str:
 def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     """Count s* in Z_M whose recovery returns the honest v.
 
-    Exhaustive, so only meaningful at desk scale. Recovery is the Moebius
-    map v(s*) = (a + c*s*) / (2*(e - s*)) of recovery_map, which recover_v
-    also evaluates. As M is prime and v < M, v(s*) = v exactly when
-    a + c*s* = 2v*(e - s*) mod M, i.e. (c + 2v)*s* = 2v*e - a, and s* is
+    Exhaustive, so only meaningful at desk scale. First the game's
+    recovery map, the receiver's (K*a, K*c, e), is checked against
+    invariant.recovery_map over the reference s_M values s0 and s2:
+    AssertionError on a mismatch, raised rather than asserted so that it
+    also checks under python -O. The sweep then runs on the receiver's
+    map v(s*) = (K*a + K*c*s*) / (2K*(e - s*)). As M is prime and v < M,
+    v(s*) = v exactly when (K*c + 2Kv)*s* = 2Kv*e - K*a mod M and s* is
     not the singular e: raw ints, no inverse. For every valid game the
     count is 1 and the witness is the honest s3.
     """
     hid = game.hidden
     msg = game.transcript
-    M = hid.session.p.mod.M
+    sess = hid.session
+    M, K = sess.p.mod.M, sess.t.K
     if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
-    a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
-                           msg.u, hid.session.p)
-    k0, k1 = (2 * hid.v * e - a) % M, c + 2 * hid.v
+    a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, sess.t.img, msg.u,
+                           sess.p)
+    Ka, Kc, e_map = hid.rmap
+    if (Ka % M, Kc % M, e_map) != (K * a % M, K * c % M, e):
+        raise AssertionError("the receiver's recovery map differs from "
+                             "the reference")
+    Kv2 = 2 * K * hid.v
+    k0, k1 = (Kv2 * e - Ka) % M, Kc + Kv2
     witnesses = [cand for cand in range(M)
                  if k1 * cand % M == k0 and cand != e]
     return len(witnesses), witnesses

@@ -17,8 +17,9 @@ N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). The
 sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and one
 inverse serves s1 and s3. X cancels out of the receiver's recovery, so v
 costs one inverse and no full-width pow, and the receiver rederives only
-(p, K, C, n, q) and the two oscillators, no Session. s_M and recover_v
-are the reference.
+(p, K, C, n, q) and the two oscillators, no Session. The recovery
+formula lives in _recovery_map and _recover, which the forgery games in
+harness run too. s_M and recover_v are the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -267,6 +268,25 @@ def _kernel(phi: oscillator.PrfOscillator, psi: oscillator.PrfOscillator,
     return q1 * phi + q2 * psi, q3 * phi + q4 * psi
 
 
+def _recovery_map(A1: int, A3: int, p2u: int, e: int, n: int, K: int,
+                  u: int, M: int) -> tuple[int, int, int]:
+    """The receiver's recovery (K*a, K*c, e), K*a and K*c unreduced.
+
+    Mod M these are invariant.recovery_map's (a, c, e) with a and c times
+    K, so v(s3) = (K*a + K*c*s3) / (2K*(e - s3)). X cancels from
+    -p^2u*N0 + N2, so only the kernel terms A1, A3, e = s1*p^2u and the
+    grid enter.
+    """
+    return K * (A3 - A1 * p2u) - e * (n + K), n + (2 * u + 1) * K, e
+
+
+def _recover(rmap: tuple[int, int, int], s3: int, K: int, M: int) -> int:
+    """v(s3) from a _recovery_map with one inverse; the caller has
+    checked that s3 is not the singular e."""
+    Ka, Kc, e = rmap
+    return (Ka + Kc * s3) % M * pow(2 * K * (e - s3), -1, M) % M
+
+
 def alice_generate(sess: Session, u: int, v: int) -> Message:
     """Sender side: s1 and s3, denominator check, check hash. AbortSingular
     if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
@@ -317,10 +337,7 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
         raise RejectDenominator("denominator check failed")
     A1, A3 = _kernel(oscillator.generate(S, msg.z, "phi", K, C, mod),
                      oscillator.generate(S, msg.z, "psi", K, C, mod), n, q)
-    # recovery_map's a and c times K; X cancels from -p^2u*N0 + N2
-    Ka = K * (A3 - A1 * p2u) - e * (n + K)
-    Kc = n + (2 * u + 1) * K
-    v = (Ka + Kc * s3) % M * pow(2 * K * (e - s3) % M, -1, M) % M
+    v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
     encodable = v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0,
                              msg.s1, msg.s3, msg.u, msg.z)

@@ -1,16 +1,57 @@
+import builtins
 import math
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fourpoint
+from fourpoint import harness
 from fourpoint.errors import SingularDenominator
+from fourpoint.genfunc import s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
                                matching_count, new_game, random_adversary,
                                run_random_adversary, wilson_interval)
 from fourpoint.invariant import recover_v, recovery_map
 from fourpoint.modmath import FieldElem, Modulus
-from fourpoint.protocol import CHECK_V_BOUND, MINI, PRODUCTION, TOY
+from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
+                                compute_check)
+
+SRC = str(Path(fourpoint.__file__).resolve().parent.parent)
+
+
+def reference_adjudicate(game, forgery):
+    """The win condition from the definition: s_M for s0 and s2, and
+    recover_v at s* in place of s3."""
+    sess, msg, v = game.hidden.session, game.transcript, game.hidden.v
+    u = msg.u
+    if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
+        return False
+    s0 = s_M(sess.gen_numer, sess.t)
+    s2 = s_M(sess.gen_denom, sess.t + 2 * u)
+    s_star = FieldElem(forgery.s_star, sess.p.mod)
+    try:
+        v_star = recover_v(s0, msg.s1, s2, s_star, sess.t.img, u,
+                           sess.p).value
+    except SingularDenominator:
+        return False
+    if v_star >= CHECK_V_BOUND:
+        return False
+    return compute_check(sess.S, v_star, msg.s1, s_star, u,
+                         msg.z) == msg.h_check
+
+
+def s_star_recovering(game, V):
+    """The s* whose reference recovery is exactly V."""
+    sess, msg = game.hidden.session, game.transcript
+    M = sess.p.mod.M
+    a, c, e = recovery_map(game.hidden.s0, msg.s1, game.hidden.s2,
+                           sess.t.img, msg.u, sess.p)
+    return (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
 
 
 class TestGame:
@@ -30,6 +71,12 @@ class TestGame:
         # seed 1 hides v = 249, which no public part of its game spells
         game = new_game(TOY, random.Random(1))
         assert game.hidden.v == 249 and "249" not in repr(game)
+        # nor the recovery map or the reference values, which derive
+        # from the secret: at 256 bits no residue shows up by chance
+        game = new_game(PRODUCTION, random.Random(1))
+        hid = game.hidden
+        for secret in (*hid.rmap, hid.s0.value, hid.s2.value, hid.v):
+            assert str(secret) not in repr(game)
 
     def test_replaying_s3_with_excluded_offset_does_not_count(self):
         game = new_game(TOY, random.Random(2))
@@ -60,15 +107,104 @@ class TestGame:
         # s* = (2V*e - a) / (c + 2V) recovers exactly V = 2^64, which the
         # 8-byte check encoding cannot hold: the forgery loses, no raise
         game = new_game(PRODUCTION, random.Random(5))
-        hid, msg, M = game.hidden, game.transcript, PRODUCTION.mod.M
-        a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, hid.session.t.img,
-                               msg.u, hid.session.p)
-        V = CHECK_V_BOUND
-        s_star = (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
+        hid, msg = game.hidden, game.transcript
+        s_star = s_star_recovering(game, CHECK_V_BOUND)
         rest = (hid.session.t.img, msg.u, hid.session.p)
-        assert recover_v(hid.s0, msg.s1, hid.s2,
-                         FieldElem(s_star, PRODUCTION.mod), *rest).value == V
+        assert recover_v(hid.s0, msg.s1, hid.s2, FieldElem(
+            s_star, PRODUCTION.mod), *rest).value == CHECK_V_BOUND
         assert not adjudicate(game, Forgery(s_star, 5))
+
+
+class TestAdjudicateOnTheRecoveryMap:
+    @pytest.mark.parametrize("profile, seed, games",
+                             [(MINI, 41, 60), (TOY, 42, 60),
+                              (PRODUCTION, 43, 4)])
+    def test_same_decision_as_the_reference(self, profile, seed, games):
+        M = profile.mod.M
+        rng = random.Random(seed)
+        wins = losses = 0
+        for _ in range(games):
+            game = new_game(profile, rng)
+            msg, v = game.transcript, game.hidden.v
+            s3, u = msg.s3.value, msg.u
+            e = game.hidden.rmap[2]
+            assert e == msg.s1.value * pow(game.hidden.session.p.value,
+                                           2 * u, M) % M
+            s_stars = [s3, e, (s3 + 1) % M,
+                       *(rng.randrange(M) for _ in range(4))]
+            if profile is PRODUCTION:
+                s_stars += [s_star_recovering(game, CHECK_V_BOUND),
+                            s_star_recovering(game, 3 << 70)]
+            for s_star in s_stars:
+                # the honest offsets are odd, so an even one is fresh
+                for delta in (2 * v + 1, 2 * u + 2 * v + 1, 2):
+                    forgery = Forgery(s_star, delta)
+                    won = adjudicate(game, forgery)
+                    assert won == reference_adjudicate(game, forgery)
+                    wins += won
+                    losses += not won
+        # the honest s3 at the fresh offset wins every game
+        assert wins >= games and losses
+
+    def test_a_map_one_residue_off_fails_the_sweep(self):
+        game = new_game(TOY, random.Random(44))
+        assert lemma1_exhaustive(game)[0] == 1
+        for k in range(3):
+            rmap = list(game.hidden.rmap)
+            rmap[k] += 1
+            bad = game._replace(hidden=game.hidden._replace(rmap=tuple(rmap)))
+            with pytest.raises(AssertionError, match="reference"):
+                lemma1_exhaustive(bad)
+
+    def test_the_sweep_checks_the_map_under_python_O(self):
+        # python -O strips assert statements; the sweep raises instead
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import random; from fourpoint.harness import *; "
+                "from fourpoint.protocol import TOY; "
+                "g = new_game(TOY, random.Random(44)); h = g.hidden; "
+                "r = (h.rmap[0] + 1, *h.rmap[1:]); "
+                "lemma1_exhaustive(g._replace(hidden=h._replace(rmap=r)))")
+        run = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 1
+        assert "AssertionError: the receiver's recovery map" in run.stderr
+
+    def test_no_reference_work_per_game(self, monkeypatch):
+        calls = []
+        real_pow = builtins.pow
+
+        def counting_pow(base, exp, mod=None):
+            calls.append(exp)
+            return real_pow(base, exp, mod)
+
+        def unreachable(*args):
+            raise AssertionError("s_M called")
+
+        def budget(fn, *args):
+            """fn's result, its pow exponents over 65 bits and 1 to 65
+            bits, and its inverses."""
+            calls.clear()
+            monkeypatch.setattr(builtins, "pow", counting_pow)
+            try:
+                result = fn(*args)
+            finally:
+                monkeypatch.setattr(builtins, "pow", real_pow)
+            widths = [e.bit_length() for e in calls if e > 0]
+            return (result, sum(w > 65 for w in widths),
+                    sum(w <= 65 for w in widths), calls.count(-1))
+
+        monkeypatch.setattr(harness, "s_M", unreachable)
+        game, wide, narrow, inverses = budget(new_game, PRODUCTION,
+                                              random.Random(45))
+        assert (wide, inverses) == (1, 1)
+        view = game.view()
+        for s_star, won in ((view.s3, True), (view.s3 + 1, False)):
+            got, wide, narrow, inverses = budget(adjudicate, game,
+                                                 Forgery(s_star, 2))
+            assert got is won
+            assert (wide, narrow, inverses) == (0, 0, 1)
 
 
 class TestLemma1:
@@ -162,6 +298,16 @@ class TestRandomAdversary:
         a = run_random_adversary(TOY, 200, seed=5)
         b = run_random_adversary(TOY, 200, seed=5)
         assert (a.wins, a.ci_low, a.ci_high) == (b.wins, b.ci_low, b.ci_high)
+
+    @pytest.mark.parametrize("profile, trials, pinned", [
+        (MINI, 500, {1: (31, 251), 2: (23, 247), 3: (31, 241)}),
+        (TOY, 500, {1: (2, 9), 2: (0, 13), 3: (1, 10)}),
+        (PRODUCTION, 100, {1: (0, 0)})])
+    def test_pinned_wins_and_aborts(self, profile, trials, pinned):
+        # the seed fixes every draw of the games and the adversary
+        for seed, counts in pinned.items():
+            report = run_random_adversary(profile, trials, seed)
+            assert (report.wins, report.aborts) == counts
 
     def test_advantage_near_one_over_m(self):
         # 2000 trials at 1/257 expects ~8 wins; 30 would be wild
