@@ -98,7 +98,8 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
-    """Winning condition, checked with the hidden state: the receiver's
+    """Winning condition, checked with the hidden state: s* must be a
+    field value the wire can carry, in [0, M); then the receiver's
     recovery at s* in place of s3, then the check hash."""
     hid = game.hidden
     msg = game.transcript
@@ -106,13 +107,15 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
     sess = hid.session
-    s_star = FieldElem(forgery.s_star, sess.p.mod)
-    if s_star.value == hid.rmap[2]:  # the recovery's singular point e
+    mod, s_star = sess.p.mod, forgery.s_star
+    # deserialize refuses an s* outside [0, M), and e is the singular point
+    if not 0 <= s_star < mod.M or s_star == hid.rmap[2]:
         return False
-    v_star = _recover(hid.rmap, s_star.value, sess.t.K, sess.p.mod.M)
+    v_star = _recover(hid.rmap, s_star, sess.t.K, mod.M)
     if v_star >= CHECK_V_BOUND:
         return False
-    expected = compute_check(sess.S, v_star, msg.s1, s_star, u, msg.z)
+    expected = compute_check(sess.S, v_star, msg.s1, FieldElem(s_star, mod),
+                             u, msg.z)
     return hmac.compare_digest(expected, msg.h_check)
 
 

@@ -7,9 +7,11 @@ Euclidean floor/mod keep those identities true for negative j as well.
 
 A session's oscillators are always PrfOscillator: each value is
 recomputed from a keyed hash when needed, since a session reads only the
-few indices of its four aligned points. TableOscillator holds an explicit
-seed in memory: the worked examples, and as_table, which materializes a
-PRF oscillator over the same _prf_value and so agrees with it everywhere.
+few indices of its four aligned points. The receiver reads each value
+once, so session_values hashes its two keys and values without building
+an oscillator. TableOscillator holds an explicit seed in memory: the
+worked examples, and as_table, which materializes a PRF oscillator over
+the same _prf_value and so agrees with it everywhere.
 """
 
 from hashlib import sha3_256
@@ -23,6 +25,11 @@ from .modmath import EvalPoint, FieldElem, Modulus
 TABLE_CAP = 1 << 20
 
 _INDEX_WIDTH = 48  # bytes; covers indices below 2^384
+
+# Key tags of a session's two oscillators: key = SHA3(tag || S || z).
+TAG_PHI = b"IBC.osc.phi"
+TAG_PSI = b"IBC.osc.psi"
+_TAGS = {"phi": TAG_PHI, "psi": TAG_PSI}
 
 
 class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
@@ -100,10 +107,23 @@ def generate(S: bytes, z: bytes, label: str, K: int, C: int,
     "phi" and "psi" streams are independent. No table is built at any
     size: values are hashed only at the indices a session reads.
     """
-    if label not in ("phi", "psi"):
+    if label not in _TAGS:
         raise ValueError("label must be 'phi' or 'psi'")
-    key = sha3_256(b"IBC.osc." + label.encode("ascii") + S + z).digest()
-    return PrfOscillator(key, K, C, mod)
+    return PrfOscillator(sha3_256(_TAGS[label] + S + z).digest(), K, C, mod)
+
+
+def session_values(S: bytes, z: bytes, K: int, C: int, n: int,
+                   mod: Modulus) -> tuple[int, int]:
+    """(Phi, Psi) of session (S, z) at t = n/K, raw ints in (-M, M).
+
+    value_at of generate's "phi" and "psi" oscillators, with neither
+    built: index C*n falls in block n // K at seed offset C*(n % K).
+    """
+    block, i = divmod(n, K)
+    m, Sz = C * i, S + z
+    phi = _prf_value(sha3_256(TAG_PHI + Sz).digest(), m, mod)
+    psi = _prf_value(sha3_256(TAG_PSI + Sz).digest(), m, mod)
+    return (-phi, -psi) if block % 2 else (phi, psi)
 
 
 def index_value(osc: Oscillator, j: int) -> int:
@@ -148,4 +168,6 @@ def eval_at(osc: Oscillator, t: EvalPoint) -> FieldElem:
 
 def value_at(osc: Oscillator, n: int) -> int:
     """eval_at at t = n/K on raw ints, in (-M, M): index_value at C*n."""
-    return index_value(osc, osc.C * n)
+    block, m = divmod(osc.C * n, osc.P)
+    v = osc.seed_value(m)
+    return -v if block % 2 else v

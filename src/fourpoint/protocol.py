@@ -17,7 +17,8 @@ N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). The
 sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and one
 inverse serves s1 and s3. X cancels out of the receiver's recovery, so v
 costs one inverse and no full-width pow, and the receiver rederives only
-(p, K, C, n, q) and the two oscillators, no Session. The recovery
+(p, K, C, n, q) and the two oscillator values at t, no Session and no
+oscillator object (oscillator.session_values). The recovery
 formula lives in _recovery_map and _recover, which the forgery games in
 harness run too. s_M and recover_v are the reference.
 
@@ -54,10 +55,6 @@ _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
 _U_BOUND = 1 << 32  # u travels in a 4-byte wire field
 _HASH_NAME = "sha3-256"  # the one hash; profile files name it
-
-
-def _h_int(data: bytes) -> int:
-    return int.from_bytes(sha3_256(data).digest(), "big")
 
 
 class Profile(NamedTuple("Profile", [
@@ -203,20 +200,25 @@ def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
     if len(z) != NONCE_LEN:
         raise ValueError(f"nonce must be exactly {NONCE_LEN} bytes")
     M, Sz = profile.mod.M, S + z
+    as_int = int.from_bytes  # each value reads SHA3(tag || S || z) big-endian
 
-    p = _h_int(TAG_P + Sz) % (M - 2) + 2
-    K = _h_int(TAG_K + Sz) % (profile.K_max - profile.K_min + 1) + profile.K_min
-    C = _h_int(TAG_C + Sz) % (profile.C_max - profile.C_min + 1) + profile.C_min
-    i = _h_int(TAG_T + Sz) % K
+    p = as_int(sha3_256(TAG_P + Sz).digest(), "big") % (M - 2) + 2
+    K = (as_int(sha3_256(TAG_K + Sz).digest(), "big")
+         % (profile.K_max - profile.K_min + 1) + profile.K_min)
+    C = (as_int(sha3_256(TAG_C + Sz).digest(), "big")
+         % (profile.C_max - profile.C_min + 1) + profile.C_min)
+    i = as_int(sha3_256(TAG_T + Sz).digest(), "big") % K
     if i == 0:
         raise AbortZeroIndex("fractional index i = 0")
-    n = (_h_int(TAG_B + Sz) % M) * K + i
+    n = as_int(sha3_256(TAG_B + Sz).digest(), "big") % M * K + i
     if K % M == 0 or n % M == 0:
         raise AbortSingular("grid denominator or base point t is 0 mod M")
 
     qSz = TAG_Q + Sz
-    q = (_h_int(qSz + b"\x01") % M, _h_int(qSz + b"\x02") % M,
-         _h_int(qSz + b"\x03") % M, _h_int(qSz + b"\x04") % M)
+    q = (as_int(sha3_256(qSz + b"\x01").digest(), "big") % M,
+         as_int(sha3_256(qSz + b"\x02").digest(), "big") % M,
+         as_int(sha3_256(qSz + b"\x03").digest(), "big") % M,
+         as_int(sha3_256(qSz + b"\x04").digest(), "big") % M)
     return p, K, C, n, q
 
 
@@ -224,11 +226,12 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     """Deterministically expand (S, z) into a full Session; raises as
     _derive does."""
     p, K, C, n, q = _derive(S, z, profile)
-    mod = profile.mod
-    return Session(S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
-                   oscillator.generate(S, z, "phi", K, C, mod),
-                   oscillator.generate(S, z, "psi", K, C, mod),
-                   PrfMasked(sha3_256(TAG_PRF + S + z).digest()))
+    mod, Sz, osc = profile.mod, S + z, oscillator.PrfOscillator
+    return Session._make((
+        S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
+        osc(sha3_256(oscillator.TAG_PHI + Sz).digest(), K, C, mod),
+        osc(sha3_256(oscillator.TAG_PSI + Sz).digest(), K, C, mod),
+        PrfMasked(sha3_256(TAG_PRF + Sz).digest())))
 
 
 class Message(NamedTuple("Message", [
@@ -262,7 +265,9 @@ def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
 
 def _kernel(phi: oscillator.PrfOscillator, psi: oscillator.PrfOscillator,
             n: int, q: tuple) -> tuple[int, int]:
-    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t = n/K, unreduced."""
+    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t = n/K, unreduced.
+
+    bob_verify forms the same sums from oscillator.session_values."""
     phi, psi = oscillator.value_at(phi, n), oscillator.value_at(psi, n)
     q1, q2, q3, q4 = q
     return q1 * phi + q2 * psi, q3 * phi + q4 * psi
@@ -326,7 +331,7 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
         p, K, C, n, q = _derive(S, msg.z, profile)
     except ProtocolAbort as exc:
         raise RejectSession(f"session recomputation aborted: {exc}") from None
-    u, mod, M = msg.u, profile.mod, profile.mod.M
+    u, M = msg.u, profile.mod.M
     if (n + 2 * u * K) % M == 0:
         raise RejectSession("evaluation point t + 2u reduces to 0 mod M")
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
@@ -335,8 +340,9 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     e = msg.s1.value * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    A1, A3 = _kernel(oscillator.generate(S, msg.z, "phi", K, C, mod),
-                     oscillator.generate(S, msg.z, "psi", K, C, mod), n, q)
+    phi, psi = oscillator.session_values(S, msg.z, K, C, n, profile.mod)
+    q1, q2, q3, q4 = q
+    A1, A3 = q1 * phi + q2 * psi, q3 * phi + q4 * psi
     v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
     encodable = v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0,
@@ -368,8 +374,8 @@ def deserialize(data: bytes, profile: Profile) -> Message:
     s3v = int.from_bytes(data[32:64], "big")
     if s1v >= M or s3v >= M:
         raise FieldOverflow("field value >= M")
-    u = int.from_bytes(data[64:68], "big")
-    z = data[68:100]
-    h_check = data[100:132]
-    return Message(FieldElem(s1v, profile.mod), FieldElem(s3v, profile.mod),
-                   u, z, h_check)
+    # the fixed-width slices already meet Message's checks: u < 2^32 and
+    # 32-byte z and h_check
+    return tuple.__new__(Message, (
+        FieldElem(s1v, profile.mod), FieldElem(s3v, profile.mod),
+        int.from_bytes(data[64:68], "big"), data[68:100], data[100:132]))

@@ -13,6 +13,7 @@ corners of the (u, v) envelope.
 import builtins
 import hmac
 import random
+import sys
 
 import pytest
 
@@ -21,7 +22,7 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular, BadLength,
                               RejectHash, RejectRange, RejectSession,
                               SingularDenominator, SingularPoint,
                               VerificationError)
-from fourpoint import protocol
+from fourpoint import oscillator, protocol
 from fourpoint.genfunc import PrfMasked, s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem
@@ -202,10 +203,14 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
     def unbuilt(*args):
         raise AssertionError("the receiver built a session record")
 
-    # nor does it build the records that only the sender reads
+    # nor does it build the records that only the sender reads, not even
+    # an oscillator: it reads Phi and Psi at t as raw ints
     for name in ("derive_session", "Session", "EvalPoint"):
         monkeypatch.setattr(protocol, name, unbuilt)
     monkeypatch.setattr(PrfMasked, "__init__", unbuilt)
+    monkeypatch.setattr(oscillator.PrfOscillator, "__init__", unbuilt)
+    for name in ("PrfOscillator", "generate"):
+        monkeypatch.setattr(oscillator, name, unbuilt)
     for S, data, want in cases:
         assert receive(bob_verify, S, data, profile) == want
 
@@ -258,6 +263,67 @@ def test_one_full_width_pow_for_the_sender_none_for_the_receiver(
     got, wide, middle, inverses = budget(bob_verify, S, msg, PRODUCTION)
     assert got == v
     assert (wide, middle, inverses) == (0, 0, 1)
+
+
+def python_calls(fn, *args):
+    """fn's result and the number of Python-level calls under it, fn's
+    own call excluded; built-ins such as pow and sha3_256 do not count."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, len(calls) - 1
+
+
+@PROFILES
+def test_receive_makes_at_most_16_python_calls(profile):
+    # deserialize and bob_verify build no session, oscillator or Message
+    # field check, and hash without a helper call per value
+    rng = random.Random(f"calls/{profile.name}")
+    received = 0
+    while received < 5:
+        S, sess = fresh_session(rng, profile)
+        v = rng.randrange(profile.v_bound)
+        try:
+            blob = serialize(alice_generate(
+                sess, rng.randrange(1, profile.u_bound), v))
+        except ProtocolAbort:
+            continue
+
+        def receive_once():
+            return bob_verify(S, deserialize(blob, profile), profile)
+
+        got, calls = python_calls(receive_once)
+        assert got == v
+        assert calls <= 16
+        received += 1
+
+
+def test_toy_round_trip_makes_at_most_45_python_calls():
+    rng = random.Random("calls/round-trip")
+    trips = 0
+    while trips < 5:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        u, v = rng.randrange(1, TOY.u_bound), rng.randrange(TOY.v_bound)
+
+        def round_trip():
+            msg = alice_generate(derive_session(S, z, TOY), u, v)
+            return bob_verify(S, deserialize(serialize(msg), TOY), TOY)
+
+        try:
+            got, calls = python_calls(round_trip)
+        except ProtocolAbort:
+            continue
+        assert got == v
+        assert calls <= 45
+        trips += 1
 
 
 def test_foreign_modulus_refused_like_the_reference():

@@ -31,6 +31,8 @@ def reference_adjudicate(game, forgery):
     u = msg.u
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
+    if not 0 <= forgery.s_star < sess.p.mod.M:  # not a wire field value
+        return False
     s0 = s_M(sess.gen_numer, sess.t)
     s2 = s_M(sess.gen_denom, sess.t + 2 * u)
     s_star = FieldElem(forgery.s_star, sess.p.mod)
@@ -102,6 +104,34 @@ class TestGame:
         view = game.view()
         wrong = (view.s3 + 1) % view.M
         assert not adjudicate(game, Forgery(wrong, 5))
+
+    @pytest.mark.parametrize("profile", [TOY, PRODUCTION],
+                             ids=lambda p: p.name)
+    def test_s_star_outside_the_field_loses(self, profile):
+        # s3 + k*M recovers the honest v mod M, but deserialize refuses
+        # it as FieldOverflow, so it is no forgery
+        M = profile.mod.M
+        for seed in range(6, 10):
+            game = new_game(profile, random.Random(seed))
+            s3 = game.transcript.s3.value
+            delta = 2  # even, so never an honest offset
+            assert adjudicate(game, Forgery(s3, delta))
+            for s_star in (s3 + M, s3 - M, s3 + 5 * M, M, -1):
+                assert not adjudicate(game, Forgery(s_star, delta)), s_star
+                assert not reference_adjudicate(game, Forgery(s_star, delta))
+
+    def test_honest_s3_at_the_field_ends_wins(self):
+        # on mini the honest s3 is 0 or M - 1 often enough to find both;
+        # one step past either end loses
+        M = MINI.mod.M
+        ends = {}
+        for seed in range(400):
+            game = new_game(MINI, random.Random(seed))
+            ends.setdefault(game.transcript.s3.value, game)
+        for s3, past in ((0, -1), (M - 1, M)):
+            assert adjudicate(ends[s3], Forgery(s3, 2))
+            assert not adjudicate(ends[s3], Forgery(past, 2))
+            assert not adjudicate(ends[s3], Forgery(s3 + M, 2))
 
     def test_recovery_at_the_check_encoding_bound_loses(self):
         # s* = (2V*e - a) / (c + 2V) recovers exactly V = 2^64, which the

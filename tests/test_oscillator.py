@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
-                                  eval_arg, eval_at, eval_index, generate)
+                                  eval_arg, eval_at, eval_index, generate,
+                                  index_value, session_values, value_at)
 
 from oracles import unrolled_oscillator
 
@@ -111,3 +112,24 @@ class TestModeEquivalence:
         b = generate(b"s", b"\x03" * 32, "phi", 9, 3, M257)
         assert [eval_index(a, j) for j in range(a.P)] \
             == [eval_index(b, j) for j in range(b.P)]
+
+
+class TestRawValues:
+    @given(n=st.integers(min_value=-10**6, max_value=10**6),
+           C=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=60)
+    def test_value_at_is_index_value_at_C_n(self, n, C):
+        prf = PrfOscillator(b"\x05" * 32, 3, C, M257)
+        for osc in (walkthrough_osc(), prf, prf.as_table()):
+            assert value_at(osc, n) == index_value(osc, osc.C * n)
+
+    @given(n=st.integers(min_value=-10**6, max_value=10**6),
+           K=st.integers(min_value=2, max_value=64),
+           C=st.integers(min_value=2, max_value=64))
+    @settings(max_examples=60)
+    def test_session_values_are_the_generated_oscillators(self, n, K, C):
+        # both block parities occur, so the sign rule is compared too
+        S, z = b"secret", bytes(range(32))
+        assert session_values(S, z, K, C, n, M257) == (
+            value_at(generate(S, z, "phi", K, C, M257), n),
+            value_at(generate(S, z, "psi", K, C, M257), n))
