@@ -28,6 +28,7 @@ from .genfunc import s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .modmath import FieldElem
+from .oscillator import value_at
 from .protocol import (CHECK_V_BOUND, Message, Profile, Session,
                        _kernel, _recover, _recovery_map, alice_generate,
                        bob_verify, compute_check, derive_session)
@@ -92,8 +93,8 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         # the oscillators remember the values the sender read: no hash
         M, n, K = profile.mod.M, sess.t.n, sess.t.K
         p2u = pow(sess.p.value, 2 * u, M)
-        rmap = _recovery_map(*_kernel(sess.phi, sess.psi, n, sess.q), p2u,
-                             msg.s1.value * p2u % M, n, K, u, M)
+        A1, A3 = _kernel(value_at(sess.phi, n), value_at(sess.psi, n), sess.q)
+        rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, n, K, u, M)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
 
 

@@ -27,9 +27,9 @@ TABLE_CAP = 1 << 20
 _INDEX_WIDTH = 48  # bytes; covers indices below 2^384
 
 # Key tags of a session's two oscillators: key = SHA3(tag || S || z).
-TAG_PHI = b"IBC.osc.phi"
-TAG_PSI = b"IBC.osc.psi"
-_TAGS = {"phi": TAG_PHI, "psi": TAG_PSI}
+_TAG_PHI = b"IBC.osc.phi"
+_TAG_PSI = b"IBC.osc.psi"
+_TAGS = {"phi": _TAG_PHI, "psi": _TAG_PSI}
 
 
 class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
@@ -121,8 +121,8 @@ def session_values(S: bytes, z: bytes, K: int, C: int, n: int,
     """
     block, i = divmod(n, K)
     m, Sz = C * i, S + z
-    phi = _prf_value(sha3_256(TAG_PHI + Sz).digest(), m, mod)
-    psi = _prf_value(sha3_256(TAG_PSI + Sz).digest(), m, mod)
+    phi = _prf_value(sha3_256(_TAG_PHI + Sz).digest(), m, mod)
+    psi = _prf_value(sha3_256(_TAG_PSI + Sz).digest(), m, mod)
     return (-phi, -psi) if block % 2 else (phi, psi)
 
 
@@ -168,6 +168,4 @@ def eval_at(osc: Oscillator, t: EvalPoint) -> FieldElem:
 
 def value_at(osc: Oscillator, n: int) -> int:
     """eval_at at t = n/K on raw ints, in (-M, M): index_value at C*n."""
-    block, m = divmod(osc.C * n, osc.P)
-    v = osc.seed_value(m)
-    return -v if block % 2 else v
+    return index_value(osc, osc.C * n)

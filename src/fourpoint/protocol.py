@@ -226,12 +226,11 @@ def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
     """Deterministically expand (S, z) into a full Session; raises as
     _derive does."""
     p, K, C, n, q = _derive(S, z, profile)
-    mod, Sz, osc = profile.mod, S + z, oscillator.PrfOscillator
-    return Session._make((
-        S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
-        osc(sha3_256(oscillator.TAG_PHI + Sz).digest(), K, C, mod),
-        osc(sha3_256(oscillator.TAG_PSI + Sz).digest(), K, C, mod),
-        PrfMasked(sha3_256(TAG_PRF + Sz).digest())))
+    mod = profile.mod
+    return Session(S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
+                   oscillator.generate(S, z, "phi", K, C, mod),
+                   oscillator.generate(S, z, "psi", K, C, mod),
+                   PrfMasked(sha3_256(TAG_PRF + S + z).digest()))
 
 
 class Message(NamedTuple("Message", [
@@ -263,12 +262,9 @@ def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
                               u.to_bytes(4, "big"), z))).digest()
 
 
-def _kernel(phi: oscillator.PrfOscillator, psi: oscillator.PrfOscillator,
-            n: int, q: tuple) -> tuple[int, int]:
-    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi at t = n/K, unreduced.
-
-    bob_verify forms the same sums from oscillator.session_values."""
-    phi, psi = oscillator.value_at(phi, n), oscillator.value_at(psi, n)
+def _kernel(phi: int, psi: int, q: tuple) -> tuple[int, int]:
+    """A1 = q1*Phi + q2*Psi and A3 = q3*Phi + q4*Psi from the raw
+    oscillator values Phi, Psi at t, unreduced."""
     q1, q2, q3, q4 = q
     return q1 * phi + q2 * psi, q3 * phi + q4 * psi
 
@@ -304,7 +300,8 @@ def alice_generate(sess: Session, u: int, v: int) -> Message:
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    A1, A3 = _kernel(sess.phi, sess.psi, n, sess.q)
+    A1, A3 = _kernel(oscillator.value_at(sess.phi, n),
+                     oscillator.value_at(sess.psi, n), sess.q)
     p2u = pow(p, 2 * u, M)
     X1 = exp_value(sess.conv, p, n1, K, profile.mod)  # p^t at t + 2v+1
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
@@ -340,9 +337,8 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     e = msg.s1.value * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    phi, psi = oscillator.session_values(S, msg.z, K, C, n, profile.mod)
-    q1, q2, q3, q4 = q
-    A1, A3 = q1 * phi + q2 * psi, q3 * phi + q4 * psi
+    A1, A3 = _kernel(*oscillator.session_values(S, msg.z, K, C, n,
+                                                profile.mod), q)
     v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
     encodable = v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0,

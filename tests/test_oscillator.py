@@ -5,7 +5,7 @@ from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
                                   eval_arg, eval_at, eval_index, generate,
-                                  index_value, session_values, value_at)
+                                  session_values, value_at)
 
 from oracles import unrolled_oscillator
 
@@ -115,14 +115,6 @@ class TestModeEquivalence:
 
 
 class TestRawValues:
-    @given(n=st.integers(min_value=-10**6, max_value=10**6),
-           C=st.integers(min_value=1, max_value=16))
-    @settings(max_examples=60)
-    def test_value_at_is_index_value_at_C_n(self, n, C):
-        prf = PrfOscillator(b"\x05" * 32, 3, C, M257)
-        for osc in (walkthrough_osc(), prf, prf.as_table()):
-            assert value_at(osc, n) == index_value(osc, osc.C * n)
-
     @given(n=st.integers(min_value=-10**6, max_value=10**6),
            K=st.integers(min_value=2, max_value=64),
            C=st.integers(min_value=2, max_value=64))

@@ -12,7 +12,7 @@ from fourpoint.genfunc import GenParams, s_M
 from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
-from fourpoint.oscillator import eval_at
+from fourpoint.oscillator import eval_at, value_at
 from fourpoint import protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, Profile,
@@ -228,7 +228,8 @@ class TestDeriveSession:
         for _ in range(200):
             sess = fresh_session(profile, rng)
             t = sess.t
-            A1, A3 = protocol._kernel(sess.phi, sess.psi, t.n, sess.q)
+            A1, A3 = protocol._kernel(value_at(sess.phi, t.n),
+                                      value_at(sess.psi, t.n), sess.q)
             for A, gp in ((A1, sess.gen_numer), (A3, sess.gen_denom)):
                 want = (gp.q_i * eval_at(gp.phi, t)
                         + gp.q_j * eval_at(gp.psi, t))
