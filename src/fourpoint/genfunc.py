@@ -40,25 +40,26 @@ class PrfMasked:
         """Mask in [1, M-1]; never 0, so exp_at stays invertible."""
         at = (i, K, mod.M)
         if at != self._last:
-            digest = sha3_256(self.key + i.to_bytes(_INDEX_WIDTH, "big")
-                              + K.to_bytes(_INDEX_WIDTH, "big")).digest()
-            self._value = int.from_bytes(digest, "big") % (mod.M - 1) + 1
+            self._value = anchor_value(self.key, i, K, mod.M)
             self._last = at
         return self._value
 
 
-def exp_value(conv: PrfMasked, p: int, n: int, K: int, mod: Modulus) -> int:
-    """exp_at at t = n/K on raw ints, in [0, M)."""
-    B, i = divmod(n, K)
-    return pow(p, B, mod.M) * conv.anchor(i, K, mod) % mod.M
+def anchor_value(key: bytes, i: int, K: int, M: int) -> int:
+    """PRF(i, K) under key, in [1, M-1]: PrfMasked.anchor on raw ints."""
+    digest = sha3_256(key + i.to_bytes(_INDEX_WIDTH, "big")
+                      + K.to_bytes(_INDEX_WIDTH, "big")).digest()
+    return int.from_bytes(digest, "big") % (M - 1) + 1
 
 
 def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
     """p^t as p^floor(t) * anchor(i, K)."""
+    B, i = divmod(t.n, t.K)
     try:
-        return FieldElem(exp_value(conv, p.value, t.n, t.K, p.mod), p.mod)
+        x = pow(p.value, B, p.mod.M)
     except ValueError:  # floor(t) < 0 and p = 0
         raise NonInvertible(f"p has no inverse mod {p.mod.M}") from None
+    return FieldElem(x * conv.anchor(i, t.K, p.mod), p.mod)
 
 
 class GenParams(NamedTuple("GenParams", [

@@ -28,10 +28,9 @@ from .genfunc import s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .modmath import FieldElem
-from .oscillator import value_at
-from .protocol import (CHECK_V_BOUND, Message, Profile, Session,
-                       _kernel, _recover, _recovery_map, alice_generate,
-                       bob_verify, compute_check, derive_session)
+from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _generate,
+                       _recover, _recovery_map, alice_generate, bob_verify,
+                       compute_check, derive_session)
 
 
 class AdversaryView(NamedTuple):
@@ -86,15 +85,13 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         v = rng.randrange(0, profile.v_bound)
         try:
             sess = derive_session(S, z, profile)
-            msg = alice_generate(sess, u, v)
+            msg, p2u, A1, A3 = _generate(sess, u, v)
         except ProtocolAbort:
             aborts += 1
             continue
-        # the oscillators remember the values the sender read: no hash
-        M, n, K = profile.mod.M, sess.t.n, sess.t.K
-        p2u = pow(sess.p.value, 2 * u, M)
-        A1, A3 = _kernel(value_at(sess.phi, n), value_at(sess.psi, n), sess.q)
-        rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, n, K, u, M)
+        M = profile.mod.M
+        rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
+                             sess.K, u, M)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
 
 
@@ -108,11 +105,11 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
     sess = hid.session
-    mod, s_star = sess.p.mod, forgery.s_star
+    mod, s_star = sess.profile.mod, forgery.s_star
     # deserialize refuses an s* outside [0, M), and e is the singular point
     if not 0 <= s_star < mod.M or s_star == hid.rmap[2]:
         return False
-    v_star = _recover(hid.rmap, s_star, sess.t.K, mod.M)
+    v_star = _recover(hid.rmap, s_star, sess.K, mod.M)
     if v_star >= CHECK_V_BOUND:
         return False
     expected = compute_check(sess.S, v_star, msg.s1, FieldElem(s_star, mod),
@@ -198,7 +195,7 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     hid = game.hidden
     msg = game.transcript
     sess = hid.session
-    M, K = sess.p.mod.M, sess.t.K
+    M, K = sess.profile.mod.M, sess.K
     if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
     a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, sess.t.img, msg.u,

@@ -7,11 +7,12 @@ Euclidean floor/mod keep those identities true for negative j as well.
 
 A session's oscillators are always PrfOscillator: each value is
 recomputed from a keyed hash when needed, since a session reads only the
-few indices of its four aligned points. The receiver reads each value
-once, so session_values hashes its two keys and values without building
-an oscillator. TableOscillator holds an explicit seed in memory: the
-worked examples, and as_table, which materializes a PRF oscillator over
-the same _prf_value and so agrees with it everywhere.
+few indices of its four aligned points. The protocol path reads each
+value once, so session_values hashes its two keys and values for sender
+and receiver alike without building an oscillator. TableOscillator
+holds an explicit seed in memory: the worked examples, and as_table,
+which materializes a PRF oscillator over the same _prf_value and so
+agrees with it everywhere.
 """
 
 from hashlib import sha3_256

@@ -13,14 +13,15 @@ accepts only if the check hash over (S, v, s1, s3, u, z) matches.
 
 Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
 2u+2v+1, share t = n/K, n = B*K + i, so s_d = K*N_d / (n + d*K) with
-N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). The
-sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and one
-inverse serves s1 and s3. X cancels out of the receiver's recovery, so v
-costs one inverse and no full-width pow, and the receiver rederives only
-(p, K, C, n, q) and the two oscillator values at t, no Session and no
-oscillator object (oscillator.session_values). The recovery
-formula lives in _recovery_map and _recover, which the forgery games in
-harness run too. s_M and recover_v are the reference.
+N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). A
+Session holds the raw (p, K, C, n, q), and both parties read Phi and Psi
+at t through oscillator.session_values, building no oscillator object.
+The sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and
+one inverse serves s1 and s3. X cancels out of the receiver's recovery,
+so v costs one inverse and no full-width pow, and the receiver rederives
+(p, K, C, n, q) without building a Session. The recovery formula lives
+in _recovery_map and _recover, which the forgery games in harness run
+too. s_M and recover_v are the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -33,7 +34,7 @@ from typing import NamedTuple
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
-from .genfunc import GenParams, PrfMasked, exp_value
+from .genfunc import GenParams, PrfMasked, anchor_value
 from .genfunc import s_M  # noqa: F401  unused here; perfbench traces it
 from .invariant import check_denominator, recover_v  # noqa: F401  likewise
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
@@ -72,6 +73,10 @@ class Profile(NamedTuple("Profile", [
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.u_bits < 1:  # the sender draws u from [1, 2^u_bits)
+            raise ValueError(f"u_bits must be >= 1, got {self.u_bits}")
+        if self.v_bits < 0:
+            raise ValueError(f"v_bits must be >= 0, got {self.v_bits}")
         if self.mod.M.bit_length() > 256:
             raise ValueError("modulus too wide for the 32-byte wire fields")
         if self.u_bound > _U_BOUND:
@@ -162,21 +167,31 @@ def dump_profile(profile: Profile, path) -> None:
 
 
 class Session(NamedTuple):
-    """Everything derived from (S, z) under one profile; gen_numer and
-    gen_denom build the typed s_M parameters each time they are read."""
+    """Everything derived from (S, z) under one profile, as the raw ints
+    that _derive returns. p, t, phi, psi, conv, gen_numer and gen_denom
+    are typed views, built each time they are read: the reference path
+    and the tests read them, the protocol path and a forgery game do not."""
 
     S: bytes
     z: bytes
     profile: Profile
-    p: FieldElem
-    t: EvalPoint  # B + i/K: B = t.floor(), K = t.K, i = t.frac_num()
+    base: int  # p in [2, M)
+    K: int  # grid denominator
+    C: int  # oscillator period
+    n: int  # t = n/K = B + i/K: B = n // K, i = n % K
     q: tuple  # amplitudes (q1, q2, q3, q4) as ints in [0, M)
-    phi: oscillator.PrfOscillator  # period C = phi.C
-    psi: oscillator.PrfOscillator
-    conv: PrfMasked  # the anchor key
+
+    p = property(lambda self: FieldElem(self.base, self.profile.mod))
+    t = property(lambda self: EvalPoint(self.n, self.K, self.profile.mod))
+    phi = property(lambda self: oscillator.generate(
+        self.S, self.z, "phi", self.K, self.C, self.profile.mod))
+    psi = property(lambda self: oscillator.generate(
+        self.S, self.z, "psi", self.K, self.C, self.profile.mod))
+    conv = property(  # the anchor key
+        lambda self: PrfMasked(sha3_256(TAG_PRF + self.S + self.z).digest()))
 
     def _gen(self, qa: int, qb: int) -> GenParams:
-        mod = self.p.mod
+        mod = self.profile.mod
         return GenParams(self.p, FieldElem(qa, mod), FieldElem(qb, mod),
                          self.phi, self.psi, self.conv)
 
@@ -223,14 +238,9 @@ def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
 
 
 def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
-    """Deterministically expand (S, z) into a full Session; raises as
-    _derive does."""
-    p, K, C, n, q = _derive(S, z, profile)
-    mod = profile.mod
-    return Session(S, z, profile, FieldElem(p, mod), EvalPoint(n, K, mod), q,
-                   oscillator.generate(S, z, "phi", K, C, mod),
-                   oscillator.generate(S, z, "psi", K, C, mod),
-                   PrfMasked(sha3_256(TAG_PRF + S + z).digest()))
+    """Deterministically expand (S, z) into a Session: the nine derivation
+    hashes and nothing more; raises as _derive does."""
+    return tuple.__new__(Session, (S, z, profile, *_derive(S, z, profile)))
 
 
 class Message(NamedTuple("Message", [
@@ -288,29 +298,40 @@ def _recover(rmap: tuple[int, int, int], s3: int, K: int, M: int) -> int:
     return (Ka + Kc * s3) % M * pow(2 * K * (e - s3), -1, M) % M
 
 
-def alice_generate(sess: Session, u: int, v: int) -> Message:
-    """Sender side: s1 and s3, denominator check, check hash. AbortSingular
-    if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
-    profile = sess.profile
+def _generate(sess: Session, u: int, v: int) -> tuple:
+    """alice_generate's Message with the p^2u, A1 and A3 it computed, from
+    which harness.new_game builds the receiver's recovery map."""
+    S, z, profile, p, K, C, n, q = sess
     if not 1 <= u < profile.u_bound:
         raise ValueError(f"u must be in [1, {profile.u_bound})")
     if not 0 <= v < profile.v_bound:
         raise ValueError(f"v must be in [0, {profile.v_bound})")
-    M, p, K, n = profile.mod.M, sess.p.value, sess.t.K, sess.t.n
+    mod = profile.mod
+    M = mod.M
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    A1, A3 = _kernel(oscillator.value_at(sess.phi, n),
-                     oscillator.value_at(sess.psi, n), sess.q)
+    A1, A3 = _kernel(*oscillator.session_values(S, z, K, C, n, mod), q)
     p2u = pow(p, 2 * u, M)
-    X1 = exp_value(sess.conv, p, n1, K, profile.mod)  # p^t at t + 2v+1
+    B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
+    X1 = pow(p, B1, M) * anchor_value(sha3_256(TAG_PRF + S + z).digest(),
+                                      i, K, M) % M
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
-    s1 = FieldElem((X1 - A1) * n3 % M * scale, profile.mod)
-    s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, profile.mod)
+    s1 = FieldElem((X1 - A1) * n3 % M * scale, mod)
+    s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, mod)
     if (s1.value * p2u - s3.value) % M == 0:
         raise AbortNonInvertible("recovery denominator not invertible")
-    h_check = compute_check(sess.S, v, s1, s3, u, sess.z)
-    return Message(s1, s3, u, sess.z, h_check)
+    # u < u_bound <= 2^32, _derive has checked z's length and the check
+    # hash is 32 bytes: Message's checks hold
+    msg = tuple.__new__(Message, (s1, s3, u, z,
+                                  compute_check(S, v, s1, s3, u, z)))
+    return msg, p2u, A1, A3
+
+
+def alice_generate(sess: Session, u: int, v: int) -> Message:
+    """Sender side: s1 and s3, denominator check, check hash. AbortSingular
+    if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
+    return _generate(sess, u, v)[0]
 
 
 def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:

@@ -299,6 +299,15 @@ def _profile_v_too_wide(d):
     return args
 
 
+def _profile_u_bits_zero(d):
+    # no u in [1, 2^0) exists, so such a profile could never send
+    return send_args(d) + ["--profile", _write_profile(d, TOY, u_bits=0)]
+
+
+def _profile_v_bits_negative(d):
+    return send_args(d) + ["--profile", _write_profile(d, TOY, v_bits=-1)]
+
+
 def _profile_grid_too_wide(d):
     # K = 2^384 does not fit the 48-byte PRF index
     return send_args(d) + ["--profile", _write_profile(
@@ -319,6 +328,8 @@ def _profile_modulus_too_wide(d):
                                    _profile_null_value, _profile_other_hash,
                                    _profile_u_too_wide,
                                    _profile_v_too_wide,
+                                   _profile_u_bits_zero,
+                                   _profile_v_bits_negative,
                                    _profile_grid_too_wide,
                                    _profile_modulus_too_wide])
 def test_malformed_input_exits_2(workdir, capsys, build):
@@ -328,6 +339,16 @@ def test_malformed_input_exits_2(workdir, capsys, build):
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("u_bits", 0), ("v_bits", -1)])
+def test_send_names_the_bad_bit_width(workdir, capsys, key, value):
+    args = send_args(workdir) + ["--profile",
+                                 _write_profile(workdir, TOY, **{key: value})]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("send: ") and f"{key} must be >= " in err
+    assert not (workdir / "msg.bin").exists()
 
 
 class TestSelftestAndAttack:

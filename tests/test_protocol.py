@@ -68,6 +68,19 @@ class TestProfiles:
         with pytest.raises(ValueError, match=repr(key)):
             profile_from_dict({**profile_to_dict(TOY), key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("u_bits", 0), ("u_bits", -1), ("v_bits", -1)])
+    def test_bit_width_out_of_range_rejected(self, key, value):
+        # u_bits 0 leaves no u in [1, 2^u_bits) to send; a negative width
+        # is no width at all
+        with pytest.raises(ValueError, match=key):
+            profile_from_dict({**profile_to_dict(TOY), key: value})
+
+    def test_smallest_bit_widths_accepted(self):
+        narrow = profile_from_dict({**profile_to_dict(TOY),
+                                    "u_bits": 1, "v_bits": 0})
+        assert (narrow.u_bound, narrow.v_bound) == (2, 1)
+
     def test_integer_modulus_accepted(self):
         assert profile_from_dict({**profile_to_dict(TOY), "M": 257}) == TOY
 
@@ -95,6 +108,8 @@ class TestProfiles:
         # every grid index K*C must fit the 48-byte PRF index
         with pytest.raises(ValueError):
             Profile("x", Modulus(257), 2, 1 << 384, 2, 4, 8, 8)
+        with pytest.raises(ValueError):
+            Profile("x", Modulus(257), 2, (1 << 382) + 1, 2, 4, 8, 8)
         Profile("x", Modulus(257), 2, 1 << 382, 2, 4, 8, 8)
 
     def test_make_and_replace_validate(self):
@@ -124,15 +139,16 @@ class TestProfiles:
         assert gp._replace(q_i=FieldElem(0, mod)).q_i == 0
 
     def test_wide_modulus_rejected(self):
-        wide = (1 << 260) + 45  # prime > 256 bits
-        with pytest.raises(ValueError):
-            Profile("x", Modulus(wide), 2, 4, 2, 4, 8, 8)
+        for wide in ((1 << 260) + 45, (1 << 256) + 297):  # primes > 256 bits
+            with pytest.raises(ValueError):
+                Profile("x", Modulus(wide), 2, 4, 2, 4, 8, 8)
 
     def test_bad_ranges_rejected(self):
         with pytest.raises(ValueError):
             Profile("x", Modulus(257), 1, 4, 2, 4, 8, 8)
         with pytest.raises(ValueError):
             Profile("x", Modulus(257), 2, 4, 8, 4, 8, 8)
+        Profile("x", Modulus(257), 4, 4, 3, 3, 8, 8)  # one-point ranges
 
 
 class TestDeriveSession:

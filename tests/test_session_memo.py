@@ -1,11 +1,14 @@
 """Each oscillator and anchor hashes a session value once.
 
-A session reads each oscillator at one seed index (t + d sits at
-C*n + d*P) and every point shares one anchor (i, K), so PrfOscillator and
-PrfMasked remember their last value. These tests count the hashes through
-a patched hook, check that the memo never returns a stale value, and
-check that the memo belongs to one session object only. One test counts
-every SHA3 call of a receive, which builds no session at all.
+A send or a forgery game hashes two oscillator values and one anchor. On
+the reference path a session reads each oscillator at one seed index
+(t + d sits at C*n + d*P) and every point shares one anchor (i, K), so
+PrfOscillator and PrfMasked remember their last value. These tests count
+the hashes through a patched hook, check that the memo never returns a
+stale value, and check that the memo belongs to one object only. Two
+tests count every SHA3 call: of a send, whose derive_session makes the
+nine derivation hashes and no more, and of a receive, which builds no
+session at all.
 """
 
 from collections import Counter
@@ -20,8 +23,8 @@ from fourpoint.genfunc import PrfMasked
 from fourpoint.harness import new_game
 from fourpoint.modmath import Modulus
 from fourpoint.oscillator import PrfOscillator, _prf_value
-from fourpoint.protocol import (PRODUCTION, TOY, alice_generate, bob_verify,
-                                derive_session)
+from fourpoint.protocol import (MINI, PRODUCTION, TOY, alice_generate,
+                                bob_verify, derive_session)
 
 
 @pytest.fixture
@@ -105,6 +108,33 @@ def test_receive_to_the_check_hash_makes_14_sha3_calls(profile, sha3_calls):
             bob_verify(S, forged, profile)
         assert sha3_calls == {"sha3": 14}
         checked += 1
+
+
+@pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
+                         ids=lambda p: p.name)
+def test_send_makes_9_sha3_calls_to_derive_and_16_in_all(profile,
+                                                         sha3_calls):
+    # derive_session makes the nine derivation hashes only; alice_generate
+    # adds two oscillator keys, two PRF values, the anchor key, the anchor
+    # and the check hash
+    rng = random.Random(f"sha3/send/{profile.name}")
+    sent = 0
+    while sent < 10:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        u, v = rng.randrange(1, profile.u_bound), rng.randrange(profile.v_bound)
+        sha3_calls.clear()
+        try:
+            sess = derive_session(S, z, profile)
+        except ProtocolAbort:
+            continue
+        assert sha3_calls == {"sha3": 9}
+        try:
+            msg = alice_generate(sess, u, v)
+        except ProtocolAbort:
+            continue
+        assert sha3_calls == {"sha3": 16}
+        assert bob_verify(S, msg, profile) == v
+        sent += 1
 
 
 def test_game_hashes_two_values_and_one_anchor(hashes):

@@ -42,7 +42,7 @@ PACKAGE = Path("src") / "fourpoint"
 COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml")
 
 DEFAULT_TARGETS = ("protocol._derive", "protocol.derive_session",
-                   "protocol._kernel", "protocol.alice_generate",
+                   "protocol._kernel", "protocol._generate",
                    "protocol.bob_verify", "harness.lemma1_exhaustive")
 
 _BINOP_SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
