@@ -2,6 +2,7 @@
 
 Library layout:
   modmath     exact arithmetic over Z_M (FieldElem, EvalPoint, inverses)
+  prf         the keyed PRF values that sender and receiver read
   oscillator  antiperiodic keyed pseudorandom oscillators
   genfunc     the masked generating function s_M(t)
   invariant   the four-point identity, recovery, analytic reference

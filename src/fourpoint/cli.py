@@ -10,7 +10,6 @@ Code that needs a fixed nonce calls derive_session(S, z, profile).
 
 import argparse
 import os
-import random
 import sys
 from hashlib import sha3_256
 from pathlib import Path
@@ -89,7 +88,8 @@ def cmd_recv(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import selftest_suites  # send and recv start without it
+    import random  # send and recv start without these two
+    from .selftest import selftest_suites
     profile = _resolve_profile(args.profile)
     fails = 0
     for label, suite in selftest_suites(profile, random.Random(args.seed)):

@@ -12,13 +12,13 @@ All four shifted evaluation points of a session share i and K, so the
 anchor cancels out of the invariant ratio.
 """
 
-from hashlib import sha3_256
 from typing import NamedTuple
 
 from .errors import NonInvertible, SingularPoint
 from .modmath import EvalPoint, FieldElem, Modulus
 from .modmath import mod_inv, mod_pow  # noqa: F401  perfbench traces them
-from .oscillator import _INDEX_WIDTH, Oscillator, eval_at
+from .oscillator import Oscillator, eval_at
+from .prf import anchor_value
 
 
 class PrfMasked:
@@ -43,13 +43,6 @@ class PrfMasked:
             self._value = anchor_value(self.key, i, K, mod.M)
             self._last = at
         return self._value
-
-
-def anchor_value(key: bytes, i: int, K: int, M: int) -> int:
-    """PRF(i, K) under key, in [1, M-1]: PrfMasked.anchor on raw ints."""
-    digest = sha3_256(key + i.to_bytes(_INDEX_WIDTH, "big")
-                      + K.to_bytes(_INDEX_WIDTH, "big")).digest()
-    return int.from_bytes(digest, "big") % (M - 1) + 1
 
 
 def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:

@@ -55,10 +55,13 @@ class _Hidden(NamedTuple):
     u: int
     rmap: tuple  # protocol._recovery_map of the transcript: (K*a, K*c, e)
 
-    # the reference s_M values at t and t + 2u, computed when read
-    s0 = property(lambda self: s_M(self.session.gen_numer, self.session.t))
-    s2 = property(lambda self: s_M(self.session.gen_denom,
-                                   self.session.t + 2 * self.u))
+    @property
+    def s0_s2(self) -> tuple:
+        """The reference s_M values at t and t + 2u, computed when read
+        over one Session.gen_pair, so t + 2u reuses t's hashed values."""
+        sess = self.session
+        numer, denom = sess.gen_pair
+        return s_M(numer, sess.t), s_M(denom, sess.t + 2 * self.u)
 
     def __repr__(self):  # public parts only: v and the map stay out
         return f"_Hidden(session={self.session!r})"
@@ -198,8 +201,8 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     M, K = sess.profile.mod.M, sess.K
     if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
-    a, c, e = recovery_map(hid.s0, msg.s1, hid.s2, sess.t.img, msg.u,
-                           sess.p)
+    s0, s2 = hid.s0_s2
+    a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
     Ka, Kc, e_map = hid.rmap
     if (Ka % M, Kc % M, e_map) != (K * a % M, K * c % M, e):
         raise AssertionError("the receiver's recovery map differs from "

@@ -105,7 +105,7 @@ def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]
     and s2 it reproduces expected_constant(p, u). Singular evaluation
     points propagate as SingularPoint per element.
     """
-    numer, denom = session.gen_numer, session.gen_denom  # built per read
+    numer, denom = session.gen_pair  # one pair of memos for every v
     pairs = []
     for v in v_list:
         s1 = s_M(numer, session.t + (2 * v + 1))

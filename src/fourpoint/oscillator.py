@@ -8,11 +8,11 @@ Euclidean floor/mod keep those identities true for negative j as well.
 A session's oscillators are always PrfOscillator: each value is
 recomputed from a keyed hash when needed, since a session reads only the
 few indices of its four aligned points. The protocol path reads each
-value once, so session_values hashes its two keys and values for sender
-and receiver alike without building an oscillator. TableOscillator
-holds an explicit seed in memory: the worked examples, and as_table,
-which materializes a PRF oscillator over the same _prf_value and so
-agrees with it everywhere.
+value once, so prf.session_values hashes its two keys and values for
+sender and receiver alike without building an oscillator or loading
+this module. TableOscillator holds an explicit seed in memory: the
+worked examples, and as_table, which materializes a PRF oscillator over
+the same prf._prf_value and so agrees with it everywhere.
 """
 
 from hashlib import sha3_256
@@ -20,17 +20,13 @@ from typing import NamedTuple
 
 from .errors import SeedTooLarge
 from .modmath import EvalPoint, FieldElem, Modulus
+from .prf import _TAG_PHI, _TAG_PSI, _prf_value
 
 # Tables may be built explicitly up to TABLE_CAP entries; beyond that
 # construction refuses.
 TABLE_CAP = 1 << 20
 
-_INDEX_WIDTH = 48  # bytes; covers indices below 2^384
-
-# Key tags of a session's two oscillators: key = SHA3(tag || S || z).
-_TAG_PHI = b"IBC.osc.phi"
-_TAG_PSI = b"IBC.osc.psi"
-_TAGS = {"phi": _TAG_PHI, "psi": _TAG_PSI}
+_TAGS = {"phi": _TAG_PHI, "psi": _TAG_PSI}  # generate's labels, key tags
 
 
 class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
@@ -51,11 +47,6 @@ class OscSeed(NamedTuple("OscSeed", [("values", tuple), ("K", int),
     @property
     def P(self) -> int:
         return self.K * self.C
-
-
-def _prf_value(key: bytes, m: int, mod: Modulus) -> int:
-    digest = sha3_256(key + m.to_bytes(_INDEX_WIDTH, "big")).digest()
-    return int.from_bytes(digest, "big") % mod.M
 
 
 class TableOscillator:
@@ -111,20 +102,6 @@ def generate(S: bytes, z: bytes, label: str, K: int, C: int,
     if label not in _TAGS:
         raise ValueError("label must be 'phi' or 'psi'")
     return PrfOscillator(sha3_256(_TAGS[label] + S + z).digest(), K, C, mod)
-
-
-def session_values(S: bytes, z: bytes, K: int, C: int, n: int,
-                   mod: Modulus) -> tuple[int, int]:
-    """(Phi, Psi) of session (S, z) at t = n/K, raw ints in (-M, M).
-
-    value_at of generate's "phi" and "psi" oscillators, with neither
-    built: index C*n falls in block n // K at seed offset C*(n % K).
-    """
-    block, i = divmod(n, K)
-    m, Sz = C * i, S + z
-    phi = _prf_value(sha3_256(_TAG_PHI + Sz).digest(), m, mod)
-    psi = _prf_value(sha3_256(_TAG_PSI + Sz).digest(), m, mod)
-    return (-phi, -psi) if block % 2 else (phi, psi)
 
 
 def index_value(osc: Oscillator, j: int) -> int:

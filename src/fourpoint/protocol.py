@@ -15,13 +15,13 @@ Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
 2u+2v+1, share t = n/K, n = B*K + i, so s_d = K*N_d / (n + d*K) with
 N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). A
 Session holds the raw (p, K, C, n, q), and both parties read Phi and Psi
-at t through oscillator.session_values, building no oscillator object.
+at t through prf.session_values, building no oscillator object.
 The sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and
 one inverse serves s1 and s3. X cancels out of the receiver's recovery,
 so v costs one inverse and no full-width pow, and the receiver rederives
 (p, K, C, n, q) without building a Session. The recovery formula lives
 in _recovery_map and _recover, which the forgery games in harness run
-too. s_M and recover_v are the reference.
+too. genfunc.s_M and invariant.recover_v are the reference.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -34,11 +34,8 @@ from typing import NamedTuple
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
-from .genfunc import GenParams, PrfMasked, anchor_value
-from .genfunc import s_M  # noqa: F401  unused here; perfbench traces it
-from .invariant import check_denominator, recover_v  # noqa: F401  likewise
 from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
-from . import oscillator
+from .prf import _INDEX_WIDTH, anchor_value, session_values
 
 TAG_P = b"IBC.p"
 TAG_K = b"IBC.K"
@@ -87,7 +84,7 @@ class Profile(NamedTuple("Profile", [
             raise ValueError("bad K range")
         if not (2 <= self.C_min <= self.C_max):
             raise ValueError("bad C range")
-        if self.K_max * self.C_max > 1 << 8 * oscillator._INDEX_WIDTH:
+        if self.K_max * self.C_max > 1 << 8 * _INDEX_WIDTH:
             raise ValueError("K_max * C_max too wide for the PRF index")
         return self
 
@@ -168,9 +165,9 @@ def dump_profile(profile: Profile, path) -> None:
 
 class Session(NamedTuple):
     """Everything derived from (S, z) under one profile, as the raw ints
-    that _derive returns. p, t, phi, psi, conv, gen_numer and gen_denom
-    are typed views, built each time they are read: the reference path
-    and the tests read them, the protocol path and a forgery game do not."""
+    that _derive returns. Its typed views (p, t, phi, psi, conv, gen_pair,
+    gen_numer, gen_denom) are built, their layers imported, when read:
+    the reference path reads them, the protocol path and games do not."""
 
     S: bytes
     z: bytes
@@ -183,20 +180,31 @@ class Session(NamedTuple):
 
     p = property(lambda self: FieldElem(self.base, self.profile.mod))
     t = property(lambda self: EvalPoint(self.n, self.K, self.profile.mod))
-    phi = property(lambda self: oscillator.generate(
-        self.S, self.z, "phi", self.K, self.C, self.profile.mod))
-    psi = property(lambda self: oscillator.generate(
-        self.S, self.z, "psi", self.K, self.C, self.profile.mod))
-    conv = property(  # the anchor key
-        lambda self: PrfMasked(sha3_256(TAG_PRF + self.S + self.z).digest()))
+    phi = property(lambda self: self._osc("phi"))
+    psi = property(lambda self: self._osc("psi"))
 
-    def _gen(self, qa: int, qb: int) -> GenParams:
-        mod = self.profile.mod
-        return GenParams(self.p, FieldElem(qa, mod), FieldElem(qb, mod),
-                         self.phi, self.psi, self.conv)
+    def _osc(self, label: str):
+        from .oscillator import generate  # loaded on first read, not at start
+        return generate(self.S, self.z, label, self.K, self.C,
+                        self.profile.mod)
 
-    gen_numer = property(lambda self: self._gen(*self.q[:2]))  # s0 and s1
-    gen_denom = property(lambda self: self._gen(*self.q[2:]))  # s2 and s3
+    @property
+    def conv(self):  # the anchor key
+        from .genfunc import PrfMasked
+        return PrfMasked(sha3_256(TAG_PRF + self.S + self.z).digest())
+
+    @property
+    def gen_pair(self) -> tuple:
+        """(gen_numer, gen_denom) over one phi, psi and conv: t and t + 2u
+        share a seed index and an anchor, so the memos hash each once."""
+        from .genfunc import GenParams
+        p, phi, psi, conv = self.p, self.phi, self.psi, self.conv
+        q1, q2, q3, q4 = (FieldElem(q, self.profile.mod) for q in self.q)
+        return (GenParams(p, q1, q2, phi, psi, conv),
+                GenParams(p, q3, q4, phi, psi, conv))
+
+    gen_numer = property(lambda self: self.gen_pair[0])  # s0 and s1
+    gen_denom = property(lambda self: self.gen_pair[1])  # s2 and s3
 
     def __repr__(self):  # public parts only: S and all derived from it stay out
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
@@ -311,7 +319,7 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    A1, A3 = _kernel(*oscillator.session_values(S, z, K, C, n, mod), q)
+    A1, A3 = _kernel(*session_values(S, z, K, C, n, mod), q)
     p2u = pow(p, 2 * u, M)
     B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
     X1 = pow(p, B1, M) * anchor_value(sha3_256(TAG_PRF + S + z).digest(),
@@ -358,8 +366,7 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     e = msg.s1.value * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    A1, A3 = _kernel(*oscillator.session_values(S, msg.z, K, C, n,
-                                                profile.mod), q)
+    A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, profile.mod), q)
     v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
     encodable = v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0,
@@ -396,3 +403,20 @@ def deserialize(data: bytes, profile: Profile) -> Message:
     return tuple.__new__(Message, (
         FieldElem(s1v, profile.mod), FieldElem(s3v, profile.mod),
         int.from_bytes(data[64:68], "big"), data[68:100], data[100:132]))
+
+
+# The reference functions under the names perfbench/spans.py traces here,
+# as entries of this namespace; each loads its layer only when called.
+def s_M(gp, t):
+    from .genfunc import s_M
+    return s_M(gp, t)
+
+
+def check_denominator(s1, s3, p, u):
+    from .invariant import check_denominator
+    return check_denominator(s1, s3, p, u)
+
+
+def recover_v(s0, s1, s2, s3, t_img, u, p):
+    from .invariant import recover_v
+    return recover_v(s0, s1, s2, s3, t_img, u, p)

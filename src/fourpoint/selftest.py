@@ -31,7 +31,8 @@ def selftest_suites(profile: Profile, rng: random.Random):
         exact = singular = 0
         for game in games:
             hid, msg = game.hidden, game.transcript
-            tu = InvariantTuple(hid.s0, msg.s1, hid.s2, msg.s3,
+            s0, s2 = hid.s0_s2
+            tu = InvariantTuple(s0, msg.s1, s2, msg.s3,
                                 hid.session.t, msg.u, hid.v)
             try:
                 got = eval_invariant(tu, mod)

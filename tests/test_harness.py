@@ -51,8 +51,8 @@ def s_star_recovering(game, V):
     """The s* whose reference recovery is exactly V."""
     sess, msg = game.hidden.session, game.transcript
     M = sess.p.mod.M
-    a, c, e = recovery_map(game.hidden.s0, msg.s1, game.hidden.s2,
-                           sess.t.img, msg.u, sess.p)
+    s0, s2 = game.hidden.s0_s2
+    a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
     return (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
 
 
@@ -77,7 +77,8 @@ class TestGame:
         # from the secret: at 256 bits no residue shows up by chance
         game = new_game(PRODUCTION, random.Random(1))
         hid = game.hidden
-        for secret in (*hid.rmap, hid.s0.value, hid.s2.value, hid.v):
+        s0, s2 = hid.s0_s2
+        for secret in (*hid.rmap, s0.value, s2.value, hid.v):
             assert str(secret) not in repr(game)
 
     def test_replaying_s3_with_excluded_offset_does_not_count(self):
@@ -140,7 +141,8 @@ class TestGame:
         hid, msg = game.hidden, game.transcript
         s_star = s_star_recovering(game, CHECK_V_BOUND)
         rest = (hid.session.t.img, msg.u, hid.session.p)
-        assert recover_v(hid.s0, msg.s1, hid.s2, FieldElem(
+        s0, s2 = hid.s0_s2
+        assert recover_v(s0, msg.s1, s2, FieldElem(
             s_star, PRODUCTION.mod), *rest).value == CHECK_V_BOUND
         assert not adjudicate(game, Forgery(s_star, 5))
 
@@ -264,7 +266,8 @@ class TestLemma1:
         for _ in range(50):
             game = new_game(profile, rng)
             hid, msg = game.hidden, game.transcript
-            args = (hid.s0, msg.s1, hid.s2)
+            s0, s2 = hid.s0_s2
+            args = (s0, msg.s1, s2)
             rest = (hid.session.t.img, msg.u, hid.session.p)
             a, c, e = recovery_map(*args, *rest)
             witnesses = []

@@ -5,7 +5,8 @@ from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
                                   eval_arg, eval_at, eval_index, generate,
-                                  session_values, value_at)
+                                  value_at)
+from fourpoint.prf import session_values
 
 from oracles import unrolled_oscillator
 

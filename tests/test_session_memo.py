@@ -5,10 +5,11 @@ the reference path a session reads each oscillator at one seed index
 (t + d sits at C*n + d*P) and every point shares one anchor (i, K), so
 PrfOscillator and PrfMasked remember their last value. These tests count
 the hashes through a patched hook, check that the memo never returns a
-stale value, and check that the memo belongs to one object only. Two
+stale value, and check that the memo belongs to one object only. Three
 tests count every SHA3 call: of a send, whose derive_session makes the
-nine derivation hashes and no more, and of a receive, which builds no
-session at all.
+nine derivation hashes and no more, of a receive, which builds no
+session at all, and of an exhaustive sweep, whose s0 and s2 share one
+set of oscillators and one anchor.
 """
 
 from collections import Counter
@@ -17,32 +18,36 @@ import random
 
 import pytest
 
-from fourpoint import genfunc, oscillator, protocol
+from fourpoint import genfunc, oscillator, prf, protocol
 from fourpoint.errors import ProtocolAbort, RejectHash
 from fourpoint.genfunc import PrfMasked
-from fourpoint.harness import new_game
+from fourpoint.harness import lemma1_exhaustive, new_game
 from fourpoint.modmath import Modulus
-from fourpoint.oscillator import PrfOscillator, _prf_value
+from fourpoint.oscillator import PrfOscillator
+from fourpoint.prf import _prf_value
 from fourpoint.protocol import (MINI, PRODUCTION, TOY, alice_generate,
                                 bob_verify, derive_session)
 
 
 @pytest.fixture
 def hashes(monkeypatch):
-    """Counter of PRF-value hashes ("prf") and anchor hashes ("anchor")."""
+    """Counter of PRF-value hashes ("prf") and anchor hashes ("anchor"),
+    patched at every binding through which the package calls them."""
     counts = Counter()
-    prf_value, sha3_256 = oscillator._prf_value, genfunc.sha3_256
+    prf_value, anchor_value = prf._prf_value, prf.anchor_value
 
     def counted_prf_value(*args):
         counts["prf"] += 1
         return prf_value(*args)
 
-    def counted_sha3_256(*args):  # genfunc hashes only in PrfMasked.anchor
+    def counted_anchor_value(*args):
         counts["anchor"] += 1
-        return sha3_256(*args)
+        return anchor_value(*args)
 
-    monkeypatch.setattr(oscillator, "_prf_value", counted_prf_value)
-    monkeypatch.setattr(genfunc, "sha3_256", counted_sha3_256)
+    for module in (prf, oscillator):  # session_values, PrfOscillator
+        monkeypatch.setattr(module, "_prf_value", counted_prf_value)
+    for module in (protocol, genfunc):  # the sender, PrfMasked.anchor
+        monkeypatch.setattr(module, "anchor_value", counted_anchor_value)
     return counts
 
 
@@ -55,7 +60,7 @@ def sha3_calls(monkeypatch):
         counts["sha3"] += 1
         return hashlib.sha3_256(*args)
 
-    for module in (protocol, oscillator, genfunc):
+    for module in (protocol, prf, oscillator):
         monkeypatch.setattr(module, "sha3_256", counted_sha3_256)
     return counts
 
@@ -146,6 +151,17 @@ def test_game_hashes_two_values_and_one_anchor(hashes):
             assert hashes == {"prf": 2, "anchor": 1}, seed
             clean += 1
     assert clean >= 30
+
+
+def test_sweep_makes_6_sha3_calls(sha3_calls):
+    # one Session.gen_pair hashes the two oscillator keys and the anchor
+    # key; s0 hashes two PRF values and one anchor, which s2 reuses, as
+    # t + 2u reads t's seed index and anchor (i, K)
+    for seed in range(20):
+        game = new_game(TOY, random.Random(seed))
+        sha3_calls.clear()
+        assert lemma1_exhaustive(game) == (1, [game.transcript.s3.value])
+        assert sha3_calls == {"sha3": 6}, seed
 
 
 def test_interleaved_seed_reads_match_a_fresh_hash():
