@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """One full message exchange, then what tampering does to it.
 
-Alice and Bob share only a secret S. A fresh nonce z expands (S, z)
-into a session; Alice hides her payload v in the offset structure of
-two curve evaluations and ships 132 bytes; Bob re-derives the session,
-recovers v algebraically, and checks the binding hash.
+Alice and Bob share only a secret S. `send` draws a fresh nonce z,
+claims it in a nonce log, and expands (S, z) into a session; Alice hides
+her payload v in the offset structure of two curve evaluations and ships
+132 bytes. `receive` re-derives the session from z, recovers v
+algebraically, and checks the binding hash.
 """
 
-import secrets
+from pathlib import Path
+import tempfile
 
-from fourpoint.errors import ProtocolAbort, VerificationError
-from fourpoint.protocol import (TOY, alice_generate, bob_verify,
-                                derive_session, deserialize, serialize)
+from fourpoint.errors import VerificationError
+from fourpoint.protocol import (TOY, NonceLog, derive_session, deserialize,
+                                receive, send)
 
 
 def hexdump(blob, width=32):
@@ -29,23 +31,21 @@ def main():
     print(f"payload v = {v}, spacing u = {u}, profile = {TOY.name} "
           f"(M = {TOY.mod.M})")
 
-    while True:
-        z = secrets.token_bytes(32)
-        try:
-            sess = derive_session(S, z, TOY)
-            msg = alice_generate(sess, u, v)
-            break
-        except ProtocolAbort as exc:
-            print(f"abort ({exc}); redrawing nonce")
+    # a real sender keeps its log for as long as it uses S; this one
+    # lives in a temporary directory
+    with tempfile.TemporaryDirectory() as tmp:
+        blob = send(S, u, v, TOY, NonceLog(Path(tmp) / "nonces"))
 
+    # only a holder of S can rebuild the session, from the nonce on the
+    # wire, as the receiver does
+    sess = derive_session(S, deserialize(blob, TOY).z, TOY)
     t = sess.t
     print(f"\nsession: p={sess.p.value} K={t.K} C={sess.phi.C} "
           f"i={t.frac_num()} t={t.n}/{t.K}")
-    blob = serialize(msg)
     print(f"\nwire message ({len(blob)} bytes: s1 | s3 | u | z | check):")
     hexdump(blob)
 
-    got = bob_verify(S, deserialize(blob, TOY), TOY)
+    got = receive(S, blob, TOY)
     print(f"\nBob recovers v = {got}")
     assert got == v
 
@@ -53,14 +53,14 @@ def main():
     bad = bytearray(blob)
     bad[63] ^= 0x01  # low byte of s3; high bytes would fail as overflow
     try:
-        bob_verify(S, deserialize(bytes(bad), TOY), TOY)
+        receive(S, bytes(bad), TOY)
         raise SystemExit("tampered message accepted - this must not happen")
     except VerificationError as exc:
         print(f"rejected: {type(exc).__name__}: {exc}")
 
     print("\nwrong secret on Bob's side...")
     try:
-        bob_verify(b"not the same secret", deserialize(blob, TOY), TOY)
+        receive(b"not the same secret", blob, TOY)
         raise SystemExit("foreign secret accepted - this must not happen")
     except VerificationError as exc:
         print(f"rejected: {type(exc).__name__}: {exc}")

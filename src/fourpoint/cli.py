@@ -1,5 +1,7 @@
 """Command-line front end: send, recv, selftest, attack and fixtures.
 
+`send` and `recv` read their files and call the library's `send` and
+`receive`; the nonce rule and its log live in `fourpoint.protocol`.
 Commands raise typed errors; only `main` maps them to output and exit
 codes: 0 success; 1 VerificationError (`rejected` on stdout) or a failing
 selftest suite; 2 BadLength or FieldOverflow (`malformed input: ...`),
@@ -11,16 +13,13 @@ Code that needs a fixed nonce calls derive_session(S, z, profile).
 import argparse
 import os
 import sys
-from hashlib import sha3_256
 from pathlib import Path
 
 from .errors import (BadLength, FieldOverflow, FourPointError,
                      ProtocolAbort, VerificationError)
-from .protocol import (MESSAGE_LEN, NONCE_LEN, Profile, alice_generate,
-                       bob_verify, derive_session, deserialize, get_profile,
-                       load_profile, serialize)
+from .protocol import (MESSAGE_LEN, NonceLog, Profile, get_profile,
+                       load_profile, receive, send)
 
-_AUTO_NONCE_TRIES = 64
 SECRET_CAP = 4096  # bytes; a longer --secret-file is refused unread
 
 
@@ -38,44 +37,13 @@ def _read_secret(path) -> bytes:
     return S
 
 
-class NonceLog:
-    """Directory of empty files, one per (secret fingerprint, nonce) pair."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def claim(self, S: bytes, z: bytes) -> bool:
-        """Record (S, z) unless already present; False if it was.
-
-        O_CREAT|O_EXCL tests for the entry and creates it in one atomic
-        step, so two senders cannot both claim the same nonce.
-        """
-        self.path.mkdir(parents=True, exist_ok=True)
-        path = self.path / f"{sha3_256(S).hexdigest()[:32]}-{z.hex()}"
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-
 def cmd_send(args) -> int:
     S = _read_secret(args.secret_file)
     profile = _resolve_profile(args.profile)
-    abort = ProtocolAbort("no usable nonce")
-    for _ in range(_AUTO_NONCE_TRIES):
-        z = os.urandom(NONCE_LEN)
-        try:
-            msg = alice_generate(derive_session(S, z, profile), args.u, args.v)
-        except ProtocolAbort as exc:
-            abort = exc
-            continue
-        if NonceLog(args.nonce_log).claim(S, z):  # a repeated draw is skipped
-            Path(args.out).write_bytes(serialize(msg))
-            print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
-            return 0
-    raise abort
+    blob = send(S, args.u, args.v, profile, NonceLog(args.nonce_log))
+    Path(args.out).write_bytes(blob)
+    print(f"wrote {MESSAGE_LEN}-byte message to {args.out}")
+    return 0
 
 
 def cmd_recv(args) -> int:
@@ -83,7 +51,7 @@ def cmd_recv(args) -> int:
         data = fh.read(MESSAGE_LEN + 1)  # one byte over tells a long file
     profile = _resolve_profile(args.profile)
     S = _read_secret(args.secret_file)
-    print(bob_verify(S, deserialize(data, profile), profile))
+    print(receive(S, data, profile))
     return 0
 
 

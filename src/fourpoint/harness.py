@@ -28,9 +28,9 @@ from .genfunc import s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .modmath import FieldElem
-from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _generate,
-                       _recover, _recovery_map, alice_generate, bob_verify,
-                       compute_check, derive_session)
+from .protocol import (CHECK_V_BOUND, NONCE_TRIES, Message, Profile, Session,
+                       _generate, _recover, _recovery_map, alice_generate,
+                       bob_verify, compute_check, derive_session)
 
 
 class AdversaryView(NamedTuple):
@@ -79,9 +79,9 @@ class GameInstance(NamedTuple):
 
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
-    """Draw (S, z, u, v), redraw on aborts, seal the hidden state."""
-    aborts = 0
-    while True:
+    """Draw (S, z, u, v), redraw on aborts, seal the hidden state; raise
+    the last ProtocolAbort after NONCE_TRIES draws, as send does."""
+    for aborts in range(NONCE_TRIES):
         S = rng.randbytes(32)
         z = rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
@@ -89,13 +89,14 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         try:
             sess = derive_session(S, z, profile)
             msg, p2u, A1, A3 = _generate(sess, u, v)
-        except ProtocolAbort:
-            aborts += 1
+        except ProtocolAbort as exc:
+            abort = exc
             continue
         M = profile.mod.M
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
                              sess.K, u, M)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
+    raise abort
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
@@ -232,11 +233,15 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
 
     Emits V_max transcripts with distinct v, then tries every ordered
     cross-transcript splice (s1 from one, s3 from another) replaying the
-    check hash from either side. All splices must be rejected.
+    check hash from either side; a splice equal to a donor is an honest
+    replay and is skipped. All splices must be rejected. V_max = M would
+    put some t + 2v+1 at 0 mod M and abort every session, so V_max < M;
+    no draw cap applies: 16 mini payloads take a median of 230 draws.
     """
-    if not 1 <= V_max <= min(1000, profile.v_bound):
-        raise ValueError(f"V_max must be in [1, 1000] and at most the "
-                         f"profile's v_bound = {profile.v_bound}")
+    M = profile.mod.M
+    if not 1 <= V_max <= min(1000, profile.v_bound, M - 1):
+        raise ValueError(f"V_max must be in [1, 1000], at most the profile's "
+                         f"v_bound = {profile.v_bound} and below M = {M}")
     rng = random.Random(seed)
     v_pool = rng.sample(range(profile.v_bound), V_max)
     while True:
@@ -259,6 +264,8 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
                 continue
             for h_check in (donor_a.h_check, donor_b.h_check):
                 spliced = Message(donor_a.s1, donor_b.s3, u, z, h_check)
+                if spliced in (donor_a, donor_b):
+                    continue
                 splices += 1
                 try:
                     bob_verify(S, spliced, profile)

@@ -28,7 +28,9 @@ profiles cap v at min(2^v_bits, M) for that reason.
 """
 
 import hmac
+import os
 from hashlib import sha3_256
+from pathlib import Path
 from typing import NamedTuple
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
@@ -48,6 +50,7 @@ TAG_PRF = b"IBC.prf"
 
 MESSAGE_LEN = 132
 NONCE_LEN = 32
+NONCE_TRIES = 64  # draws before send and new_game give up on a profile
 _FIELD_WIDTH = 32  # bytes per serialized field element
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
@@ -403,6 +406,53 @@ def deserialize(data: bytes, profile: Profile) -> Message:
     return tuple.__new__(Message, (
         FieldElem(s1v, profile.mod), FieldElem(s3v, profile.mod),
         int.from_bytes(data[64:68], "big"), data[68:100], data[100:132]))
+
+
+class NonceLog:
+    """Directory of empty files, one per (secret fingerprint, nonce) pair."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def claim(self, S: bytes, z: bytes) -> bool:
+        """Record (S, z) unless already present; False if it was.
+
+        O_CREAT|O_EXCL tests for the entry and creates it in one atomic
+        step, so two senders cannot both claim the same nonce.
+        """
+        self.path.mkdir(parents=True, exist_ok=True)
+        path = self.path / f"{sha3_256(S).hexdigest()[:32]}-{z.hex()}"
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            return False
+        os.close(fd)
+        return True
+
+
+def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
+    """The 132-byte message carrying v under a fresh nonce from os.urandom.
+
+    A draw whose session aborts, or whose (S, z) the log already holds,
+    is skipped; a nonce is claimed only once its message exists. After
+    NONCE_TRIES draws the last ProtocolAbort is raised.
+    """
+    abort = ProtocolAbort("no usable nonce")
+    for _ in range(NONCE_TRIES):
+        z = os.urandom(NONCE_LEN)
+        try:
+            msg = alice_generate(derive_session(S, z, profile), u, v)
+        except ProtocolAbort as exc:
+            abort = exc
+            continue
+        if log.claim(S, z):  # a repeated draw is skipped
+            return serialize(msg)
+    raise abort
+
+
+def receive(S: bytes, data: bytes, profile: Profile) -> int:
+    """v from a 132-byte message; raises as deserialize and bob_verify do."""
+    return bob_verify(S, deserialize(data, profile), profile)
 
 
 # The reference functions under the names perfbench/spans.py traces here,

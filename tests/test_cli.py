@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,11 +13,12 @@ import pytest
 
 import fourpoint
 from fourpoint import selftest
-from fourpoint.cli import NonceLog, main
+from fourpoint.cli import main
 from fourpoint.errors import ProtocolAbort, RejectHash
 from fourpoint.modmath import is_probable_prime
-from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, alice_generate,
-                                derive_session, dump_profile, profile_to_dict)
+from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, NonceLog,
+                                alice_generate, derive_session, dump_profile,
+                                profile_to_dict)
 
 SRC = str(Path(fourpoint.__file__).resolve().parent.parent)
 
@@ -372,8 +374,10 @@ class TestSelftestAndAttack:
     def test_wrong_v_fails_round_trip_and_tamper_suites(self, monkeypatch,
                                                         capsys):
         # a receiver that accepts everything with a wrong value fails the
-        # suites' own assertions, not a library error
+        # suites' own assertions, not a library error; the round-trip
+        # suite calls bob_verify and the tamper suite receive
         monkeypatch.setattr(selftest, "bob_verify", lambda *args: -1)
+        monkeypatch.setattr(selftest, "receive", lambda *args: -1)
         assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 1
         out = capsys.readouterr().out.splitlines()
         fails = [ln for ln in out if ln.startswith("FAIL  ")]
@@ -399,6 +403,27 @@ class TestSelftestAndAttack:
         fails = [ln for ln in proc.stdout.splitlines()
                  if ln.startswith("FAIL  ")]
         assert fails and "protocol round trip" in fails[0]
+
+    @pytest.mark.parametrize("command", ["selftest", "attack"])
+    @pytest.mark.parametrize("changes", [
+        {"K_min": 3, "K_max": 3},  # every K is 0 mod 3
+        {"u_bits": 1, "v_bits": 0},  # t + 1 or t + 2 is 0 mod 3
+    ], ids=["K-is-0-mod-M", "u-1-v-0"])
+    def test_profile_whose_every_draw_aborts_exits_2(self, tmp_path, command,
+                                                     changes):
+        # each game redraws at most NONCE_TRIES times; the timeout fails
+        # a loop that never ends
+        path = _write_profile(tmp_path, TOY, name="degenerate", M="3",
+                              **changes)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "fourpoint.cli", command,
+                               "--profile", path], capture_output=True,
+                              text=True, env=env, timeout=20)
+        assert proc.returncode == 2
+        assert re.fullmatch(rf"{command} failed: Abort\w+: .*\n", proc.stderr)
+        assert proc.stdout == ""
 
     def test_attack_csv(self, capsys):
         assert main(["attack", "--trials", "150", "--seed", "9"]) == 0

@@ -10,7 +10,8 @@ import pytest
 
 import fourpoint
 from fourpoint import harness
-from fourpoint.errors import SingularDenominator
+from fourpoint.errors import (AbortSingular, ProtocolAbort,
+                              SingularDenominator)
 from fourpoint.genfunc import s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
@@ -18,8 +19,8 @@ from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                run_random_adversary, wilson_interval)
 from fourpoint.invariant import recover_v, recovery_map
 from fourpoint.modmath import FieldElem, Modulus
-from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
-                                compute_check)
+from fourpoint.protocol import (CHECK_V_BOUND, MINI, NONCE_TRIES, PRODUCTION,
+                                TOY, compute_check, derive_session)
 
 SRC = str(Path(fourpoint.__file__).resolve().parent.parent)
 
@@ -57,6 +58,21 @@ def s_star_recovering(game, V):
 
 
 class TestGame:
+    def test_gives_up_after_nonce_tries(self, monkeypatch):
+        # a profile on which every draw aborts must end, not loop; past
+        # ten times the cap the patch stops the loop with another error
+        calls = []
+
+        def always_aborts(S, z, profile):
+            calls.append(z)
+            if len(calls) > 10 * NONCE_TRIES:
+                raise RuntimeError("new_game kept drawing")
+            raise AbortSingular(f"draw {len(calls)}")
+        monkeypatch.setattr(harness, "derive_session", always_aborts)
+        with pytest.raises(ProtocolAbort, match=f"^draw {NONCE_TRIES}$"):
+            new_game(TOY, random.Random(0))
+        assert len(calls) == NONCE_TRIES
+
     def test_view_hides_the_witness(self):
         game = new_game(TOY, random.Random(1))
         view = game.view()
@@ -385,6 +401,40 @@ class TestLemma2:
         for bad in (0, 1001):
             with pytest.raises(ValueError):
                 lemma2_reuse_experiment(TOY, bad)
+        # one transcript has nothing to splice with
+        assert lemma2_reuse_experiment(TOY, 1).splices == 0
         # MINI has only 16 distinct v values
         with pytest.raises(ValueError, match="v_bound"):
             lemma2_reuse_experiment(MINI, 17)
+
+    def test_v_max_at_the_modulus_refused(self, monkeypatch):
+        # 257 payloads cover every offset t + 2v+1 mod 257, one of them
+        # 0, so every session would abort and the draw loop never end;
+        # the patch stops such a loop with another error
+        assert lemma2_reuse_experiment(MINI, 16, seed=0).accepted == 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 1000:
+                raise RuntimeError("lemma2_reuse_experiment kept drawing")
+            return derive_session(*args)
+        monkeypatch.setattr(harness, "derive_session", counted)
+        with pytest.raises(ValueError, match="below M = 257"):
+            lemma2_reuse_experiment(TOY, 257)
+        assert calls == []
+
+    def test_replayed_donors_are_not_splices(self):
+        # two of these mini donors share s3 mod 17, so 8 of the 112
+        # ordered swaps rebuild a donor byte for byte; those are skipped
+        report = lemma2_reuse_experiment(MINI, 8)  # seed 0 by default
+        assert report.splices == 8 * 7 * 2 - 8
+        assert report.accepted == 0
+        assert report.rejected_by == {"RejectHash": 100,
+                                      "RejectDenominator": 4}
+
+    def test_accepted_counts_what_the_receiver_accepts(self, monkeypatch):
+        monkeypatch.setattr(harness, "bob_verify", lambda *args: 0)
+        report = lemma2_reuse_experiment(TOY, 6, seed=3)
+        assert report.accepted == report.splices == 60
+        assert report.rejected_by == {}

@@ -1,4 +1,7 @@
+import inspect
+import os
 import random
+from hashlib import sha3_256
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +17,13 @@ from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
 from fourpoint.oscillator import eval_at, value_at
 from fourpoint import protocol
-from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION,
-                                PRODUCTION_PRIME, TOY, Message, Profile,
-                                alice_generate, bob_verify, compute_check,
-                                derive_session, deserialize, dump_profile,
-                                get_profile, load_profile, profile_from_dict,
-                                profile_to_dict, serialize)
+from fourpoint.protocol import (MESSAGE_LEN, MINI, NONCE_TRIES, PRODUCTION,
+                                PRODUCTION_PRIME, TOY, Message, NonceLog,
+                                Profile, alice_generate, bob_verify,
+                                compute_check, derive_session, deserialize,
+                                dump_profile, get_profile, load_profile,
+                                profile_from_dict, profile_to_dict, receive,
+                                send, serialize)
 
 from conftest import fresh_session
 from oracles import naive_session
@@ -568,3 +572,100 @@ class TestReceiverOnAnyBlob:
     @settings(max_examples=50)
     def test_production(self, blob):
         self.receive(blob, PRODUCTION)
+
+
+def nonces(S, u, v, profile, usable, count):
+    """The first `count` nonces 0, 1, 2, ... whose session for (S, u, v)
+    aborts (usable False) or sends (usable True), with their outcomes."""
+    found = []
+    for k in range(10_000):
+        z = k.to_bytes(32, "big")
+        try:
+            outcome = alice_generate(derive_session(S, z, profile), u, v)
+        except ProtocolAbort as exc:
+            outcome = exc
+        if isinstance(outcome, Message) is usable:
+            found.append((z, outcome))
+            if len(found) == count:
+                return found
+    raise AssertionError("too few nonces of the asked kind")
+
+
+def draws_of(monkeypatch, zs):
+    """Patch os.urandom to return zs in turn; returns the list of draws
+    made, and fails past the end instead of looping."""
+    made = []
+
+    def urandom(n):
+        assert n == 32 and len(made) < len(zs), "drew past the script"
+        made.append(zs[len(made)])
+        return made[-1]
+    monkeypatch.setattr(os, "urandom", urandom)
+    return made
+
+
+class TestSendReceive:
+    S = b"a shared secret of 32 bytes, ok!"
+
+    def test_takes_no_options(self):
+        params = inspect.signature(send).parameters.values()
+        assert [p.name for p in params] == ["S", "u", "v", "profile", "log"]
+        assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+                   for p in params)
+
+    @PROFILES
+    def test_round_trip(self, profile, tmp_path):
+        log = NonceLog(tmp_path / "nonces")
+        v = profile.v_bound - 1
+        blob = send(self.S, 5, v, profile, log)
+        assert len(blob) == MESSAGE_LEN
+        assert receive(self.S, blob, profile) == v
+        z = blob[68:100]
+        entry = f"{sha3_256(self.S).hexdigest()[:32]}-{z.hex()}"
+        assert [f.name for f in (tmp_path / "nonces").iterdir()] == [entry]
+        assert blob == serialize(alice_generate(
+            derive_session(self.S, z, profile), 5, v))
+
+    def test_skips_a_nonce_already_in_the_log(self, tmp_path, monkeypatch):
+        (taken, _), (fresh, msg) = nonces(self.S, 5, 17, TOY, True, 2)
+        [(aborting, _)] = nonces(self.S, 5, 17, TOY, False, 1)
+        log = NonceLog(tmp_path / "nonces")
+        assert log.claim(self.S, taken)
+        made = draws_of(monkeypatch, [taken, aborting, fresh])
+        assert send(self.S, 5, 17, TOY, log) == serialize(msg)
+        assert made == [taken, aborting, fresh]
+        assert not log.claim(self.S, fresh)
+        assert len(list((tmp_path / "nonces").iterdir())) == 2
+
+    def test_every_draw_aborting_raises_the_last_abort(self, tmp_path,
+                                                       monkeypatch):
+        found = nonces(self.S, 5, 17, TOY, False, 40)
+        first = found[0][1]
+        z_last, last = next((z, exc) for z, exc in found
+                            if (type(exc), str(exc))
+                            != (type(first), str(first)))
+        zs = [found[0][0]] * (NONCE_TRIES - 1) + [z_last, found[0][0]]
+        made = draws_of(monkeypatch, zs)
+        with pytest.raises(ProtocolAbort) as info:
+            send(self.S, 5, 17, TOY, NonceLog(tmp_path / "nonces"))
+        assert (type(info.value), str(info.value)) == (type(last), str(last))
+        assert len(made) == NONCE_TRIES
+        assert not any((tmp_path / "nonces").glob("*"))
+
+    @pytest.mark.parametrize("tamper, kind", [
+        (lambda b: b[:-1], BadLength),
+        (lambda b: b + b"\x00", BadLength),
+        (lambda b: b"\xff" * 32 + b[32:], FieldOverflow),
+        (lambda b: b[:100] + bytes(32), RejectHash),
+        (lambda b: b[:64] + (1 << 16).to_bytes(4, "big") + b[68:],
+         RejectRange),
+    ])
+    def test_receive_raises_as_deserialize_and_bob_verify(self, tmp_path,
+                                                          tamper, kind):
+        blob = tamper(send(self.S, 5, 17, TOY, NonceLog(tmp_path / "n")))
+        with pytest.raises(kind) as got:
+            receive(self.S, blob, TOY)
+        with pytest.raises(kind) as want:
+            bob_verify(self.S, deserialize(blob, TOY), TOY)
+        assert (type(got.value), str(got.value)) \
+            == (type(want.value), str(want.value))

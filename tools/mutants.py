@@ -39,7 +39,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "fourpoint"
-COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml")
+# README.md too: a test runs its library quick start
+COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml", "README.md")
 
 DEFAULT_TARGETS = ("protocol._derive", "protocol.derive_session",
                    "protocol._kernel", "protocol._generate",
