@@ -23,12 +23,12 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import ProtocolAbort, VerificationError
+from .errors import VerificationError
 from .genfunc import s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .modmath import FieldElem
-from .protocol import (CHECK_V_BOUND, NONCE_TRIES, Message, Profile, Session,
+from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _draw,
                        _generate, _recover, _recovery_map, alice_generate,
                        bob_verify, compute_check, derive_session)
 
@@ -79,24 +79,18 @@ class GameInstance(NamedTuple):
 
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
-    """Draw (S, z, u, v), redraw on aborts, seal the hidden state; raise
-    the last ProtocolAbort after NONCE_TRIES draws, as send does."""
-    for aborts in range(NONCE_TRIES):
+    """Draw (S, z, u, v) by protocol._draw and seal the hidden state."""
+    def attempt(aborts):
         S = rng.randbytes(32)
         z = rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
         v = rng.randrange(0, profile.v_bound)
-        try:
-            sess = derive_session(S, z, profile)
-            msg, p2u, A1, A3 = _generate(sess, u, v)
-        except ProtocolAbort as exc:
-            abort = exc
-            continue
-        M = profile.mod.M
+        sess, M = derive_session(S, z, profile), profile.mod.M
+        msg, p2u, A1, A3 = _generate(sess, u, v)
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
                              sess.K, u, M)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
-    raise abort
+    return _draw(attempt)[0]
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
@@ -126,10 +120,11 @@ def random_adversary(view: AdversaryView, rng: random.Random) -> Forgery:
     return Forgery(rng.randrange(view.M), rng.randrange(1 << 16))
 
 
-def wilson_interval(wins: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(wins: int, trials: int) -> tuple[float, float]:
     """95% score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 0.0)
+    z = 1.96  # the normal quantile of the 95% level
     phat = wins / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -235,8 +230,7 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
     cross-transcript splice (s1 from one, s3 from another) replaying the
     check hash from either side; a splice equal to a donor is an honest
     replay and is skipped. All splices must be rejected. V_max = M would
-    put some t + 2v+1 at 0 mod M and abort every session, so V_max < M;
-    no draw cap applies: 16 mini payloads take a median of 230 draws.
+    put some t + 2v+1 at 0 mod M and abort every session, so V_max < M.
     """
     M = profile.mod.M
     if not 1 <= V_max <= min(1000, profile.v_bound, M - 1):
@@ -244,16 +238,16 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
                          f"v_bound = {profile.v_bound} and below M = {M}")
     rng = random.Random(seed)
     v_pool = rng.sample(range(profile.v_bound), V_max)
-    while True:
+
+    def attempt(_):
         S = rng.randbytes(32)
         z = rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
-        try:
-            sess = derive_session(S, z, profile)
-            msgs = [alice_generate(sess, u, v) for v in v_pool]
-            break
-        except ProtocolAbort:
-            continue
+        sess = derive_session(S, z, profile)
+        return S, z, u, [alice_generate(sess, u, v) for v in v_pool]
+    # one session must suit every payload: 16 mini payloads took up to
+    # 1392 draws over seeds 0-39, so 2^14 give up falsely about e^-40
+    (S, z, u, msgs), _ = _draw(attempt, tries=1 << 14)
 
     accepted = 0
     rejected = Counter()

@@ -50,11 +50,13 @@ TAG_PRF = b"IBC.prf"
 
 MESSAGE_LEN = 132
 NONCE_LEN = 32
-NONCE_TRIES = 64  # draws before send and new_game give up on a profile
+NONCE_TRIES = 64  # draws before _draw gives up on a profile
 _FIELD_WIDTH = 32  # bytes per serialized field element
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
-_U_BOUND = 1 << 32  # u travels in a 4-byte wire field
+_U_BITS = 32  # u travels in a 4-byte wire field
+_U_BOUND = 1 << _U_BITS
+_PROFILE_CAP = 4096  # bytes; a longer profile file is refused unread
 _HASH_NAME = "sha3-256"  # the one hash; profile files name it
 
 
@@ -79,9 +81,9 @@ class Profile(NamedTuple("Profile", [
             raise ValueError(f"v_bits must be >= 0, got {self.v_bits}")
         if self.mod.M.bit_length() > 256:
             raise ValueError("modulus too wide for the 32-byte wire fields")
-        if self.u_bound > _U_BOUND:
+        if self.u_bits > _U_BITS:
             raise ValueError("u_bits too wide for the 4-byte wire field")
-        if self.v_bound > CHECK_V_BOUND:
+        if self.v_bits > 8 * _CHECK_V_WIDTH and self.mod.M > CHECK_V_BOUND:
             raise ValueError("v_bits too wide for the 8-byte check encoding")
         if not (2 <= self.K_min <= self.K_max):
             raise ValueError("bad K range")
@@ -98,7 +100,7 @@ class Profile(NamedTuple("Profile", [
     @property
     def v_bound(self) -> int:
         """Exclusive cap on v: both the profile width and exact recovery."""
-        return min(1 << self.v_bits, self.mod.M)
+        return min(1 << min(self.v_bits, self.mod.M.bit_length()), self.mod.M)
 
     @property
     def min_secret_len(self) -> int:
@@ -154,9 +156,17 @@ def profile_from_dict(d: dict) -> Profile:
 
 
 def load_profile(path) -> Profile:
+    """profile_from_dict of a JSON file; ValueError also for a file over
+    _PROFILE_CAP bytes or nested past the parser's depth."""
     import json  # here, so that runs on builtin profiles start without it
     with open(path, "r", encoding="ascii") as fh:
-        return profile_from_dict(json.load(fh))
+        text = fh.read(_PROFILE_CAP + 1)  # one byte over tells a long file
+    if len(text) > _PROFILE_CAP:
+        raise ValueError(f"profile file {path} is over {_PROFILE_CAP} bytes")
+    try:
+        return profile_from_dict(json.loads(text))
+    except RecursionError:
+        raise ValueError(f"profile file {path} is nested too deep") from None
 
 
 def dump_profile(profile: Profile, path) -> None:
@@ -430,24 +440,29 @@ class NonceLog:
         return True
 
 
-def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
-    """The 132-byte message carrying v under a fresh nonce from os.urandom.
-
-    A draw whose session aborts, or whose (S, z) the log already holds,
-    is skipped; a nonce is claimed only once its message exists. After
-    NONCE_TRIES draws the last ProtocolAbort is raised.
-    """
-    abort = ProtocolAbort("no usable nonce")
-    for _ in range(NONCE_TRIES):
-        z = os.urandom(NONCE_LEN)
+def _draw(attempt, tries: int = NONCE_TRIES) -> tuple:
+    """The one redraw rule: (attempt(k), k) for the first k in
+    range(tries) whose draw raises no ProtocolAbort; after tries draws
+    the last ProtocolAbort is raised. Other exceptions pass at once."""
+    for k in range(tries):
         try:
-            msg = alice_generate(derive_session(S, z, profile), u, v)
+            return attempt(k), k
         except ProtocolAbort as exc:
             abort = exc
-            continue
-        if log.claim(S, z):  # a repeated draw is skipped
-            return serialize(msg)
     raise abort
+
+
+def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
+    """The 132-byte message carrying v under a fresh nonce from os.urandom,
+    drawn by _draw; a nonce is claimed only once its message exists, and
+    one the log already holds counts as an aborted draw."""
+    def attempt(_):
+        z = os.urandom(NONCE_LEN)
+        msg = alice_generate(derive_session(S, z, profile), u, v)
+        if not log.claim(S, z):
+            raise ProtocolAbort("no usable nonce")
+        return serialize(msg)
+    return _draw(attempt)[0]
 
 
 def receive(S: bytes, data: bytes, profile: Profile) -> int:

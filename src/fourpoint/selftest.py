@@ -10,15 +10,15 @@ than use `assert`, so that they still check under `python -O`.
 import random
 from hashlib import sha3_256
 
-from .errors import (BadLength, FieldOverflow, ProtocolAbort,
-                     SingularDenominator, VerificationError)
+from .errors import (BadLength, FieldOverflow, SingularDenominator,
+                     VerificationError)
 from .harness import new_game
 from .invariant import InvariantTuple, eval_invariant, expected_constant
 from .modmath import xgcd
 from .oscillator import eval_at
-from .protocol import (MESSAGE_LEN, Profile, alice_generate, bob_verify,
-                       derive_session, deserialize, get_profile, receive,
-                       serialize)
+from .protocol import (MESSAGE_LEN, Profile, _draw, alice_generate,
+                       bob_verify, derive_session, deserialize, get_profile,
+                       receive, serialize)
 
 
 def selftest_suites(profile: Profile, rng: random.Random):
@@ -101,15 +101,12 @@ def fixture_vectors() -> str:
              "# profile S_hex z_hex u v message_hex"]
     for k in range(8):
         u, v = _FIXTURE_US[k], _FIXTURE_VS[k]
-        attempt = 0
-        while True:
-            S = sha3_256(b"fixture.S" + bytes([k, attempt])).digest()
-            z = sha3_256(b"fixture.z" + bytes([k, attempt])).digest()
-            try:
-                msg = alice_generate(derive_session(S, z, profile), u, v)
-                break
-            except ProtocolAbort:
-                attempt += 1
+
+        def attempt(n):
+            S = sha3_256(b"fixture.S" + bytes([k, n])).digest()
+            z = sha3_256(b"fixture.z" + bytes([k, n])).digest()
+            return S, z, alice_generate(derive_session(S, z, profile), u, v)
+        (S, z, msg), _ = _draw(attempt)
         lines.append(f"toy {S.hex()} {z.hex()} {u} {v} {serialize(msg).hex()}")
     return "\n".join(lines) + "\n"
 

@@ -301,6 +301,24 @@ def _profile_v_too_wide(d):
     return args
 
 
+def _profile_u_bits_huge(d):
+    # compared as a number: 1 << u_bits would ask for 12.5 GB
+    return send_args(d) + ["--profile",
+                           _write_profile(d, TOY, u_bits=10 ** 11)]
+
+
+def _profile_over_the_size_cap(d):
+    # refused unread; parsed, its nesting would raise RecursionError
+    (d / "p.json").write_text("[" * 200_000)
+    return send_args(d) + ["--profile", str(d / "p.json")]
+
+
+def _profile_nested_too_deep(d):
+    # at the size cap, nested past the JSON parser's depth
+    (d / "p.json").write_text("[" * 4096)
+    return send_args(d) + ["--profile", str(d / "p.json")]
+
+
 def _profile_u_bits_zero(d):
     # no u in [1, 2^0) exists, so such a profile could never send
     return send_args(d) + ["--profile", _write_profile(d, TOY, u_bits=0)]
@@ -330,6 +348,9 @@ def _profile_modulus_too_wide(d):
                                    _profile_null_value, _profile_other_hash,
                                    _profile_u_too_wide,
                                    _profile_v_too_wide,
+                                   _profile_u_bits_huge,
+                                   _profile_over_the_size_cap,
+                                   _profile_nested_too_deep,
                                    _profile_u_bits_zero,
                                    _profile_v_bits_negative,
                                    _profile_grid_too_wide,

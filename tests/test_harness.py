@@ -409,8 +409,8 @@ class TestLemma2:
 
     def test_v_max_at_the_modulus_refused(self, monkeypatch):
         # 257 payloads cover every offset t + 2v+1 mod 257, one of them
-        # 0, so every session would abort and the draw loop never end;
-        # the patch stops such a loop with another error
+        # 0, so every session would abort; the value is refused before
+        # any draw
         assert lemma2_reuse_experiment(MINI, 16, seed=0).accepted == 0
         calls = []
 
@@ -423,6 +423,38 @@ class TestLemma2:
         with pytest.raises(ValueError, match="below M = 257"):
             lemma2_reuse_experiment(TOY, 257)
         assert calls == []
+
+    @pytest.mark.parametrize("profile, V_max", [
+        # every K is 0 mod 3, so every session aborts
+        ("TOY._replace(mod=Modulus(3), K_min=3, K_max=3)", 2),
+        # 16 payloads keep every t + 2v+1 off 0 mod 17 only at t = 1, and
+        # then some t + 2u+2v+1 is 0 unless 17 divides u; no u below 2^4
+        # does
+        ("MINI._replace(u_bits=4)", 16),
+    ], ids=["K-is-0-mod-M", "mini-u-bits-4"])
+    def test_gives_up_on_a_profile_no_draw_suits(self, profile, V_max):
+        # the experiment draws at most 2^14 sessions, then raises the last
+        # abort; the timeout fails a loop that never ends
+        code = ("from fourpoint import harness\n"
+                "from fourpoint.errors import ProtocolAbort\n"
+                "from fourpoint.modmath import Modulus\n"
+                "from fourpoint.protocol import MINI, TOY, derive_session\n"
+                "calls = []\n"
+                "harness.derive_session = lambda *args: (\n"
+                "    calls.append(args) or derive_session(*args))\n"
+                "try:\n"
+                f"    harness.lemma2_reuse_experiment({profile}, {V_max})\n"
+                "except ProtocolAbort as exc:\n"
+                "    print(type(exc).__name__, len(calls))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        kind, draws = proc.stdout.split()
+        assert kind.startswith("Abort") and int(draws) == 1 << 14
 
     def test_replayed_donors_are_not_splices(self):
         # two of these mini donors share s3 mod 17, so 8 of the 112

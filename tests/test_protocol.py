@@ -1,6 +1,8 @@
 import inspect
 import os
 import random
+import time
+import tracemalloc
 from hashlib import sha3_256
 
 import pytest
@@ -57,6 +59,28 @@ class TestProfiles:
         path = tmp_path / "prod.json"
         dump_profile(PRODUCTION, path)
         assert load_profile(path) == PRODUCTION
+
+    def test_file_over_the_size_cap_refused(self, tmp_path):
+        # a valid profile padded with JSON whitespace: up to 4096 bytes it
+        # loads, one byte more and it is refused before parsing
+        path = tmp_path / "padded.json"
+        dump_profile(PRODUCTION, path)
+        text = path.read_text()
+        path.write_text(text.ljust(4096))
+        assert load_profile(path) == PRODUCTION
+        path.write_text(text.ljust(4097))
+        with pytest.raises(ValueError, match="over 4096 bytes"):
+            load_profile(path)
+        with open(path, "wb") as fh:
+            fh.truncate(64 << 20)  # sparse: 64 MB of zeros, no disk used
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over 4096 bytes"):
+                load_profile(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bad_hash_rejected(self):
         d = profile_to_dict(TOY)
@@ -115,6 +139,23 @@ class TestProfiles:
         with pytest.raises(ValueError):
             Profile("x", Modulus(257), 2, (1 << 382) + 1, 2, 4, 8, 8)
         Profile("x", Modulus(257), 2, 1 << 382, 2, 4, 8, 8)
+
+    def test_huge_bit_widths_checked_before_any_shift(self):
+        # no 1 << width is built from a width in the file: u_bits is
+        # compared as a number, and v_bits past the modulus's width leaves
+        # v_bound at M
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="u_bits"):
+            Profile("x", Modulus(257), 2, 4, 2, 4, 10 ** 11, 8)
+        wide_v = Profile("x", Modulus(257), 2, 4, 2, 4, 8, 10 ** 11)
+        assert wide_v.v_bound == 257
+        with pytest.raises(ValueError, match="v_bits"):
+            Profile("x", Modulus(PRODUCTION_PRIME), 2, 4, 2, 4, 8, 10 ** 11)
+        assert time.perf_counter() - start < 0.5
+        # every width at or below M's keeps its 2^v_bits cap
+        for v_bits in range(12):
+            assert TOY._replace(v_bits=v_bits).v_bound \
+                == min(1 << v_bits, 257)
 
     def test_make_and_replace_validate(self):
         # the NamedTuple constructors that bypass __new__ run its checks too
@@ -572,6 +613,56 @@ class TestReceiverOnAnyBlob:
     @settings(max_examples=50)
     def test_production(self, blob):
         self.receive(blob, PRODUCTION)
+
+
+class TestDraw:
+    """protocol._draw, the one redraw rule that send, the forgery games,
+    the splice experiment and the fixture generator share."""
+
+    def test_returns_the_first_success_with_its_index(self):
+        calls = []
+
+        def attempt(k):
+            calls.append(k)
+            if k < 3:
+                raise AbortSingular(f"draw {k}")
+            return f"made at {k}"
+        assert protocol._draw(attempt) == ("made at 3", 3)
+        assert calls == [0, 1, 2, 3]
+
+    def test_gives_up_after_tries_with_the_last_abort(self):
+        calls, raised = [], []
+
+        def attempt(k):
+            calls.append(k)
+            raised.append((AbortZeroIndex if k % 2 else AbortSingular)(
+                f"draw {k}"))
+            raise raised[-1]
+        with pytest.raises(ProtocolAbort) as info:
+            protocol._draw(attempt, tries=7)
+        assert calls == list(range(7))
+        assert info.value is raised[-1]
+        assert (type(info.value), str(info.value)) \
+            == (AbortSingular, "draw 6")
+        calls.clear()
+        with pytest.raises(AbortZeroIndex,
+                           match=f"^draw {NONCE_TRIES - 1}$"):
+            protocol._draw(attempt)  # NONCE_TRIES draws by default
+        assert calls == list(range(NONCE_TRIES))
+
+    @pytest.mark.parametrize("error", [ValueError("bad u"),
+                                       RejectHash("not an abort"),
+                                       KeyboardInterrupt()])
+    def test_other_exceptions_pass_at_once(self, error):
+        calls = []
+
+        def attempt(k):
+            calls.append(k)
+            raise error
+        with pytest.raises(type(error)) as info:
+            protocol._draw(attempt)
+        assert info.value is error
+        assert calls == [0]
 
 
 def nonces(S, u, v, profile, usable, count):
