@@ -27,7 +27,6 @@ from .errors import VerificationError
 from .genfunc import s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
-from .modmath import FieldElem
 from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _draw,
                        _generate, _recover, _recovery_map, alice_generate,
                        bob_verify, compute_check, derive_session)
@@ -90,7 +89,7 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
                              sess.K, u, M)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
-    return _draw(attempt)[0]
+    return _draw(attempt)
 
 
 def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
@@ -103,15 +102,14 @@ def adjudicate(game: GameInstance, forgery: Forgery) -> bool:
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
     sess = hid.session
-    mod, s_star = sess.profile.mod, forgery.s_star
+    M, s_star = sess.profile.mod.M, forgery.s_star
     # deserialize refuses an s* outside [0, M), and e is the singular point
-    if not 0 <= s_star < mod.M or s_star == hid.rmap[2]:
+    if not 0 <= s_star < M or s_star == hid.rmap[2]:
         return False
-    v_star = _recover(hid.rmap, s_star, sess.K, mod.M)
+    v_star = _recover(hid.rmap, s_star, sess.K, M)
     if v_star >= CHECK_V_BOUND:
         return False
-    expected = compute_check(sess.S, v_star, msg.s1, FieldElem(s_star, mod),
-                             u, msg.z)
+    expected = compute_check(sess.S, v_star, msg.s1.value, s_star, u, msg.z)
     return hmac.compare_digest(expected, msg.h_check)
 
 
@@ -247,7 +245,7 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
         return S, z, u, [alice_generate(sess, u, v) for v in v_pool]
     # one session must suit every payload: 16 mini payloads took up to
     # 1392 draws over seeds 0-39, so 2^14 give up falsely about e^-40
-    (S, z, u, msgs), _ = _draw(attempt, tries=1 << 14)
+    S, z, u, msgs = _draw(attempt, tries=1 << 14)
 
     accepted = 0
     rejected = Counter()

@@ -76,7 +76,7 @@ class PrfOscillator:
 
     def seed_value(self, m: int) -> int:
         if m != self._m:
-            self._value = _prf_value(self.key, m, self.mod)
+            self._value = _prf_value(self.key, m, self.mod.M)
             self._m = m
         return self._value
 

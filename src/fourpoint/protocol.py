@@ -151,7 +151,9 @@ def profile_from_dict(d: dict) -> Profile:
         if not isinstance(d[key], kind) or isinstance(d[key], bool):
             raise ValueError(f"profile key {key!r} has a "
                              f"{type(d[key]).__name__} value")
-    return Profile(mod=Modulus(int(d["M"])),
+    if (M := int(d["M"])).bit_length() > 256:  # before Modulus tests M
+        raise ValueError("modulus too wide for the 32-byte wire fields")
+    return Profile(mod=Modulus(M),
                    **{key: d[key] for key in _PROFILE_TYPES if key != "M"})
 
 
@@ -283,13 +285,13 @@ class Message(NamedTuple("Message", [
         return tuple.__new__(cls, (s1, s3, u, z, h_check))
 
 
-def compute_check(S: bytes, v: int, s1: FieldElem, s3: FieldElem,
-                  u: int, z: bytes) -> bytes:
-    """Binding hash over (S, v, s1, s3, u, z) with fixed field widths."""
+def compute_check(S: bytes, v: int, s1: int, s3: int, u: int,
+                  z: bytes) -> bytes:
+    """Binding hash over (S, v, s1, s3, u, z) at fixed widths, on ints."""
     return sha3_256(b"".join((TAG_CHECK, S,
                               v.to_bytes(_CHECK_V_WIDTH, "big"),
-                              s1.value.to_bytes(_FIELD_WIDTH, "big"),
-                              s3.value.to_bytes(_FIELD_WIDTH, "big"),
+                              s1.to_bytes(_FIELD_WIDTH, "big"),
+                              s3.to_bytes(_FIELD_WIDTH, "big"),
                               u.to_bytes(4, "big"), z))).digest()
 
 
@@ -332,20 +334,20 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
         raise AbortSingular("an evaluation point reduces to 0 mod M")
-    A1, A3 = _kernel(*session_values(S, z, K, C, n, mod), q)
+    A1, A3 = _kernel(*session_values(S, z, K, C, n, M), q)
     p2u = pow(p, 2 * u, M)
     B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
     X1 = pow(p, B1, M) * anchor_value(sha3_256(TAG_PRF + S + z).digest(),
                                       i, K, M) % M
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
-    s1 = FieldElem((X1 - A1) * n3 % M * scale, mod)
-    s3 = FieldElem((X1 * p2u - A3) * n1 % M * scale, mod)
-    if (s1.value * p2u - s3.value) % M == 0:
+    s1 = (X1 - A1) * n3 % M * scale % M
+    s3 = (X1 * p2u - A3) * n1 % M * scale % M
+    if (s1 * p2u - s3) % M == 0:
         raise AbortNonInvertible("recovery denominator not invertible")
     # u < u_bound <= 2^32, _derive has checked z's length and the check
     # hash is 32 bytes: Message's checks hold
-    msg = tuple.__new__(Message, (s1, s3, u, z,
-                                  compute_check(S, v, s1, s3, u, z)))
+    msg = tuple.__new__(Message, (FieldElem(s1, mod), FieldElem(s3, mod), u,
+                                  z, compute_check(S, v, s1, s3, u, z)))
     return msg, p2u, A1, A3
 
 
@@ -375,15 +377,14 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
         raise RejectSession("evaluation point t + 2u reduces to 0 mod M")
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
         raise ValueError("mixed moduli")
-    p2u, s3 = pow(p, 2 * u, M), msg.s3.value
-    e = msg.s1.value * p2u % M
+    p2u, s1, s3 = pow(p, 2 * u, M), msg.s1.value, msg.s3.value
+    e = s1 * p2u % M
     if e == s3:
         raise RejectDenominator("denominator check failed")
-    A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, profile.mod), q)
+    A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, M), q)
     v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
     encodable = v < CHECK_V_BOUND
-    expected = compute_check(S, v if encodable else 0,
-                             msg.s1, msg.s3, msg.u, msg.z)
+    expected = compute_check(S, v if encodable else 0, s1, s3, u, msg.z)
     matches = hmac.compare_digest(expected, msg.h_check)
     if not encodable:
         raise RejectRange(f"recovered value {v} exceeds the check encoding")
@@ -440,13 +441,13 @@ class NonceLog:
         return True
 
 
-def _draw(attempt, tries: int = NONCE_TRIES) -> tuple:
-    """The one redraw rule: (attempt(k), k) for the first k in
-    range(tries) whose draw raises no ProtocolAbort; after tries draws
-    the last ProtocolAbort is raised. Other exceptions pass at once."""
+def _draw(attempt, tries: int = NONCE_TRIES):
+    """The one redraw rule: attempt(k) for the first k in range(tries)
+    whose draw raises no ProtocolAbort; after tries draws the last
+    ProtocolAbort is raised. Other exceptions pass at once."""
     for k in range(tries):
         try:
-            return attempt(k), k
+            return attempt(k)
         except ProtocolAbort as exc:
             abort = exc
     raise abort
@@ -462,7 +463,7 @@ def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
         if not log.claim(S, z):
             raise ProtocolAbort("no usable nonce")
         return serialize(msg)
-    return _draw(attempt)[0]
+    return _draw(attempt)
 
 
 def receive(S: bytes, data: bytes, profile: Profile) -> int:

@@ -106,7 +106,7 @@ def fixture_vectors() -> str:
             S = sha3_256(b"fixture.S" + bytes([k, n])).digest()
             z = sha3_256(b"fixture.z" + bytes([k, n])).digest()
             return S, z, alice_generate(derive_session(S, z, profile), u, v)
-        (S, z, msg), _ = _draw(attempt)
+        S, z, msg = _draw(attempt)
         lines.append(f"toy {S.hex()} {z.hex()} {u} {v} {serialize(msg).hex()}")
     return "\n".join(lines) + "\n"
 

@@ -238,6 +238,17 @@ class TestNonceHandling:
         assert len(err) == 1 and "nonces.log" in err[0]
         assert not (workdir / "msg.bin").exists()
 
+    def test_dangling_symlink_log_fails_closed(self, workdir, capsys):
+        # the directory cannot be made at the log path: send stops with
+        # the path's error at once, before any draw, naming no entry
+        (workdir / "nonces.log").symlink_to(workdir / "nowhere")
+        assert main(send_args(workdir)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("send: [Errno ")
+        assert err[0].endswith(repr(str(workdir / "nonces.log")))
+        assert not (workdir / "msg.bin").exists()
+        assert not (workdir / "nowhere").exists()
+
 
 def _short_secret(d):
     (d / "short.bin").write_bytes(b"short")
@@ -335,11 +346,19 @@ def _profile_grid_too_wide(d):
 
 
 def _profile_modulus_too_wide(d):
-    # a prime that the primality test passes but the 32-byte fields cannot
-    # hold
+    # a prime, so only its width refuses it: the 32-byte fields cannot
+    # hold it
     M = (1 << 256) + 297
     assert is_probable_prime(M)
     return send_args(d) + ["--profile", _write_profile(d, TOY, M=str(M))]
+
+
+def _profile_modulus_3900_digits(d):
+    # under the 4096-byte file cap; one Miller-Rabin round on this M
+    # takes seconds, so its width is refused before the primality test
+    path = _write_profile(d, TOY, M=str(10 ** 3899 + 1))
+    assert os.path.getsize(path) <= 4096
+    return ["selftest", "--profile", path]
 
 
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
@@ -354,7 +373,8 @@ def _profile_modulus_too_wide(d):
                                    _profile_u_bits_zero,
                                    _profile_v_bits_negative,
                                    _profile_grid_too_wide,
-                                   _profile_modulus_too_wide])
+                                   _profile_modulus_too_wide,
+                                   _profile_modulus_3900_digits])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()

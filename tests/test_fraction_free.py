@@ -43,7 +43,7 @@ def reference_generate(sess, u, v):
     if not check_denominator(s1, s3, sess.p, u):
         raise AbortNonInvertible("recovery denominator not invertible")
     return Message(s1, s3, u, sess.z,
-                   compute_check(sess.S, v, s1, s3, u, sess.z))
+                   compute_check(sess.S, v, s1.value, s3.value, u, sess.z))
 
 
 def reference_verify(S, msg, profile):
@@ -67,7 +67,8 @@ def reference_verify(S, msg, profile):
         raise RejectDenominator("singular") from None
     encodable = v < CHECK_V_BOUND
     matches = hmac.compare_digest(
-        compute_check(S, v if encodable else 0, msg.s1, msg.s3, msg.u, msg.z),
+        compute_check(S, v if encodable else 0, msg.s1.value, msg.s3.value,
+                      msg.u, msg.z),
         msg.h_check)
     if not encodable:
         raise RejectRange("exceeds the check encoding")

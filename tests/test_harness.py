@@ -10,8 +10,8 @@ import pytest
 
 import fourpoint
 from fourpoint import harness
-from fourpoint.errors import (AbortSingular, ProtocolAbort,
-                              SingularDenominator)
+from fourpoint.errors import (AbortSingular, FieldOverflow, ProtocolAbort,
+                              SingularDenominator, VerificationError)
 from fourpoint.genfunc import s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
@@ -20,7 +20,8 @@ from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
 from fourpoint.invariant import recover_v, recovery_map
 from fourpoint.modmath import FieldElem, Modulus
 from fourpoint.protocol import (CHECK_V_BOUND, MINI, NONCE_TRIES, PRODUCTION,
-                                TOY, compute_check, derive_session)
+                                TOY, compute_check, derive_session, receive,
+                                serialize)
 
 SRC = str(Path(fourpoint.__file__).resolve().parent.parent)
 
@@ -44,7 +45,7 @@ def reference_adjudicate(game, forgery):
         return False
     if v_star >= CHECK_V_BOUND:
         return False
-    return compute_check(sess.S, v_star, msg.s1, s_star, u,
+    return compute_check(sess.S, v_star, msg.s1.value, s_star.value, u,
                          msg.z) == msg.h_check
 
 
@@ -193,6 +194,34 @@ class TestAdjudicateOnTheRecoveryMap:
                     losses += not won
         # the honest s3 at the fresh offset wins every game
         assert wins >= games and losses
+
+    @pytest.mark.parametrize("profile, seed, games",
+                             [(MINI, 51, 40), (TOY, 52, 40),
+                              (PRODUCTION, 53, 4)])
+    def test_same_decision_as_the_receiver(self, profile, seed, games):
+        # the forgery wins exactly when protocol.receive accepts the
+        # transcript with s* in place of s3, and by Lemma 1 only s3 does;
+        # M itself is the first value the field refuses
+        M = profile.mod.M
+        rng = random.Random(seed)
+        for _ in range(games):
+            game = new_game(profile, rng)
+            S, msg = game.hidden.session.S, game.transcript
+            s3, e = msg.s3.value, game.hidden.rmap[2]
+            s_stars = [s3, e, (s3 + 1) % M, (s3 - 1) % M, 0, M - 1, M,
+                       rng.randrange(M)]
+            if profile is PRODUCTION:
+                s_stars.append(s_star_recovering(game, CHECK_V_BOUND))
+            blob = serialize(msg)
+            for s_star in s_stars:
+                forged = blob[:32] + s_star.to_bytes(32, "big") + blob[64:]
+                try:
+                    receive(S, forged, profile)
+                    accepted = True
+                except (VerificationError, FieldOverflow):
+                    accepted = False
+                won = adjudicate(game, Forgery(s_star, 2))
+                assert won is accepted is (s_star == s3), (s_star, s3)
 
     def test_a_map_one_residue_off_fails_the_sweep(self):
         game = new_game(TOY, random.Random(44))

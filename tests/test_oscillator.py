@@ -123,6 +123,6 @@ class TestRawValues:
     def test_session_values_are_the_generated_oscillators(self, n, K, C):
         # both block parities occur, so the sign rule is compared too
         S, z = b"secret", bytes(range(32))
-        assert session_values(S, z, K, C, n, M257) == (
+        assert session_values(S, z, K, C, n, M257.M) == (
             value_at(generate(S, z, "phi", K, C, M257), n),
             value_at(generate(S, z, "psi", K, C, M257), n))

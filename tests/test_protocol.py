@@ -18,7 +18,7 @@ from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
 from fourpoint.oscillator import eval_at, value_at
-from fourpoint import protocol
+from fourpoint import modmath, protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, NONCE_TRIES, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, NonceLog,
                                 Profile, alice_generate, bob_verify,
@@ -111,6 +111,22 @@ class TestProfiles:
 
     def test_integer_modulus_accepted(self):
         assert profile_from_dict({**profile_to_dict(TOY), "M": 257}) == TOY
+
+    def test_too_wide_modulus_refused_before_the_primality_test(
+            self, monkeypatch):
+        # a 4000-digit M fits a profile file, and one Miller-Rabin round
+        # on it takes seconds: the width is checked first
+        def unreachable(*args):
+            raise AssertionError("primality test ran")
+        monkeypatch.setattr(modmath, "is_probable_prime", unreachable)
+        for M in (str(10 ** 3999 + 1), 1 << 256):
+            with pytest.raises(ValueError, match="^modulus too wide for the "
+                                                 "32-byte wire fields$"):
+                profile_from_dict({**profile_to_dict(TOY), "M": M})
+        monkeypatch.undo()
+        widest = (1 << 256) - 189  # the largest 256-bit prime
+        assert profile_from_dict({**profile_to_dict(TOY),
+                                  "M": widest}).mod.M == widest
 
     def test_records_are_immutable(self, session_factory):
         sess = session_factory(TOY)
@@ -331,15 +347,13 @@ class TestDeriveSession:
 class TestCheckHash:
     def kwargs(self):
         return dict(S=b"a shared secret!", v=7,
-                    s1=FieldElem(5, Modulus(257)),
-                    s3=FieldElem(9, Modulus(257)), u=3, z=b"\x00" * 32)
+                    s1=5, s3=9, u=3, z=b"\x00" * 32)
 
     def test_every_input_matters(self):
         base = compute_check(**self.kwargs())
         assert len(base) == 32
         for field, other in (("S", b"b shared secret!"), ("v", 8),
-                             ("s1", FieldElem(6, Modulus(257))),
-                             ("s3", FieldElem(10, Modulus(257))),
+                             ("s1", 6), ("s3", 10),
                              ("u", 4), ("z", b"\x01" + b"\x00" * 31)):
             kw = self.kwargs()
             kw[field] = other
@@ -472,7 +486,7 @@ class TestRejectionTaxonomy:
                 continue
             if check_denominator(s1, s3, sess.p, u):
                 break
-        h = compute_check(sess.S, v, s1, s3, u, sess.z)
+        h = compute_check(sess.S, v, s1.value, s3.value, u, sess.z)
         with pytest.raises(RejectRange):
             bob_verify(sess.S, Message(s1, s3, u, sess.z, h), TOY)
 
@@ -627,7 +641,7 @@ class TestDraw:
             if k < 3:
                 raise AbortSingular(f"draw {k}")
             return f"made at {k}"
-        assert protocol._draw(attempt) == ("made at 3", 3)
+        assert protocol._draw(attempt) == "made at 3"
         assert calls == [0, 1, 2, 3]
 
     def test_gives_up_after_tries_with_the_last_abort(self):

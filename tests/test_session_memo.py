@@ -169,11 +169,11 @@ def test_interleaved_seed_reads_match_a_fresh_hash():
     mod = TOY.mod
     osc = PrfOscillator(rng.randbytes(32), 4, 8, mod)
     for m in [0, 0, 5, 5, 0, 31, 5] + [rng.randrange(32) for _ in range(200)]:
-        assert osc.seed_value(m) == _prf_value(osc.key, m, mod)
-    assert osc.as_table().table == tuple(_prf_value(osc.key, m, mod)
+        assert osc.seed_value(m) == _prf_value(osc.key, m, mod.M)
+    assert osc.as_table().table == tuple(_prf_value(osc.key, m, mod.M)
                                          for m in range(osc.P))
     for m in (31, 0, 31):
-        assert osc.seed_value(m) == _prf_value(osc.key, m, mod)
+        assert osc.seed_value(m) == _prf_value(osc.key, m, mod.M)
 
 
 def test_interleaved_anchor_reads_match_a_fresh_hash():
