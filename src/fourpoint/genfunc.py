@@ -22,13 +22,12 @@ from .prf import anchor_value
 
 
 class PrfMasked:
-    """p^(a + i/K) := p^a * PRF(i, K), the keyed mask; equal by key. It
-    remembers its last ((i, K, M), anchor) for its own lifetime."""
+    """p^(a + i/K) := p^a * PRF(i, K), the keyed mask; equal by key."""
 
-    __slots__ = ("key", "_last", "_value")
+    __slots__ = ("key",)
 
     def __init__(self, key: bytes):
-        self.key, self._last, self._value = key, (), None
+        self.key = key
 
     def __eq__(self, other):
         return isinstance(other, PrfMasked) and self.key == other.key
@@ -38,11 +37,7 @@ class PrfMasked:
 
     def anchor(self, i: int, K: int, mod: Modulus) -> int:
         """Mask in [1, M-1]; never 0, so exp_at stays invertible."""
-        at = (i, K, mod.M)
-        if at != self._last:
-            self._value = anchor_value(self.key, i, K, mod.M)
-            self._last = at
-        return self._value
+        return anchor_value(self.key, i, K, mod.M)
 
 
 def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:

@@ -57,7 +57,7 @@ class _Hidden(NamedTuple):
     @property
     def s0_s2(self) -> tuple:
         """The reference s_M values at t and t + 2u, computed when read
-        over one Session.gen_pair, so t + 2u reuses t's hashed values."""
+        over one Session.gen_pair, so both share the hashed keys."""
         sess = self.session
         numer, denom = sess.gen_pair
         return s_M(numer, sess.t), s_M(denom, sess.t + 2 * self.u)

@@ -1,17 +1,18 @@
 """Exact big-integer arithmetic over Z_M.
 
-Everything here is pure and allocation-light: a Modulus wraps the prime M,
-FieldElem is a canonical residue with operator overloads, and the free
-functions (mod_inv, mod_pow) are the arithmetic core the rest of the
-package builds on. Canonical representatives live in [0, M);
-negative intermediates are reduced with the Euclidean remainder, which is
-what Python's % already gives for a positive modulus.
+Everything here is pure and allocation-light: a Modulus is the one-field
+record of the prime M, FieldElem is a canonical residue with operator
+overloads, and the free functions (mod_inv, mod_pow) are the arithmetic
+core the rest of the package builds on. Canonical representatives live
+in [0, M); negative intermediates are reduced with the Euclidean
+remainder, which is what Python's % already gives for a positive modulus.
 
 Inverses come from the built-in pow(a, -1, M); xgcd stays only as an
 independent oracle for the tests and the fixture ledger.
 """
 
 from hashlib import sha3_256
+from typing import NamedTuple
 
 from .errors import NonInvertible
 
@@ -55,36 +56,18 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
     return True
 
 
-class Modulus:
-    """The ring modulus M, a prime; immutable, equal by value. M is a slot,
-    not a NamedTuple field: every FieldElem operation reads it, and a slot
-    read costs about half a tuple field read."""
+class Modulus(NamedTuple("Modulus", [("M", int)])):
+    """The ring modulus M, a prime; immutable, equal by value."""
 
-    __slots__ = ("M",)
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
-    def __init__(self, M: int):
+    def __new__(cls, M: int):
         if M < 3:
             raise ValueError("modulus must be >= 3")
         if M not in WHITELISTED_MODULI and not is_probable_prime(M):
             raise ValueError(f"modulus {M} failed the primality test")
-        object.__setattr__(self, "M", M)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Modulus is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__
-        return Modulus, (self.M,)
-
-    def __eq__(self, other):
-        return isinstance(other, Modulus) and self.M == other.M
-
-    def __hash__(self):
-        return hash(self.M)
-
-    def __repr__(self):
-        return f"Modulus({self.M})"
+        return tuple.__new__(cls, (M,))
 
 
 class FieldElem:

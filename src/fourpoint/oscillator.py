@@ -65,20 +65,17 @@ class TableOscillator:
 
 
 class PrfOscillator:
-    """Oscillator hashing each table entry on demand; keeps the last one."""
+    """Oscillator hashing each table entry on demand."""
 
     mode = "prf"
-    __slots__ = ("K", "C", "P", "mod", "key", "_m", "_value")
+    __slots__ = ("K", "C", "P", "mod", "key")
 
     def __init__(self, key: bytes, K: int, C: int, mod: Modulus):
         self.K, self.C, self.P, self.mod = K, C, K * C, mod
-        self.key, self._m, self._value = key, -1, None  # no index is < 0
+        self.key = key
 
     def seed_value(self, m: int) -> int:
-        if m != self._m:
-            self._value = _prf_value(self.key, m, self.mod.M)
-            self._m = m
-        return self._value
+        return _prf_value(self.key, m, self.mod.M)
 
     def as_table(self) -> TableOscillator:
         """Materialize the full table (must fit under TABLE_CAP)."""

@@ -142,9 +142,8 @@ def profile_from_dict(d: dict) -> Profile:
     integer, "name" a string, the rest integers)."""
     if not isinstance(d, dict):
         raise ValueError("profile must be a JSON object")
-    if d.get("hash", _HASH_NAME) != _HASH_NAME:
-        raise ValueError(f"hash {d['hash']!r} not supported; "
-                         f"only {_HASH_NAME}")
+    if d.get("hash", _HASH_NAME) != _HASH_NAME:  # no repr: it may recurse
+        raise ValueError(f"profile hash not supported; only {_HASH_NAME}")
     for key, kind in _PROFILE_TYPES.items():
         if key not in d:
             raise ValueError(f"profile is missing key {key!r}")
@@ -210,8 +209,8 @@ class Session(NamedTuple):
 
     @property
     def gen_pair(self) -> tuple:
-        """(gen_numer, gen_denom) over one phi, psi and conv: t and t + 2u
-        share a seed index and an anchor, so the memos hash each once."""
+        """(gen_numer, gen_denom) over one phi, psi and conv, so the two
+        oscillator keys and the anchor key are hashed once for both."""
         from .genfunc import GenParams
         p, phi, psi, conv = self.p, self.phi, self.psi, self.conv
         q1, q2, q3, q4 = (FieldElem(q, self.profile.mod) for q in self.q)
@@ -362,9 +361,12 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
 
     Raises a VerificationError subclass naming the first failed check. A
     u outside the profile's [1, u_bound), the sender's envelope, is
-    rejected as out of range before any session work. A recovered value
-    too large for the 8-byte check encoding is rejected as out of range,
-    after the same digest work as a hash mismatch over a stand-in of 0.
+    rejected as out of range before any session work, and a nonce whose
+    derivation aborts as RejectSession. Every other reject does the work
+    of an accept first: the kernel, one inverse and the check hash. A
+    singular t + 2u (RejectSession) or s1*p^2u = s3 (RejectDenominator)
+    recovers at a stand-in s3, and these and a recovered value too large
+    for the 8-byte check encoding (RejectRange) hash a stand-in v of 0.
     """
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
@@ -373,19 +375,25 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     except ProtocolAbort as exc:
         raise RejectSession(f"session recomputation aborted: {exc}") from None
     u, M = msg.u, profile.mod.M
-    if (n + 2 * u * K) % M == 0:
-        raise RejectSession("evaluation point t + 2u reduces to 0 mod M")
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
         raise ValueError("mixed moduli")
     p2u, s1, s3 = pow(p, 2 * u, M), msg.s1.value, msg.s3.value
     e = s1 * p2u % M
-    if e == s3:
-        raise RejectDenominator("denominator check failed")
     A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, M), q)
-    v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M), s3, K, M)
-    encodable = v < CHECK_V_BOUND
+    if (n + 2 * u * K) % M == 0:
+        reject = RejectSession("evaluation point t + 2u reduces to 0 mod M")
+    elif e == s3:
+        reject = RejectDenominator("denominator check failed")
+    else:
+        reject = None
+    # a reject found here still recovers, at the stand-in s3 = e - 1
+    v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M),
+                 s3 if reject is None else e - 1, K, M)
+    encodable = reject is None and v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0, s1, s3, u, msg.z)
     matches = hmac.compare_digest(expected, msg.h_check)
+    if reject is not None:
+        raise reject
     if not encodable:
         raise RejectRange(f"recovered value {v} exceeds the check encoding")
     if not matches:

@@ -130,6 +130,25 @@ class TestModulus:
         assert m != Modulus(17) and m != 257
         assert pickle.loads(pickle.dumps(m)) == m
         assert copy.deepcopy(m) == m
+        assert m == (257,) and repr(m) == "Modulus(M=257)"  # a NamedTuple
+        assert Modulus._make([257]) == m and m._replace(M=17) == M17
+
+    def test_copies_and_replace_run_the_checks(self, monkeypatch):
+        for bad in (2, 9):
+            with pytest.raises(ValueError):
+                M257._replace(M=bad)
+            with pytest.raises(ValueError):
+                Modulus._make([bad])
+        m = Modulus(101)
+        def refuse(n, rounds=modmath.MILLER_RABIN_ROUNDS):
+            raise AssertionError(f"Miller-Rabin ran on {n}")
+        monkeypatch.setattr(modmath, "is_probable_prime", refuse)
+        for rebuild in (lambda: pickle.loads(pickle.dumps(m)),
+                        lambda: copy.deepcopy(m), lambda: copy.copy(m),
+                        lambda: Modulus._make([101]),
+                        lambda: M257._replace(M=101)):
+            with pytest.raises(AssertionError):
+                rebuild()
 
 
 class TestFieldElem:
@@ -144,6 +163,14 @@ class TestFieldElem:
         assert (fe(16) * fe(17)).value == 272 % 257
         assert (-fe(1)).value == 256
         assert (fe(200) + 100).value == 43  # int coercion
+        assert 5 - fe(3) == fe(2) and (1 - fe(3)).value == 255
+        assert fe(3).__rsub__("5") is NotImplemented
+        with pytest.raises(TypeError):
+            "5" - fe(3)
+
+    def test_int(self):
+        assert int(fe(300)) == 43
+        assert int(fe(-1)) == 256
 
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +274,14 @@ class TestEvalPoint:
         assert (t + 2).n == 151
         assert (t + 2).img == t.img + 2
         assert (t + -36).floor() == -1
+
+    def test_equal_points_hash_equal(self):
+        a, b = EvalPoint(143, 4, M257), EvalPoint(135, 4, M257) + 2
+        assert a == b and hash(a) == hash(b)
+        table = {a: "t"}
+        assert table[b] == "t"
+        assert EvalPoint(143, 4, M17) not in table
+        assert EvalPoint(144, 4, M257) not in table
 
     def test_non_coprime_grid_rejected(self):
         with pytest.raises(NonInvertible):

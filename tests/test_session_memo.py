@@ -1,28 +1,28 @@
-"""Each oscillator and anchor hashes a session value once.
+"""A send, a receive and a forgery game hash each session value once.
 
-A send or a forgery game hashes two oscillator values and one anchor. On
-the reference path a session reads each oscillator at one seed index
-(t + d sits at C*n + d*P) and every point shares one anchor (i, K), so
-PrfOscillator and PrfMasked remember their last value. These tests count
-the hashes through a patched hook, check that the memo never returns a
-stale value, and check that the memo belongs to one object only. Three
-tests count every SHA3 call: of a send, whose derive_session makes the
-nine derivation hashes and no more, of a receive, which builds no
-session at all, and of an exhaustive sweep, whose s0 and s2 share one
-set of oscillators and one anchor.
+A send or a forgery game hashes two oscillator values and one anchor.
+On the reference path PrfOscillator and PrfMasked keep no value: each
+read hashes again, so these tests also check that a read always matches
+a fresh hash and that sessions from one nonce share no object. The
+hashes are counted through a patched hook. Three tests count every SHA3
+call: of a send, whose derive_session makes the nine derivation hashes
+and no more, of a receive, which builds no session at all, and of an
+exhaustive sweep, whose s0 and s2 share one set of oscillator and anchor
+keys and each hash their own two values and anchor.
 """
 
 from collections import Counter
+import builtins
 import hashlib
 import random
 
 import pytest
 
 from fourpoint import genfunc, oscillator, prf, protocol
-from fourpoint.errors import ProtocolAbort, RejectHash
+from fourpoint.errors import ProtocolAbort, RejectHash, VerificationError
 from fourpoint.genfunc import PrfMasked
 from fourpoint.harness import lemma1_exhaustive, new_game
-from fourpoint.modmath import Modulus
+from fourpoint.modmath import FieldElem, Modulus
 from fourpoint.oscillator import PrfOscillator
 from fourpoint.prf import _prf_value
 from fourpoint.protocol import (MINI, PRODUCTION, TOY, alice_generate,
@@ -142,6 +142,74 @@ def test_send_makes_9_sha3_calls_to_derive_and_16_in_all(profile,
         sent += 1
 
 
+def outcomes_past_derive(profile, rng):
+    """{outcome: (S, msg)} for an honest message and each reject after
+    _derive that the profile can reach: a tampered hash, s1*p^2u = s3, a
+    u that makes t + 2u singular (only where such a u is below u_bound),
+    a v at or over 2^64 (only where M is wider) and a v at v_bound with
+    a matching hash (only where v_bound is below both M and 2^64)."""
+    M = profile.mod.M
+    while True:
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        u = rng.randrange(1, profile.u_bound)
+        try:
+            sess = derive_session(S, z, profile)
+            msg = alice_generate(sess, u, rng.randrange(profile.v_bound))
+        except ProtocolAbort:
+            continue
+        break
+    denom = FieldElem(msg.s3.value * pow(sess.base, -2 * u, M), profile.mod)
+    cases = {"accept": msg, "RejectHash": msg._replace(h_check=bytes(32)),
+             "RejectDenominator": msg._replace(s1=denom)}
+    singular_u = -sess.n * pow(2 * sess.K, -1, M) % M
+    if 1 <= singular_u < profile.u_bound:
+        cases["RejectSession"] = msg._replace(u=singular_u)
+    if M > protocol.CHECK_V_BOUND:
+        cases["RejectRange"] = msg._replace(s1=msg.s1 + 1)
+    if profile.v_bound < min(M, protocol.CHECK_V_BOUND):
+        wider = profile._replace(v_bits=profile.v_bits + 1)
+        cases["RejectRange"] = alice_generate(
+            derive_session(S, z, wider), u, profile.v_bound)
+    return {name: (S, m) for name, m in cases.items()}
+
+
+@pytest.mark.parametrize("profile, reached", [
+    (MINI, {"accept", "RejectHash", "RejectDenominator", "RejectSession",
+            "RejectRange"}),
+    (TOY, {"accept", "RejectHash", "RejectDenominator", "RejectSession"}),
+    (PRODUCTION, {"accept", "RejectHash", "RejectDenominator",
+                  "RejectRange"})], ids=["mini", "toy", "production"])
+def test_every_outcome_past_derive_does_equal_work(profile, reached,
+                                                   sha3_calls, monkeypatch):
+    # 14 SHA3 calls (nine derivation hashes, two oscillator keys, two
+    # values, the check hash), p^2u and one inverse, no wider pow: the
+    # reason a reject names is not told by the work it takes
+    real_pow, exponents = builtins.pow, []
+
+    def counted_pow(base, exp, mod=None):
+        exponents.append(exp)
+        return real_pow(base, exp, mod)
+
+    for seed in range(5):
+        cases = outcomes_past_derive(profile, random.Random(seed))
+        assert set(cases) == reached
+        for want, (S, msg) in cases.items():
+            sha3_calls.clear()
+            exponents.clear()
+            monkeypatch.setattr(builtins, "pow", counted_pow)
+            try:
+                bob_verify(S, msg, profile)
+                got = "accept"
+            except VerificationError as exc:
+                got = type(exc).__name__
+            finally:
+                monkeypatch.setattr(builtins, "pow", real_pow)
+            assert got == want, seed
+            assert sha3_calls == {"sha3": 14}, (want, seed)
+            assert exponents.count(-1) == 1 and len(exponents) == 2, want
+            assert max(e.bit_length() for e in exponents) <= 33, want
+
+
 def test_game_hashes_two_values_and_one_anchor(hashes):
     clean = 0
     for seed in range(40):
@@ -153,15 +221,14 @@ def test_game_hashes_two_values_and_one_anchor(hashes):
     assert clean >= 30
 
 
-def test_sweep_makes_6_sha3_calls(sha3_calls):
+def test_sweep_makes_9_sha3_calls(sha3_calls):
     # one Session.gen_pair hashes the two oscillator keys and the anchor
-    # key; s0 hashes two PRF values and one anchor, which s2 reuses, as
-    # t + 2u reads t's seed index and anchor (i, K)
+    # key; s0 and s2 each hash two PRF values and one anchor
     for seed in range(20):
         game = new_game(TOY, random.Random(seed))
         sha3_calls.clear()
         assert lemma1_exhaustive(game) == (1, [game.transcript.s3.value])
-        assert sha3_calls == {"sha3": 6}, seed
+        assert sha3_calls == {"sha3": 9}, seed
 
 
 def test_interleaved_seed_reads_match_a_fresh_hash():
@@ -195,6 +262,7 @@ def test_prf_masked_is_equal_and_hashed_by_key():
     a.anchor(1, 4, TOY.mod)
     assert a == b and hash(a) == hash(b)
     assert a != PrfMasked(b"\x02" * 32)
+    assert a.key.hex() not in repr(a) and repr(a.key) not in repr(a)
 
 
 def test_sessions_from_one_nonce_share_no_memo(hashes):
