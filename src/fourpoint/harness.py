@@ -56,11 +56,10 @@ class _Hidden(NamedTuple):
 
     @property
     def s0_s2(self) -> tuple:
-        """The reference s_M values at t and t + 2u, computed when read
-        over one Session.gen_pair, so both share the hashed keys."""
+        """The reference s_M values at t and t + 2u, computed when read."""
         sess = self.session
-        numer, denom = sess.gen_pair
-        return s_M(numer, sess.t), s_M(denom, sess.t + 2 * self.u)
+        return (s_M(sess.gen_numer, sess.t),
+                s_M(sess.gen_denom, sess.t + 2 * self.u))
 
     def __repr__(self):  # public parts only: v and the map stay out
         return f"_Hidden(session={self.session!r})"
@@ -87,7 +86,7 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         sess, M = derive_session(S, z, profile), profile.mod.M
         msg, p2u, A1, A3 = _generate(sess, u, v)
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
-                             sess.K, u, M)
+                             sess.K, u)
         return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
     return _draw(attempt)
 

@@ -18,6 +18,7 @@ from .errors import NonInvertible
 
 # 2^256 - 2^32 - 977, the secp256k1 field prime; any 256-bit prime works.
 PRODUCTION_PRIME = (1 << 256) - (1 << 32) - 977
+MODULUS_BITS = 256  # widest M; protocol sizes its wire fields from it
 
 # Known primes that Modulus accepts without the Miller-Rabin test; the test
 # suite checks each one.
@@ -57,7 +58,8 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS) -> bool:
 
 
 class Modulus(NamedTuple("Modulus", [("M", int)])):
-    """The ring modulus M, a prime; immutable, equal by value."""
+    """The ring modulus M, a prime of at most MODULUS_BITS bits, checked
+    before the primality test; immutable, equal by value."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
@@ -65,6 +67,9 @@ class Modulus(NamedTuple("Modulus", [("M", int)])):
     def __new__(cls, M: int):
         if M < 3:
             raise ValueError("modulus must be >= 3")
+        if M.bit_length() > MODULUS_BITS:
+            raise ValueError(f"modulus too wide for the {MODULUS_BITS // 8}"
+                             "-byte wire fields")
         if M not in WHITELISTED_MODULI and not is_probable_prime(M):
             raise ValueError(f"modulus {M} failed the primality test")
         return tuple.__new__(cls, (M,))

@@ -7,12 +7,13 @@ Euclidean floor/mod keep those identities true for negative j as well.
 
 A session's oscillators are always PrfOscillator: each value is
 recomputed from a keyed hash when needed, since a session reads only the
-few indices of its four aligned points. The protocol path reads each
-value once, so prf.session_values hashes its two keys and values for
-sender and receiver alike without building an oscillator or loading
-this module. TableOscillator holds an explicit seed in memory: the
-worked examples, and as_table, which materializes a PRF oscillator over
-the same prf._prf_value and so agrees with it everywhere.
+few indices of its four aligned points. index_value holds the sign rule;
+eval_index, eval_arg and eval_at read through it at j, n and C*n. The
+protocol path reads each value once, so prf.session_values hashes its
+two keys and values for both parties without building an oscillator or
+loading this module. TableOscillator holds an explicit seed in memory:
+the worked examples, and as_table, which materializes a PRF oscillator
+over the same prf._prf_value and so agrees with it everywhere.
 """
 
 from hashlib import sha3_256
@@ -138,9 +139,4 @@ def eval_at(osc: Oscillator, t: EvalPoint) -> FieldElem:
     """
     if t.K != osc.K:
         raise ValueError(f"grid mismatch: point K={t.K}, oscillator K={osc.K}")
-    return FieldElem(value_at(osc, t.n), osc.mod)
-
-
-def value_at(osc: Oscillator, n: int) -> int:
-    """eval_at at t = n/K on raw ints, in (-M, M): index_value at C*n."""
-    return index_value(osc, osc.C * n)
+    return eval_index(osc, osc.C * t.n)

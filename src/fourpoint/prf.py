@@ -25,9 +25,9 @@ def session_values(S: bytes, z: bytes, K: int, C: int, n: int,
                    M: int) -> tuple[int, int]:
     """(Phi, Psi) of session (S, z) at t = n/K, raw ints in (-M, M).
 
-    value_at of oscillator.generate's "phi" and "psi" oscillators, with
-    neither built: index C*n falls in block n // K at seed offset
-    C*(n % K).
+    oscillator.index_value at C*n of generate's "phi" and "psi"
+    oscillators, with neither built: index C*n falls in block n // K at
+    seed offset C*(n % K).
     """
     block, i = divmod(n, K)
     m, Sz = C * i, S + z

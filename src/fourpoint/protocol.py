@@ -36,7 +36,8 @@ from typing import NamedTuple
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
-from .modmath import PRODUCTION_PRIME, EvalPoint, FieldElem, Modulus
+from .modmath import (MODULUS_BITS, PRODUCTION_PRIME, EvalPoint, FieldElem,
+                      Modulus)
 from .prf import _INDEX_WIDTH, anchor_value, session_values
 
 TAG_P = b"IBC.p"
@@ -48,10 +49,10 @@ TAG_Q = b"IBC.q"
 TAG_CHECK = b"IBC.check"
 TAG_PRF = b"IBC.prf"
 
-MESSAGE_LEN = 132
 NONCE_LEN = 32
 NONCE_TRIES = 64  # draws before _draw gives up on a profile
-_FIELD_WIDTH = 32  # bytes per serialized field element
+_FIELD_WIDTH = MODULUS_BITS // 8  # bytes per serialized field element
+MESSAGE_LEN = 2 * _FIELD_WIDTH + 4 + NONCE_LEN + 32  # s1, s3, u, z, h_check
 _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
 _U_BITS = 32  # u travels in a 4-byte wire field
@@ -65,9 +66,9 @@ class Profile(NamedTuple("Profile", [
         ("C_min", int), ("C_max", int), ("u_bits", int), ("v_bits", int)])):
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
 
-    The envelope must fit the wire: u below 2^32 and v below the 8-byte
-    check encoding, so every in-envelope message can be sent. The grid
-    must fit the PRF index: K_max * C_max at most 2^384.
+    The envelope must fit the wire: M by Modulus's own check, u below 2^32
+    and v below the 8-byte check encoding, so every in-envelope message
+    can be sent. The grid must fit the PRF index: K_max * C_max <= 2^384.
     """
 
     __slots__ = ()
@@ -79,8 +80,6 @@ class Profile(NamedTuple("Profile", [
             raise ValueError(f"u_bits must be >= 1, got {self.u_bits}")
         if self.v_bits < 0:
             raise ValueError(f"v_bits must be >= 0, got {self.v_bits}")
-        if self.mod.M.bit_length() > 256:
-            raise ValueError("modulus too wide for the 32-byte wire fields")
         if self.u_bits > _U_BITS:
             raise ValueError("u_bits too wide for the 4-byte wire field")
         if self.v_bits > 8 * _CHECK_V_WIDTH and self.mod.M > CHECK_V_BOUND:
@@ -138,8 +137,8 @@ def profile_to_dict(profile: Profile) -> dict:
 
 def profile_from_dict(d: dict) -> Profile:
     """Inverse of profile_to_dict; ValueError on malformed input: a missing
-    key, or a null or wrongly typed value ("M" is a decimal string or an
-    integer, "name" a string, the rest integers)."""
+    key, or a null or wrongly typed value ("M" an integer or the decimal
+    string profile_to_dict writes, "name" a string, the rest integers)."""
     if not isinstance(d, dict):
         raise ValueError("profile must be a JSON object")
     if d.get("hash", _HASH_NAME) != _HASH_NAME:  # no repr: it may recurse
@@ -150,8 +149,9 @@ def profile_from_dict(d: dict) -> Profile:
         if not isinstance(d[key], kind) or isinstance(d[key], bool):
             raise ValueError(f"profile key {key!r} has a "
                              f"{type(d[key]).__name__} value")
-    if (M := int(d["M"])).bit_length() > 256:  # before Modulus tests M
-        raise ValueError("modulus too wide for the 32-byte wire fields")
+    M = int(d["M"])  # int() also takes "+", spaces, "_" and non-ASCII digits
+    if isinstance(d["M"], str) and str(M) != d["M"]:
+        raise ValueError("profile key 'M' is not a plain decimal string")
     return Profile(mod=Modulus(M),
                    **{key: d[key] for key in _PROFILE_TYPES if key != "M"})
 
@@ -179,9 +179,9 @@ def dump_profile(profile: Profile, path) -> None:
 
 class Session(NamedTuple):
     """Everything derived from (S, z) under one profile, as the raw ints
-    that _derive returns. Its typed views (p, t, phi, psi, conv, gen_pair,
-    gen_numer, gen_denom) are built, their layers imported, when read:
-    the reference path reads them, the protocol path and games do not."""
+    that _derive returns. Its typed views (p, t, phi, psi, conv, gen_numer,
+    gen_denom) are each built, hashing their own keys, when read: the
+    reference path reads them, the protocol path and games do not."""
 
     S: bytes
     z: bytes
@@ -207,18 +207,13 @@ class Session(NamedTuple):
         from .genfunc import PrfMasked
         return PrfMasked(sha3_256(TAG_PRF + self.S + self.z).digest())
 
-    @property
-    def gen_pair(self) -> tuple:
-        """(gen_numer, gen_denom) over one phi, psi and conv, so the two
-        oscillator keys and the anchor key are hashed once for both."""
+    def _gen(self, k: int):  # s_M's GenParams at amplitudes q[k], q[k+1]
         from .genfunc import GenParams
-        p, phi, psi, conv = self.p, self.phi, self.psi, self.conv
-        q1, q2, q3, q4 = (FieldElem(q, self.profile.mod) for q in self.q)
-        return (GenParams(p, q1, q2, phi, psi, conv),
-                GenParams(p, q3, q4, phi, psi, conv))
+        qi, qj = (FieldElem(q, self.profile.mod) for q in self.q[k:k + 2])
+        return GenParams(self.p, qi, qj, self.phi, self.psi, self.conv)
 
-    gen_numer = property(lambda self: self.gen_pair[0])  # s0 and s1
-    gen_denom = property(lambda self: self.gen_pair[1])  # s2 and s3
+    gen_numer = property(lambda self: self._gen(0))  # s0 and s1
+    gen_denom = property(lambda self: self._gen(2))  # s2 and s3
 
     def __repr__(self):  # public parts only: S and all derived from it stay out
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
@@ -302,7 +297,7 @@ def _kernel(phi: int, psi: int, q: tuple) -> tuple[int, int]:
 
 
 def _recovery_map(A1: int, A3: int, p2u: int, e: int, n: int, K: int,
-                  u: int, M: int) -> tuple[int, int, int]:
+                  u: int) -> tuple[int, int, int]:
     """The receiver's recovery (K*a, K*c, e), K*a and K*c unreduced.
 
     Mod M these are invariant.recovery_map's (a, c, e) with a and c times
@@ -387,7 +382,7 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     else:
         reject = None
     # a reject found here still recovers, at the stand-in s3 = e - 1
-    v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u, M),
+    v = _recover(_recovery_map(A1, A3, p2u, e, n, K, u),
                  s3 if reject is None else e - 1, K, M)
     encodable = reject is None and v < CHECK_V_BOUND
     expected = compute_check(S, v if encodable else 0, s1, s3, u, msg.z)
@@ -415,16 +410,17 @@ def deserialize(data: bytes, profile: Profile) -> Message:
     """Inverse of serialize; strict length and field-range checks."""
     if len(data) != MESSAGE_LEN:
         raise BadLength(f"message must be {MESSAGE_LEN} bytes, got {len(data)}")
-    M = profile.mod.M
-    s1v = int.from_bytes(data[0:32], "big")
-    s3v = int.from_bytes(data[32:64], "big")
+    M, w, z_at = profile.mod.M, _FIELD_WIDTH, 2 * _FIELD_WIDTH + 4
+    s1v = int.from_bytes(data[:w], "big")
+    s3v = int.from_bytes(data[w:2 * w], "big")
     if s1v >= M or s3v >= M:
         raise FieldOverflow("field value >= M")
     # the fixed-width slices already meet Message's checks: u < 2^32 and
     # 32-byte z and h_check
     return tuple.__new__(Message, (
         FieldElem(s1v, profile.mod), FieldElem(s3v, profile.mod),
-        int.from_bytes(data[64:68], "big"), data[68:100], data[100:132]))
+        int.from_bytes(data[2 * w:z_at], "big"),
+        data[z_at:z_at + NONCE_LEN], data[z_at + NONCE_LEN:]))
 
 
 class NonceLog:

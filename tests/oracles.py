@@ -87,3 +87,60 @@ def naive_session(S: bytes, z: bytes, profile) -> dict | str:
             "phi_key": digest(b"IBC.osc.phi"),
             "psi_key": digest(b"IBC.osc.psi"),
             "anchor_key": digest(b"IBC.prf")}
+
+
+def naive_receive(S: bytes, data: bytes, profile) -> int | str:
+    """The receiver as README's wire format and recovery sections describe
+    it, with hashlib and naive_session only: v on accept, else the name of
+    the error protocol.receive raises ("ValueError" for a secret below the
+    profile's floor).
+    """
+    M = profile.mod.M
+    if len(data) != 132:
+        return "BadLength"
+    # s1 (32 bytes) || s3 (32) || u (4) || z (32) || h_check (32)
+    s1 = int.from_bytes(data[0:32], "big")
+    s3 = int.from_bytes(data[32:64], "big")
+    u = int.from_bytes(data[64:68], "big")
+    z, h_check = data[68:100], data[100:132]
+    if s1 >= M or s3 >= M:
+        return "FieldOverflow"
+    if not 1 <= u < 2 ** profile.u_bits:
+        return "RejectRange"
+    if len(S) < (32 if M.bit_length() >= 64 else 8):
+        return "ValueError"
+    sess = naive_session(S, z, profile)
+    if isinstance(sess, str):
+        return "RejectSession"
+    p, K, C = sess["p"], sess["K"], sess["C"]
+    q1, q2, q3, q4 = sess["q"]
+    n = sess["B"] * K + sess["i"]  # t = n/K
+    if (n + 2 * u * K) % M == 0:  # t + 2u, the point of s2, is 0 mod M
+        return "RejectSession"
+    # Phi and Psi at t: index C*n of a table of K*C keyed values whose
+    # odd-numbered repeats are negated
+    block, m = divmod(C * n, K * C)
+
+    def oscillator(key: bytes) -> int:
+        value = int.from_bytes(hashlib.sha3_256(
+            key + m.to_bytes(48, "big")).digest(), "big") % M
+        return -value if block % 2 else value
+    phi, psi = oscillator(sess["phi_key"]), oscillator(sess["psi_key"])
+    p2u = pow(p, 2 * u, M)
+    e = s1 * p2u % M
+    if e == s3:
+        return "RejectDenominator"
+    # the receiver's map: v(s3) = (K*a + K*c*s3) / (2K*(e - s3))
+    Ka = K * ((q3 * phi + q4 * psi) - (q1 * phi + q2 * psi) * p2u) \
+        - e * (n + K)
+    Kc = n + (2 * u + 1) * K
+    v = (Ka + Kc * s3) * pow(2 * K * (e - s3), -1, M) % M
+    if v >= 2 ** 64:  # the check hash holds v in 8 bytes
+        return "RejectRange"
+    want = hashlib.sha3_256(b"IBC.check" + S + v.to_bytes(8, "big")
+                            + data[0:68] + z).digest()
+    if want != h_check:
+        return "RejectHash"
+    if v >= min(2 ** profile.v_bits, M):
+        return "RejectRange"
+    return v

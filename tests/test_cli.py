@@ -361,6 +361,13 @@ def _profile_modulus_3900_digits(d):
     return ["selftest", "--profile", path]
 
 
+def _profile_modulus_fullwidth_digits(d):
+    # json.dumps writes the ASCII escapes, so the file reads as ASCII
+    path = _write_profile(d, TOY, M="\uff12\uff15\uff17")
+    assert Path(path).read_bytes().isascii()
+    return ["selftest", "--profile", path]
+
+
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
                                    _profile_missing_key, _profile_not_object,
@@ -374,7 +381,8 @@ def _profile_modulus_3900_digits(d):
                                    _profile_v_bits_negative,
                                    _profile_grid_too_wide,
                                    _profile_modulus_too_wide,
-                                   _profile_modulus_3900_digits])
+                                   _profile_modulus_3900_digits,
+                                   _profile_modulus_fullwidth_digits])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourpoint import modmath
+from fourpoint import modmath, protocol
 from fourpoint.errors import NonInvertible
 from fourpoint.modmath import (WHITELISTED_MODULI, EvalPoint, FieldElem,
                                Modulus, is_probable_prime, mod_inv, mod_pow,
@@ -149,6 +149,29 @@ class TestModulus:
                         lambda: M257._replace(M=101)):
             with pytest.raises(AssertionError):
                 rebuild()
+
+    def test_too_wide_refused_before_the_primality_test(self, monkeypatch):
+        # every way of building a Modulus refuses a value wider than the
+        # 32-byte wire fields at once: one Miller-Rabin round on a
+        # 4000-digit value takes seconds
+        def refuse(n, rounds=modmath.MILLER_RABIN_ROUNDS):
+            raise AssertionError(f"Miller-Rabin ran on {n}")
+        monkeypatch.setattr(modmath, "is_probable_prime", refuse)
+        too_wide = "^modulus too wide for the 32-byte wire fields$"
+        for M in (1 << 256, (1 << 256) + 297, 10 ** 3999 + 1):
+            for build in (Modulus, lambda M: Modulus._make([M]),
+                          lambda M: M257._replace(M=M)):
+                with pytest.raises(ValueError, match=too_wide):
+                    build(M)
+        unchecked = tuple.__new__(Modulus, ((1 << 256) + 297,))
+        with pytest.raises(ValueError, match=too_wide):
+            pickle.loads(pickle.dumps(unchecked))
+        assert Modulus(PRODUCTION_PRIME).M == PRODUCTION_PRIME
+        monkeypatch.undo()
+        widest = (1 << 256) - 189  # the largest 256-bit prime
+        assert Modulus(widest).M == widest
+        assert modmath.MODULUS_BITS == 8 * protocol._FIELD_WIDTH == 256
+        assert protocol.MESSAGE_LEN == 132
 
 
 class TestFieldElem:

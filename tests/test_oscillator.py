@@ -5,7 +5,7 @@ from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
                                   eval_arg, eval_at, eval_index, generate,
-                                  value_at)
+                                  index_value)
 from fourpoint.prf import session_values
 
 from oracles import unrolled_oscillator
@@ -124,5 +124,5 @@ class TestRawValues:
         # both block parities occur, so the sign rule is compared too
         S, z = b"secret", bytes(range(32))
         assert session_values(S, z, K, C, n, M257.M) == (
-            value_at(generate(S, z, "phi", K, C, M257), n),
-            value_at(generate(S, z, "psi", K, C, M257), n))
+            index_value(generate(S, z, "phi", K, C, M257), C * n),
+            index_value(generate(S, z, "psi", K, C, M257), C * n))

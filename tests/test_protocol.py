@@ -17,7 +17,7 @@ from fourpoint.genfunc import GenParams, s_M
 from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
-from fourpoint.oscillator import eval_at, value_at
+from fourpoint.oscillator import eval_at, index_value
 from fourpoint import modmath, protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, NONCE_TRIES, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, NonceLog,
@@ -111,6 +111,15 @@ class TestProfiles:
 
     def test_integer_modulus_accepted(self):
         assert profile_from_dict({**profile_to_dict(TOY), "M": 257}) == TOY
+
+    @pytest.mark.parametrize("M", [" 257 ", "2_57", "+257", "0257", "257\n",
+                                   "\uff12\uff15\uff17"])  # fullwidth 257
+    def test_modulus_string_only_as_profile_to_dict_writes_it(self, M):
+        # int() reads each of these as 257, so each would load as toy's
+        # modulus under a second spelling
+        assert int(M) == 257
+        with pytest.raises(ValueError, match="'M' is not a plain decimal"):
+            profile_from_dict({**profile_to_dict(TOY), "M": M})
 
     def test_too_wide_modulus_refused_before_the_primality_test(
             self, monkeypatch):
@@ -305,8 +314,9 @@ class TestDeriveSession:
         for _ in range(200):
             sess = fresh_session(profile, rng)
             t = sess.t
-            A1, A3 = protocol._kernel(value_at(sess.phi, t.n),
-                                      value_at(sess.psi, t.n), sess.q)
+            A1, A3 = protocol._kernel(index_value(sess.phi, sess.C * t.n),
+                                      index_value(sess.psi, sess.C * t.n),
+                                      sess.q)
             for A, gp in ((A1, sess.gen_numer), (A3, sess.gen_denom)):
                 want = (gp.q_i * eval_at(gp.phi, t)
                         + gp.q_j * eval_at(gp.psi, t))

@@ -7,8 +7,8 @@ a fresh hash and that sessions from one nonce share no object. The
 hashes are counted through a patched hook. Three tests count every SHA3
 call: of a send, whose derive_session makes the nine derivation hashes
 and no more, of a receive, which builds no session at all, and of an
-exhaustive sweep, whose s0 and s2 share one set of oscillator and anchor
-keys and each hash their own two values and anchor.
+exhaustive sweep, whose s0 and s2 each hash their own two oscillator
+keys and anchor key, two values and one anchor.
 """
 
 from collections import Counter
@@ -221,14 +221,14 @@ def test_game_hashes_two_values_and_one_anchor(hashes):
     assert clean >= 30
 
 
-def test_sweep_makes_9_sha3_calls(sha3_calls):
-    # one Session.gen_pair hashes the two oscillator keys and the anchor
-    # key; s0 and s2 each hash two PRF values and one anchor
+def test_sweep_makes_12_sha3_calls(sha3_calls):
+    # gen_numer and gen_denom each hash the two oscillator keys and the
+    # anchor key; s0 and s2 each hash two PRF values and one anchor
     for seed in range(20):
         game = new_game(TOY, random.Random(seed))
         sha3_calls.clear()
         assert lemma1_exhaustive(game) == (1, [game.transcript.s3.value])
-        assert sha3_calls == {"sha3": 9}, seed
+        assert sha3_calls == {"sha3": 12}, seed
 
 
 def test_interleaved_seed_reads_match_a_fresh_hash():

@@ -64,7 +64,7 @@ def test_traced_reference_names_return_the_reference_results():
             msg = alice_generate(sess, u, v)
         except ProtocolAbort:
             continue
-        numer, denom = sess.gen_pair
+        numer, denom = sess.gen_numer, sess.gen_denom
         s0 = protocol.s_M(numer, sess.t)
         s2 = protocol.s_M(denom, sess.t + 2 * u)
         assert (s0, s2) == (genfunc.s_M(numer, sess.t),
