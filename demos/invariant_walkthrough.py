@@ -54,8 +54,8 @@ def main():
 
     print("\n== 3. the invariant collapses ==")
     tu = InvariantTuple(*values, t, u, v)
-    got = eval_invariant(tu, M)
-    want = expected_constant(p, u, M)
+    got = eval_invariant(tu)
+    want = expected_constant(p, u)
     print(f"(s0*t + s1*(t+2v+1)) / (s2*(t+2u) + s3*(t+2u+2v+1))"
           f" = {got.value}")
     print(f"p^(-2u) = 3^-4 mod 257 = {want.value}")

@@ -39,9 +39,8 @@ def main():
     # only a holder of S can rebuild the session, from the nonce on the
     # wire, as the receiver does
     sess = derive_session(S, deserialize(blob, TOY).z, TOY)
-    t = sess.t
-    print(f"\nsession: p={sess.p.value} K={t.K} C={sess.phi.C} "
-          f"i={t.frac_num()} t={t.n}/{t.K}")
+    print(f"\nsession: p={sess.base} K={sess.K} C={sess.C} "
+          f"i={sess.n % sess.K} t={sess.n}/{sess.K}")
     print(f"\nwire message ({len(blob)} bytes: s1 | s3 | u | z | check):")
     hexdump(blob)
 

@@ -12,11 +12,12 @@ Three desk-scale experiments:
      under one nonce disclose each other's v (ROADMAP item 6).
 """
 
+import math
 import random
 
 from fourpoint.harness import (emit_csv, lemma1_exhaustive,
-                               lemma2_reuse_experiment, matching_count,
-                               new_game, run_random_adversary)
+                               lemma2_reuse_experiment, new_game,
+                               run_random_adversary)
 from fourpoint.protocol import TOY
 
 
@@ -47,7 +48,7 @@ def main():
     print(f"splices tried: {reuse.splices}, accepted: {reuse.accepted}")
     print(f"rejected by: {reuse.rejected_by}")
     print(f"(for scale: a 5-slot matching over 100 reused transcripts "
-          f"already has {matching_count(100, 5):,} assignments)")
+          f"already has {math.perm(100, 5):,} assignments)")
     assert reuse.accepted == 0
 
 

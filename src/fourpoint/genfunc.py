@@ -43,11 +43,7 @@ class PrfMasked:
 def exp_at(conv: PrfMasked, p: FieldElem, t: EvalPoint) -> FieldElem:
     """p^t as p^floor(t) * anchor(i, K)."""
     B, i = divmod(t.n, t.K)
-    try:
-        x = pow(p.value, B, p.mod.M)
-    except ValueError:  # floor(t) < 0 and p = 0
-        raise NonInvertible(f"p has no inverse mod {p.mod.M}") from None
-    return FieldElem(x * conv.anchor(i, t.K, p.mod), p.mod)
+    return p ** B * conv.anchor(i, t.K, p.mod)
 
 
 class GenParams(NamedTuple("GenParams", [

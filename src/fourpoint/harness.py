@@ -21,6 +21,7 @@ from collections import Counter
 import hmac
 import math
 import random
+import sys
 from typing import NamedTuple
 
 from .errors import VerificationError
@@ -51,15 +52,7 @@ class Forgery(NamedTuple):
 class _Hidden(NamedTuple):
     session: Session  # holds S and the profile
     v: int
-    u: int
     rmap: tuple  # protocol._recovery_map of the transcript: (K*a, K*c, e)
-
-    @property
-    def s0_s2(self) -> tuple:
-        """The reference s_M values at t and t + 2u, computed when read."""
-        sess = self.session
-        return (s_M(sess.gen_numer, sess.t),
-                s_M(sess.gen_denom, sess.t + 2 * self.u))
 
     def __repr__(self):  # public parts only: v and the map stay out
         return f"_Hidden(session={self.session!r})"
@@ -75,6 +68,13 @@ class GameInstance(NamedTuple):
         return AdversaryView(m.s1.value, m.s3.value, m.u, m.z, m.h_check,
                              self.hidden.session.profile.mod.M)
 
+    @property
+    def s0_s2(self) -> tuple:
+        """The reference s_M values at t and t + 2u, computed when read."""
+        sess = self.hidden.session
+        return (s_M(sess.gen_numer, sess.t),
+                s_M(sess.gen_denom, sess.t + 2 * self.transcript.u))
+
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
     """Draw (S, z, u, v) by protocol._draw and seal the hidden state."""
@@ -87,7 +87,7 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         msg, p2u, A1, A3 = _generate(sess, u, v)
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
                              sess.K, u)
-        return GameInstance(msg, _Hidden(sess, v, u, rmap), aborts)
+        return GameInstance(msg, _Hidden(sess, v, rmap), aborts)
     return _draw(attempt)
 
 
@@ -194,7 +194,7 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     M, K = sess.profile.mod.M, sess.K
     if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
-    s0, s2 = hid.s0_s2
+    s0, s2 = game.s0_s2
     a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
     Ka, Kc, e_map = hid.rmap
     if (Ka % M, Kc % M, e_map) != (K * a % M, K * c % M, e):
@@ -205,11 +205,6 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     witnesses = [cand for cand in range(M)
                  if k1 * cand % M == k0 and cand != e]
     return len(witnesses), witnesses
-
-
-def matching_count(V: int, m: int) -> int:
-    """Number of injective assignments of m slots into V transcripts."""
-    return math.perm(V, m)
 
 
 class ReuseReport(NamedTuple):
@@ -234,7 +229,8 @@ def lemma2_reuse_experiment(profile: Profile, V_max: int,
         raise ValueError(f"V_max must be in [1, 1000], at most the profile's "
                          f"v_bound = {profile.v_bound} and below M = {M}")
     rng = random.Random(seed)
-    v_pool = rng.sample(range(profile.v_bound), V_max)
+    # len(range(2**64)) overflows; the cap draws the same values below it
+    v_pool = rng.sample(range(min(profile.v_bound, sys.maxsize)), V_max)
 
     def attempt(_):
         S = rng.randbytes(32)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, SingularDenominator
 from .genfunc import s_M
-from .modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
+from .modmath import EvalPoint, FieldElem, mod_inv, mod_pow
 
 
 class InvariantTuple(NamedTuple):
@@ -44,7 +44,7 @@ def _invert_checked(x: int, M: int) -> int:
                                   f"mod {M}") from None
 
 
-def eval_invariant(tu: InvariantTuple, mod: Modulus) -> FieldElem:
+def eval_invariant(tu: InvariantTuple) -> FieldElem:
     """The four-point ratio; equals expected_constant on honest tuples."""
     timg = tu.t.img
     a = 2 * tu.v + 1
@@ -54,7 +54,7 @@ def eval_invariant(tu: InvariantTuple, mod: Modulus) -> FieldElem:
     return numerator * _invert_checked(denominator.value, timg.mod.M)
 
 
-def expected_constant(p: FieldElem, u: int, mod: Modulus) -> FieldElem:
+def expected_constant(p: FieldElem, u: int) -> FieldElem:
     """1 / p^(2u) mod M."""
     return mod_inv(mod_pow(p, 2 * u))
 

@@ -1,14 +1,15 @@
 """Exact big-integer arithmetic over Z_M.
 
 Everything here is pure and allocation-light: a Modulus is the one-field
-record of the prime M, FieldElem is a canonical residue with operator
-overloads, and the free functions (mod_inv, mod_pow) are the arithmetic
-core the rest of the package builds on. Canonical representatives live
-in [0, M); negative intermediates are reduced with the Euclidean
-remainder, which is what Python's % already gives for a positive modulus.
+record of the prime M and FieldElem is a canonical residue with operator
+overloads. Canonical representatives live in [0, M); negative
+intermediates are reduced with the Euclidean remainder, which is what
+Python's % already gives for a positive modulus.
 
-Inverses come from the built-in pow(a, -1, M); xgcd stays only as an
-independent oracle for the tests and the fixture ledger.
+Powers and inverses come from FieldElem.__pow__, the one place a failed
+inverse becomes NonInvertible; mod_inv and mod_pow are that operator
+under names that the tests and the benchmark's tracer read. xgcd stays
+only as an independent oracle for the tests and the fixture ledger.
 """
 
 from hashlib import sha3_256
@@ -169,17 +170,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def mod_inv(a: FieldElem) -> FieldElem:
     """Multiplicative inverse; NonInvertible when gcd(a, M) != 1."""
-    try:
-        return FieldElem(pow(a.value, -1, a.mod.M), a.mod)
-    except ValueError:
-        raise NonInvertible(f"{a.value} has no inverse mod {a.mod.M}") from None
+    return a ** -1
 
 
 def mod_pow(base: FieldElem, exponent: int) -> FieldElem:
     """base**exponent mod M for exponent >= 0."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    return FieldElem(pow(base.value, exponent, base.mod.M), base.mod)
+    return base ** exponent
 
 
 class EvalPoint:
@@ -188,7 +186,8 @@ class EvalPoint:
     The rational form drives oscillator indexing (which needs the exact
     numerator); the field image drives all Z_M arithmetic. Integer shifts
     move the numerator by multiples of K, so `t + 3` is the grid point
-    three whole units to the right. NonInvertible when M divides K.
+    three whole units to the right; divmod(n, K) splits t into its
+    integer part and fractional numerator. NonInvertible when M divides K.
     """
 
     __slots__ = ("n", "K", "mod")
@@ -211,13 +210,6 @@ class EvalPoint:
         if not isinstance(delta, int):
             return NotImplemented
         return EvalPoint(self.n + delta * self.K, self.K, self.mod)
-
-    def floor(self) -> int:
-        return self.n // self.K
-
-    def frac_num(self) -> int:
-        """Fractional numerator i in [0, K): t = floor(t) + i/K."""
-        return self.n - (self.n // self.K) * self.K
 
     def __eq__(self, other):
         if not isinstance(other, EvalPoint):

@@ -24,23 +24,22 @@ from .protocol import (MESSAGE_LEN, Profile, _draw, alice_generate,
 def selftest_suites(profile: Profile, rng: random.Random):
     """Yield (label, callable) pairs, each returning a detail string; one
     list of 200 games (10 at production scale) feeds every suite."""
-    mod = profile.mod
     games = [new_game(profile, rng)
-             for _ in range(10 if mod.M.bit_length() > 64 else 200)]
+             for _ in range(10 if profile.mod.M.bit_length() > 64 else 200)]
 
     def suite_invariant():
         exact = singular = 0
         for game in games:
             hid, msg = game.hidden, game.transcript
-            s0, s2 = hid.s0_s2
+            s0, s2 = game.s0_s2
             tu = InvariantTuple(s0, msg.s1, s2, msg.s3,
                                 hid.session.t, msg.u, hid.v)
             try:
-                got = eval_invariant(tu, mod)
+                got = eval_invariant(tu)
             except SingularDenominator:
                 singular += 1
                 continue
-            if got != expected_constant(hid.session.p, msg.u, mod):
+            if got != expected_constant(hid.session.p, msg.u):
                 raise AssertionError
             exact += 1
         if not exact:

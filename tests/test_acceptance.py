@@ -54,10 +54,10 @@ def test_criterion_01_exact_modular_invariant():
         try:
             sess = derive_session(rng.randbytes(32), rng.randbytes(32), TOY)
             tu = honest_tuple(sess, rng.randrange(1, 50), rng.randrange(0, 50))
-            got = eval_invariant(tu, M257)
+            got = eval_invariant(tu)
         except (ProtocolAbort, SingularPoint, SingularDenominator):
             continue  # singular draws are redrawn, never scored
-        assert got == expected_constant(sess.p, tu.u, M257)
+        assert got == expected_constant(sess.p, tu.u)
         done += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -72,7 +72,7 @@ def test_criterion_02_base_case_constant():
         try:
             sess = derive_session(rng.randbytes(32), rng.randbytes(32), TOY)
             tu = honest_tuple(sess, 1, 0)
-            got = eval_invariant(tu, M257)
+            got = eval_invariant(tu)
         except (ProtocolAbort, SingularPoint, SingularDenominator):
             continue
         assert got == mod_inv(sess.p * sess.p)
@@ -249,10 +249,10 @@ def test_criterion_11_equivalence_fiber():
         except (ProtocolAbort, SingularPoint):
             continue
     assert len(pairs) == 21
-    want = expected_constant(sess.p, u, M257)
+    want = expected_constant(sess.p, u)
     for v, (s1, s3) in enumerate(pairs):
         tu = InvariantTuple(s0, s1, s2, s3, sess.t, u, v)
-        assert eval_invariant(tu, M257) == want
+        assert eval_invariant(tu) == want
     print("criterion 11: 21 fiber pairs, all on the same constant")
 
 

@@ -14,7 +14,7 @@ import pytest
 import fourpoint
 from fourpoint import selftest
 from fourpoint.cli import main
-from fourpoint.errors import ProtocolAbort, RejectHash
+from fourpoint.errors import ProtocolAbort, RejectHash, SingularDenominator
 from fourpoint.modmath import is_probable_prime
 from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, NonceLog,
                                 alice_generate, derive_session, dump_profile,
@@ -402,6 +402,10 @@ def test_send_names_the_bad_bit_width(workdir, capsys, key, value):
     assert not (workdir / "msg.bin").exists()
 
 
+def _always_singular(*args):
+    raise SingularDenominator("forced")
+
+
 class TestSelftestAndAttack:
     def test_selftest_passes(self, workdir, capsys):
         assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 0
@@ -435,6 +439,24 @@ class TestSelftestAndAttack:
         assert "tamper rejection" in fails[1]
         assert "tampered message accepted" in fails[1]
         assert out[-1] == "FAIL: selftest on profile mini, 2 failing suite(s)"
+
+    @pytest.mark.parametrize("name, fake, label, detail", [
+        # each fake returns 1, which the suite's own check refuses
+        ("expected_constant", lambda *args: 1, "invariant exactness", ""),
+        ("eval_invariant", _always_singular, "invariant exactness",
+         "no session had an invertible invariant denominator"),
+        ("deserialize", lambda *args: 1, "serialization", ""),
+        ("eval_at", lambda *args: 1, "oscillator antiperiodicity", ""),
+    ], ids=["constant", "all-singular", "deserialize", "eval_at"])
+    def test_each_other_suite_fails_on_its_own_check(self, monkeypatch,
+                                                     capsys, name, fake,
+                                                     label, detail):
+        monkeypatch.setattr(selftest, name, fake)
+        assert main(["selftest", "--profile", "mini", "--seed", "1"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert [ln for ln in out if ln.startswith("FAIL  ")] \
+            == [f"FAIL  {label:32} {detail}"]
+        assert out[-1] == "FAIL: selftest on profile mini, 1 failing suite(s)"
 
     def test_suites_still_check_under_optimize(self):
         # python -O strips assert statements, so a suite that checked with

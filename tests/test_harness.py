@@ -1,5 +1,4 @@
 import builtins
-import math
 import os
 from pathlib import Path
 import random
@@ -15,7 +14,7 @@ from fourpoint.errors import (AbortSingular, FieldOverflow, ProtocolAbort,
 from fourpoint.genfunc import s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
-                               matching_count, new_game, random_adversary,
+                               new_game, random_adversary,
                                run_random_adversary, wilson_interval)
 from fourpoint.invariant import recover_v, recovery_map
 from fourpoint.modmath import FieldElem, Modulus
@@ -53,7 +52,7 @@ def s_star_recovering(game, V):
     """The s* whose reference recovery is exactly V."""
     sess, msg = game.hidden.session, game.transcript
     M = sess.p.mod.M
-    s0, s2 = game.hidden.s0_s2
+    s0, s2 = game.s0_s2
     a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
     return (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
 
@@ -94,7 +93,7 @@ class TestGame:
         # from the secret: at 256 bits no residue shows up by chance
         game = new_game(PRODUCTION, random.Random(1))
         hid = game.hidden
-        s0, s2 = hid.s0_s2
+        s0, s2 = game.s0_s2
         for secret in (*hid.rmap, s0.value, s2.value, hid.v):
             assert str(secret) not in repr(game)
 
@@ -158,7 +157,7 @@ class TestGame:
         hid, msg = game.hidden, game.transcript
         s_star = s_star_recovering(game, CHECK_V_BOUND)
         rest = (hid.session.t.img, msg.u, hid.session.p)
-        s0, s2 = hid.s0_s2
+        s0, s2 = game.s0_s2
         assert recover_v(s0, msg.s1, s2, FieldElem(
             s_star, PRODUCTION.mod), *rest).value == CHECK_V_BOUND
         assert not adjudicate(game, Forgery(s_star, 5))
@@ -311,7 +310,7 @@ class TestLemma1:
         for _ in range(50):
             game = new_game(profile, rng)
             hid, msg = game.hidden, game.transcript
-            s0, s2 = hid.s0_s2
+            s0, s2 = game.s0_s2
             args = (s0, msg.s1, s2)
             rest = (hid.session.t.img, msg.u, hid.session.p)
             a, c, e = recovery_map(*args, *rest)
@@ -349,6 +348,7 @@ class TestWilson:
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0
         assert 0 < hi < 0.05
+        assert wilson_interval(0, 0) == (0.0, 0.0)
 
     def test_all_wins(self):
         lo, hi = wilson_interval(100, 100)
@@ -412,11 +412,6 @@ class TestRandomAdversary:
 
 
 class TestLemma2:
-    def test_matching_count_is_falling_factorial(self):
-        assert matching_count(3, 2) == 6
-        assert matching_count(100, 5) == math.perm(100, 5)
-        assert matching_count(100, 5) > 9 * 10 ** 9
-
     def test_splices_all_rejected(self):
         report = lemma2_reuse_experiment(TOY, 6, seed=3)
         assert report.V == 6
@@ -426,7 +421,7 @@ class TestLemma2:
         assert set(report.rejected_by) <= {"RejectHash", "RejectDenominator",
                                            "RejectRange"}
 
-    def test_v_max_bounds(self):
+    def test_v_max_bounds(self, monkeypatch):
         for bad in (0, 1001):
             with pytest.raises(ValueError):
                 lemma2_reuse_experiment(TOY, bad)
@@ -435,6 +430,13 @@ class TestLemma2:
         # MINI has only 16 distinct v values
         with pytest.raises(ValueError, match="v_bound"):
             lemma2_reuse_experiment(MINI, 17)
+
+        def no_draw(*args):
+            raise AssertionError("a session was drawn")
+        monkeypatch.setattr(harness, "derive_session", no_draw)
+        # the cap of 1000 binds only on production; refused before a draw
+        with pytest.raises(ValueError, match="1000"):
+            lemma2_reuse_experiment(PRODUCTION, 1001)
 
     def test_v_max_at_the_modulus_refused(self, monkeypatch):
         # 257 payloads cover every offset t + 2v+1 mod 257, one of them
@@ -493,6 +495,12 @@ class TestLemma2:
         assert report.accepted == 0
         assert report.rejected_by == {"RejectHash": 100,
                                       "RejectDenominator": 4}
+
+    def test_production_splices_refused_by_the_range_check(self):
+        # a production splice recovers a v of 2^64 or more, so the range
+        # check refuses it before the check hash is computed
+        report = lemma2_reuse_experiment(PRODUCTION, 4, seed=0)
+        assert report == (4, 4 * 3 * 2, 0, {"RejectRange": 24})
 
     def test_accepted_counts_what_the_receiver_accepts(self, monkeypatch):
         monkeypatch.setattr(harness, "bob_verify", lambda *args: 0)

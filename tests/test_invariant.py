@@ -39,10 +39,10 @@ class TestModularIdentity:
             u, v = rng.randrange(1, 50), rng.randrange(0, 50)
             try:
                 tu = honest_tuple(sess, u, v)
-                got = eval_invariant(tu, M257)
+                got = eval_invariant(tu)
             except Exception:
                 continue  # singular draw; protocol retries these
-            assert got == expected_constant(sess.p, u, M257)
+            assert got == expected_constant(sess.p, u)
             done += 1
 
     def test_base_case_is_inverse_p_squared(self, session_factory):
@@ -50,7 +50,7 @@ class TestModularIdentity:
         while done < 20:
             sess = session_factory(TOY)
             try:
-                got = eval_invariant(honest_tuple(sess, 1, 0), M257)
+                got = eval_invariant(honest_tuple(sess, 1, 0))
             except Exception:
                 continue
             assert got == mod_inv(sess.p * sess.p)
@@ -60,19 +60,19 @@ class TestModularIdentity:
         t = EvalPoint(7, 4, M257)
         tu = InvariantTuple(fe(1), fe(1), fe(0), fe(0), t, 1, 0)
         with pytest.raises(SingularDenominator):
-            eval_invariant(tu, M257)
+            eval_invariant(tu)
 
 
 class TestExpectedConstant:
     def test_frozen_values(self):
         # p = 3, u = 1: (3^2)^-1 = 9^-1 = 200
-        assert expected_constant(fe(3), 1, M257).value == 200
-        assert expected_constant(fe(3), 2, M257) == mod_inv(mod_pow(fe(3), 4))
+        assert expected_constant(fe(3), 1).value == 200
+        assert expected_constant(fe(3), 2) == mod_inv(mod_pow(fe(3), 4))
 
     @given(p=st.integers(min_value=1, max_value=256),
            u=st.integers(min_value=1, max_value=100))
     def test_matches_direct_inverse(self, p, u):
-        assert expected_constant(fe(p), u, M257) \
+        assert expected_constant(fe(p), u) \
             == mod_inv(mod_pow(fe(p), 2 * u))
 
 
@@ -131,13 +131,13 @@ class TestFiber:
         u = 3
         pairs = enumerate_fiber(sess, u, range(5))
         assert len(pairs) == 5
-        want = expected_constant(sess.p, u, M257)
+        want = expected_constant(sess.p, u)
         t = sess.t
         for v, (s1, s3) in zip(range(5), pairs):
             s0 = s_M(sess.gen_numer, t)
             s2 = s_M(sess.gen_denom, t + 2 * u)
             tu = InvariantTuple(s0, s1, s2, s3, t, u, v)
-            assert eval_invariant(tu, M257) == want
+            assert eval_invariant(tu) == want
 
     def test_pairs_are_distinct_generically(self, session_factory):
         sess = session_factory(TOY)

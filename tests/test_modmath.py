@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import operator
 import pickle
 import random
 
@@ -190,6 +191,10 @@ class TestFieldElem:
         assert fe(3).__rsub__("5") is NotImplemented
         with pytest.raises(TypeError):
             "5" - fe(3)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(fe(3), "5")
+        assert not fe(3) == "3"
 
     def test_int(self):
         assert int(fe(300)) == 43
@@ -284,19 +289,13 @@ class TestEvalPoint:
             return
         assert (EvalPoint(n, K, M257).img * K).value == n % 257
 
-    def test_floor_and_frac(self):
-        t = EvalPoint(143, 4, M257)
-        assert t.floor() == 35
-        assert t.frac_num() == 3
-        neg = EvalPoint(-3, 4, M257)
-        assert neg.floor() == -1  # Euclidean floor, not truncation
-        assert neg.frac_num() == 1
-
     def test_shift_moves_whole_units(self):
         t = EvalPoint(143, 4, M257)
         assert (t + 2).n == 151
         assert (t + 2).img == t.img + 2
-        assert (t + -36).floor() == -1
+        assert (t + -36).n == -1
+        with pytest.raises(TypeError):
+            t + "2"
 
     def test_equal_points_hash_equal(self):
         a, b = EvalPoint(143, 4, M257), EvalPoint(135, 4, M257) + 2
@@ -305,6 +304,12 @@ class TestEvalPoint:
         assert table[b] == "t"
         assert EvalPoint(143, 4, M17) not in table
         assert EvalPoint(144, 4, M257) not in table
+        assert not a == "143/4"
+
+    def test_grid_denominator_below_1_rejected(self):
+        for K in (0, -4):
+            with pytest.raises(ValueError, match="grid denominator"):
+                EvalPoint(1, K, M257)
 
     def test_non_coprime_grid_rejected(self):
         with pytest.raises(NonInvertible):
@@ -319,5 +324,3 @@ class TestEvalPoint:
     def test_shift_composes(self, n, a, b):
         t = EvalPoint(n, 4, M257)
         assert (t + a) + b == t + (a + b)
-        assert 0 <= t.frac_num() < 4
-        assert t.floor() * 4 + t.frac_num() == t.n

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
-from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
-                                  eval_arg, eval_at, eval_index, generate,
-                                  index_value)
+from fourpoint.oscillator import (TABLE_CAP, OscSeed, PrfOscillator,
+                                  TableOscillator, eval_arg, eval_at,
+                                  eval_index, generate, index_value)
 from fourpoint.prf import session_values
 
 from oracles import unrolled_oscillator
@@ -25,9 +25,17 @@ class TestSeedValidation:
         with pytest.raises(ValueError):
             OscSeed((1, 2, 3), 2, 2)
 
+    def test_K_and_C_must_be_at_least_1(self):
+        for K, C in ((0, 2), (2, 0), (-1, -1)):
+            with pytest.raises(ValueError, match="K and C"):
+                OscSeed((), K, C)
+
     def test_table_cap(self):
         seed = OscSeed(tuple(range(4)), 2, 2)
         assert TableOscillator(seed, M257).P == 4
+        over = OscSeed((0,) * (TABLE_CAP + 1), TABLE_CAP + 1, 1)
+        with pytest.raises(SeedTooLarge):
+            TableOscillator(over, M257)
         with pytest.raises(SeedTooLarge):
             PrfOscillator(b"k" * 32, 2048, 1024, M257).as_table()
 

@@ -247,7 +247,7 @@ class TestDeriveSession:
                 assert 2 <= s.p.value <= profile.mod.M - 1
                 assert profile.K_min <= s.t.K <= profile.K_max
                 assert profile.C_min <= s.gen_numer.phi.C <= profile.C_max
-                assert 1 <= s.t.frac_num() < s.t.K
+                assert 1 <= s.t.n % s.t.K < s.t.K
                 assert s.t.img.value != 0
 
     def test_repr_hides_the_secret(self):
@@ -290,7 +290,7 @@ class TestDeriveSession:
             sess = derive_session(S, z, profile)
             K, C = want["K"], want["C"]
             assert {"p": sess.p.value, "K": sess.t.K, "C": sess.phi.C,
-                    "i": sess.t.frac_num(), "B": sess.t.floor(),
+                    "i": sess.t.n % sess.t.K, "B": sess.t.n // sess.t.K,
                     "q": list(sess.q), "phi_key": sess.phi.key,
                     "psi_key": sess.psi.key,
                     "anchor_key": sess.conv.key} == want
@@ -321,7 +321,7 @@ class TestDeriveSession:
                 want = (gp.q_i * eval_at(gp.phi, t)
                         + gp.q_j * eval_at(gp.psi, t))
                 assert A % profile.mod.M == want.value
-            parities.add(t.floor() % 2)
+            parities.add(t.n // t.K % 2)
         assert parities == {0, 1}
 
     def test_derive_abort_paths_reachable(self):
