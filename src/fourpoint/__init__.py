@@ -8,7 +8,8 @@ Library layout:
   modmath     exact arithmetic over Z_M (FieldElem, EvalPoint, inverses)
   prf         the keyed PRF values that sender and receiver read
   oscillator  antiperiodic keyed pseudorandom oscillators
-  genfunc     the masked generating function s_M(t)
+  genfunc     the masked generating function s_M(t), and
+              reference_view, a Session typed for it
   invariant   the four-point identity, recovery, analytic reference
   protocol    session derivation, Alice/Bob, 132-byte wire format,
               send/receive and the nonce log

@@ -10,15 +10,20 @@ fixed-anchor conventions obey the same shift law and are not implemented.
 
 All four shifted evaluation points of a session share i and K, so the
 anchor cancels out of the invariant ratio.
+
+reference_view types a protocol Session's raw ints for this layer: p, t,
+both oscillators, the anchor key and the two GenParams of s_M.
 """
 
+from hashlib import sha3_256
 from typing import NamedTuple
 
+from . import oscillator  # generate by the module: perfbench traces it there
 from .errors import NonInvertible, SingularPoint
 from .modmath import EvalPoint, FieldElem, Modulus
 from .modmath import mod_inv, mod_pow  # noqa: F401  perfbench traces them
 from .oscillator import Oscillator, eval_at
-from .prf import anchor_value
+from .prf import _TAG_PRF, anchor_value
 
 
 class PrfMasked:
@@ -73,3 +78,33 @@ def s_M(gp: GenParams, t: EvalPoint) -> FieldElem:
         raise ValueError("mixed moduli")
     return FieldElem((x + gp.q_i.value * phi + gp.q_j.value * psi)
                      * pow(img, -1, t.mod.M), t.mod)
+
+
+class ReferenceView(NamedTuple):
+    """A Session typed for the reference layer, built by reference_view."""
+
+    p: FieldElem
+    t: EvalPoint
+    phi: Oscillator
+    psi: Oscillator
+    conv: PrfMasked  # the anchor key
+    numer: GenParams  # s0 and s1, at amplitudes q1, q2
+    denom: GenParams  # s2 and s3, at amplitudes q3, q4
+
+    def __repr__(self):  # public parts only: all of it derives from S
+        return f"ReferenceView(M={self.p.mod.M})"
+
+
+def reference_view(sess) -> ReferenceView:
+    """The typed view of a protocol Session, at three key hashes: the two
+    oscillator keys, by oscillator.generate, and the anchor key."""
+    S, z, profile, base, K, C, n, q = sess
+    mod = profile.mod
+    p = FieldElem(base, mod)
+    phi = oscillator.generate(S, z, "phi", K, C, mod)
+    psi = oscillator.generate(S, z, "psi", K, C, mod)
+    conv = PrfMasked(sha3_256(_TAG_PRF + S + z).digest())
+    q1, q2, q3, q4 = (FieldElem(x, mod) for x in q)
+    return ReferenceView(p, EvalPoint(n, K, mod), phi, psi, conv,
+                         GenParams(p, q1, q2, phi, psi, conv),
+                         GenParams(p, q3, q4, phi, psi, conv))

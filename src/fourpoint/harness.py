@@ -10,7 +10,8 @@ the adversary callback never receives it.
 
 A game stores the receiver's recovery map of its transcript, so
 adjudication calls no s_M; each lemma1_exhaustive sweep checks that map
-against the reference, s_M and invariant.recovery_map.
+against the reference, s_M and invariant.recovery_map, over one
+genfunc.reference_view of the session.
 
 Also here: exhaustive uniqueness sweeps (only s* = s3 recovers the honest
 v at toy scale) and the bounded-reuse splice experiment (cross-transcript
@@ -25,7 +26,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import VerificationError
-from .genfunc import s_M
+from .genfunc import ReferenceView, reference_view, s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _draw,
@@ -68,12 +69,11 @@ class GameInstance(NamedTuple):
         return AdversaryView(m.s1.value, m.s3.value, m.u, m.z, m.h_check,
                              self.hidden.session.profile.mod.M)
 
-    @property
-    def s0_s2(self) -> tuple:
-        """The reference s_M values at t and t + 2u, computed when read."""
-        sess = self.hidden.session
-        return (s_M(sess.gen_numer, sess.t),
-                s_M(sess.gen_denom, sess.t + 2 * self.transcript.u))
+    def s0_s2(self, ref: ReferenceView) -> tuple:
+        """The reference s_M values at t and t + 2u, where ref is the
+        reference_view of the game's session."""
+        return (s_M(ref.numer, ref.t),
+                s_M(ref.denom, ref.t + 2 * self.transcript.u))
 
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
@@ -194,8 +194,9 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
     M, K = sess.profile.mod.M, sess.K
     if M > 1 << 16:
         raise ValueError("exhaustive sweep needs M <= 2^16")
-    s0, s2 = game.s0_s2
-    a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
+    ref = reference_view(sess)
+    s0, s2 = game.s0_s2(ref)
+    a, c, e = recovery_map(s0, msg.s1, s2, ref.t.img, msg.u, ref.p)
     Ka, Kc, e_map = hid.rmap
     if (Ka % M, Kc % M, e_map) != (K * a % M, K * c % M, e):
         raise AssertionError("the receiver's recovery map differs from "

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, SingularDenominator
-from .genfunc import s_M
+from .genfunc import reference_view, s_M
 from .modmath import EvalPoint, FieldElem, mod_inv, mod_pow
 
 
@@ -105,11 +105,11 @@ def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]
     and s2 it reproduces expected_constant(p, u). Singular evaluation
     points propagate as SingularPoint per element.
     """
-    numer, denom = session.gen_numer, session.gen_denom  # once, every v
+    ref = reference_view(session)  # once, every v
     pairs = []
     for v in v_list:
-        s1 = s_M(numer, session.t + (2 * v + 1))
-        s3 = s_M(denom, session.t + (2 * u + 2 * v + 1))
+        s1 = s_M(ref.numer, ref.t + (2 * v + 1))
+        s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
         pairs.append((s1, s3))
     return pairs
 

@@ -11,9 +11,10 @@ few indices of its four aligned points. index_value holds the sign rule;
 eval_index, eval_arg and eval_at read through it at j, n and C*n. The
 protocol path reads each value once, so prf.session_values hashes its
 two keys and values for both parties without building an oscillator or
-loading this module. TableOscillator holds an explicit seed in memory:
-the worked examples, and as_table, which materializes a PRF oscillator
-over the same prf._prf_value and so agrees with it everywhere.
+loading this module; genfunc.reference_view builds a session's two
+oscillators by generate. TableOscillator holds an explicit seed in
+memory: the worked examples, and the tests' tables of a PRF oscillator's
+seed_value, which must agree with it everywhere.
 """
 
 from hashlib import sha3_256
@@ -77,13 +78,6 @@ class PrfOscillator:
 
     def seed_value(self, m: int) -> int:
         return _prf_value(self.key, m, self.mod.M)
-
-    def as_table(self) -> TableOscillator:
-        """Materialize the full table (must fit under TABLE_CAP)."""
-        if self.P > TABLE_CAP:
-            raise SeedTooLarge(f"P = {self.P} exceeds table cap {TABLE_CAP}")
-        values = tuple(self.seed_value(m) for m in range(self.P))
-        return TableOscillator(OscSeed(values, self.K, self.C), self.mod)
 
 
 Oscillator = TableOscillator | PrfOscillator

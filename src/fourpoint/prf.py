@@ -11,9 +11,11 @@ from hashlib import sha3_256
 
 _INDEX_WIDTH = 48  # bytes; covers indices below 2^384
 
-# Key tags of a session's two oscillators: key = SHA3(tag || S || z).
+# Key tags of a session's two oscillators and its anchor:
+# key = SHA3(tag || S || z).
 _TAG_PHI = b"IBC.osc.phi"
 _TAG_PSI = b"IBC.osc.psi"
+_TAG_PRF = b"IBC.prf"
 
 
 def _prf_value(key: bytes, m: int, M: int) -> int:

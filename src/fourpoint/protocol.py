@@ -21,7 +21,9 @@ one inverse serves s1 and s3. X cancels out of the receiver's recovery,
 so v costs one inverse and no full-width pow, and the receiver rederives
 (p, K, C, n, q) without building a Session. The recovery formula lives
 in _recovery_map and _recover, which the forgery games in harness run
-too. genfunc.s_M and invariant.recover_v are the reference.
+too. genfunc.s_M and invariant.recover_v are the reference; they read a
+Session through genfunc.reference_view, and this module loads them only
+inside the three traced names at its end.
 
 Recovery is arithmetic mod M, so v round-trips exactly only when v < M;
 profiles cap v at min(2^v_bits, M) for that reason.
@@ -36,9 +38,8 @@ from typing import NamedTuple
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, FieldOverflow, ProtocolAbort,
                      RejectDenominator, RejectHash, RejectRange, RejectSession)
-from .modmath import (MODULUS_BITS, PRODUCTION_PRIME, EvalPoint, FieldElem,
-                      Modulus)
-from .prf import _INDEX_WIDTH, anchor_value, session_values
+from .modmath import MODULUS_BITS, PRODUCTION_PRIME, FieldElem, Modulus
+from .prf import _INDEX_WIDTH, _TAG_PRF, anchor_value, session_values
 
 TAG_P = b"IBC.p"
 TAG_K = b"IBC.K"
@@ -47,7 +48,6 @@ TAG_T = b"IBC.t"
 TAG_B = b"IBC.B"
 TAG_Q = b"IBC.q"
 TAG_CHECK = b"IBC.check"
-TAG_PRF = b"IBC.prf"
 
 NONCE_LEN = 32
 NONCE_TRIES = 64  # draws before _draw gives up on a profile
@@ -179,9 +179,8 @@ def dump_profile(profile: Profile, path) -> None:
 
 class Session(NamedTuple):
     """Everything derived from (S, z) under one profile, as the raw ints
-    that _derive returns. Its typed views (p, t, phi, psi, conv, gen_numer,
-    gen_denom) are each built, hashing their own keys, when read: the
-    reference path reads them, the protocol path and games do not."""
+    that _derive returns. The reference layer types it by
+    genfunc.reference_view; the protocol path and games read the ints."""
 
     S: bytes
     z: bytes
@@ -191,29 +190,6 @@ class Session(NamedTuple):
     C: int  # oscillator period
     n: int  # t = n/K = B + i/K: B = n // K, i = n % K
     q: tuple  # amplitudes (q1, q2, q3, q4) as ints in [0, M)
-
-    p = property(lambda self: FieldElem(self.base, self.profile.mod))
-    t = property(lambda self: EvalPoint(self.n, self.K, self.profile.mod))
-    phi = property(lambda self: self._osc("phi"))
-    psi = property(lambda self: self._osc("psi"))
-
-    def _osc(self, label: str):
-        from .oscillator import generate  # loaded on first read, not at start
-        return generate(self.S, self.z, label, self.K, self.C,
-                        self.profile.mod)
-
-    @property
-    def conv(self):  # the anchor key
-        from .genfunc import PrfMasked
-        return PrfMasked(sha3_256(TAG_PRF + self.S + self.z).digest())
-
-    def _gen(self, k: int):  # s_M's GenParams at amplitudes q[k], q[k+1]
-        from .genfunc import GenParams
-        qi, qj = (FieldElem(q, self.profile.mod) for q in self.q[k:k + 2])
-        return GenParams(self.p, qi, qj, self.phi, self.psi, self.conv)
-
-    gen_numer = property(lambda self: self._gen(0))  # s0 and s1
-    gen_denom = property(lambda self: self._gen(2))  # s2 and s3
 
     def __repr__(self):  # public parts only: S and all derived from it stay out
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
@@ -331,7 +307,7 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
     A1, A3 = _kernel(*session_values(S, z, K, C, n, M), q)
     p2u = pow(p, 2 * u, M)
     B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
-    X1 = pow(p, B1, M) * anchor_value(sha3_256(TAG_PRF + S + z).digest(),
+    X1 = pow(p, B1, M) * anchor_value(sha3_256(_TAG_PRF + S + z).digest(),
                                       i, K, M) % M
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
     s1 = (X1 - A1) * n3 % M * scale % M

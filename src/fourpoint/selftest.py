@@ -12,6 +12,7 @@ from hashlib import sha3_256
 
 from .errors import (BadLength, FieldOverflow, SingularDenominator,
                      VerificationError)
+from .genfunc import reference_view
 from .harness import new_game
 from .invariant import InvariantTuple, eval_invariant, expected_constant
 from .modmath import xgcd
@@ -31,15 +32,15 @@ def selftest_suites(profile: Profile, rng: random.Random):
         exact = singular = 0
         for game in games:
             hid, msg = game.hidden, game.transcript
-            s0, s2 = game.s0_s2
-            tu = InvariantTuple(s0, msg.s1, s2, msg.s3,
-                                hid.session.t, msg.u, hid.v)
+            ref = reference_view(hid.session)
+            s0, s2 = game.s0_s2(ref)
+            tu = InvariantTuple(s0, msg.s1, s2, msg.s3, ref.t, msg.u, hid.v)
             try:
                 got = eval_invariant(tu)
             except SingularDenominator:
                 singular += 1
                 continue
-            if got != expected_constant(hid.session.p, msg.u):
+            if got != expected_constant(ref.p, msg.u):
                 raise AssertionError
             exact += 1
         if not exact:
@@ -64,9 +65,9 @@ def selftest_suites(profile: Profile, rng: random.Random):
 
     def suite_antiperiodic():
         for game in games:
-            sess = game.hidden.session
-            for osc in (sess.phi, sess.psi):
-                if eval_at(osc, sess.t + 1) != -eval_at(osc, sess.t):
+            ref = reference_view(game.hidden.session)
+            for osc in (ref.phi, ref.psi):
+                if eval_at(osc, ref.t + 1) != -eval_at(osc, ref.t):
                     raise AssertionError
         return f"{2 * len(games)} session oscillators under t -> t+1"
 

@@ -17,7 +17,7 @@ from fourpoint.cli import main as cli_main
 from fourpoint.errors import (FieldOverflow, ProtocolAbort,
                               SingularDenominator, SingularPoint,
                               VerificationError)
-from fourpoint.genfunc import s_M
+from fourpoint.genfunc import reference_view, s_M
 from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
                                  enumerate_fiber, eval_invariant,
                                  expected_constant)
@@ -36,12 +36,12 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 M257 = Modulus(257)
 
 
-def honest_tuple(sess, u, v):
-    t = sess.t
-    return InvariantTuple(s_M(sess.gen_numer, t),
-                          s_M(sess.gen_numer, t + (2 * v + 1)),
-                          s_M(sess.gen_denom, t + 2 * u),
-                          s_M(sess.gen_denom, t + (2 * u + 2 * v + 1)),
+def honest_tuple(ref, u, v):
+    t = ref.t
+    return InvariantTuple(s_M(ref.numer, t),
+                          s_M(ref.numer, t + (2 * v + 1)),
+                          s_M(ref.denom, t + 2 * u),
+                          s_M(ref.denom, t + (2 * u + 2 * v + 1)),
                           t, u, v)
 
 
@@ -52,12 +52,13 @@ def test_criterion_01_exact_modular_invariant():
     done = 0
     while done < 1000:
         try:
-            sess = derive_session(rng.randbytes(32), rng.randbytes(32), TOY)
-            tu = honest_tuple(sess, rng.randrange(1, 50), rng.randrange(0, 50))
+            ref = reference_view(derive_session(rng.randbytes(32),
+                                                rng.randbytes(32), TOY))
+            tu = honest_tuple(ref, rng.randrange(1, 50), rng.randrange(0, 50))
             got = eval_invariant(tu)
         except (ProtocolAbort, SingularPoint, SingularDenominator):
             continue  # singular draws are redrawn, never scored
-        assert got == expected_constant(sess.p, tu.u)
+        assert got == expected_constant(ref.p, tu.u)
         done += 1
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -70,12 +71,13 @@ def test_criterion_02_base_case_constant():
     done = 0
     while done < 100:
         try:
-            sess = derive_session(rng.randbytes(32), rng.randbytes(32), TOY)
-            tu = honest_tuple(sess, 1, 0)
+            ref = reference_view(derive_session(rng.randbytes(32),
+                                                rng.randbytes(32), TOY))
+            tu = honest_tuple(ref, 1, 0)
             got = eval_invariant(tu)
         except (ProtocolAbort, SingularPoint, SingularDenominator):
             continue
-        assert got == mod_inv(sess.p * sess.p)
+        assert got == mod_inv(ref.p * ref.p)
         done += 1
     print("criterion 2: 100 base-case sessions exact")
 
@@ -131,7 +133,8 @@ def test_criterion_05_antiperiodicity_and_mode_equivalence():
     table and on-demand modes agree on 10^4 indices."""
     rng = random.Random(105)
     prf = PrfOscillator(b"\x3c" * 32, 64, 32, M257)  # P = 2048
-    table = prf.as_table()
+    table = TableOscillator(OscSeed([prf.seed_value(m) for m in range(prf.P)],
+                                    64, 32), M257)
     for mode in (table, prf):
         for _ in range(1000):
             x = EvalPoint(rng.randrange(-10 ** 9, 10 ** 9), 64, M257)
@@ -243,15 +246,16 @@ def test_criterion_11_equivalence_fiber():
         sess = fresh_session(TOY, rng)
         try:
             pairs = enumerate_fiber(sess, u, range(21))
-            s0 = s_M(sess.gen_numer, sess.t)
-            s2 = s_M(sess.gen_denom, sess.t + 2 * u)
+            ref = reference_view(sess)
+            s0 = s_M(ref.numer, ref.t)
+            s2 = s_M(ref.denom, ref.t + 2 * u)
             break
         except (ProtocolAbort, SingularPoint):
             continue
     assert len(pairs) == 21
-    want = expected_constant(sess.p, u)
+    want = expected_constant(ref.p, u)
     for v, (s1, s3) in enumerate(pairs):
-        tu = InvariantTuple(s0, s1, s2, s3, sess.t, u, v)
+        tu = InvariantTuple(s0, s1, s2, s3, ref.t, u, v)
         assert eval_invariant(tu) == want
     print("criterion 11: 21 fiber pairs, all on the same constant")
 

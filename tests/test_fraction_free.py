@@ -22,10 +22,10 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular, BadLength,
                               RejectHash, RejectRange, RejectSession,
                               SingularDenominator, SingularPoint,
                               VerificationError)
-from fourpoint import oscillator, protocol
-from fourpoint.genfunc import PrfMasked, s_M
+from fourpoint import genfunc, oscillator, protocol
+from fourpoint.genfunc import PrfMasked, reference_view, s_M
 from fourpoint.invariant import check_denominator, recover_v
-from fourpoint.modmath import FieldElem
+from fourpoint.modmath import EvalPoint, FieldElem
 from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
                                 Message, alice_generate, bob_verify,
                                 compute_check, derive_session, deserialize,
@@ -33,14 +33,15 @@ from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
 
 
 def reference_generate(sess, u, v):
+    ref = reference_view(sess)
     try:
-        s_M(sess.gen_numer, sess.t)
-        s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
-        s_M(sess.gen_denom, sess.t + 2 * u)
-        s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
+        s_M(ref.numer, ref.t)
+        s1 = s_M(ref.numer, ref.t + (2 * v + 1))
+        s_M(ref.denom, ref.t + 2 * u)
+        s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
     except SingularPoint as exc:
         raise AbortSingular(str(exc)) from None
-    if not check_denominator(s1, s3, sess.p, u):
+    if not check_denominator(s1, s3, ref.p, u):
         raise AbortNonInvertible("recovery denominator not invertible")
     return Message(s1, s3, u, sess.z,
                    compute_check(sess.S, v, s1.value, s3.value, u, sess.z))
@@ -50,19 +51,19 @@ def reference_verify(S, msg, profile):
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange("u outside the envelope")
     try:
-        sess = derive_session(S, msg.z, profile)
+        ref = reference_view(derive_session(S, msg.z, profile))
     except ProtocolAbort:
         raise RejectSession("session recomputation aborted") from None
     try:
-        s0 = s_M(sess.gen_numer, sess.t)
-        s2 = s_M(sess.gen_denom, sess.t + 2 * msg.u)
+        s0 = s_M(ref.numer, ref.t)
+        s2 = s_M(ref.denom, ref.t + 2 * msg.u)
     except SingularPoint:
         raise RejectSession("evaluation point singular") from None
-    if not check_denominator(msg.s1, msg.s3, sess.p, msg.u):
+    if not check_denominator(msg.s1, msg.s3, ref.p, msg.u):
         raise RejectDenominator("denominator check failed")
     try:
-        v = recover_v(s0, msg.s1, s2, msg.s3, sess.t.img, msg.u,
-                      sess.p).value
+        v = recover_v(s0, msg.s1, s2, msg.s3, ref.t.img, msg.u,
+                      ref.p).value
     except SingularDenominator:
         raise RejectDenominator("singular") from None
     encodable = v < CHECK_V_BOUND
@@ -205,9 +206,11 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
         raise AssertionError("the receiver built a session record")
 
     # nor does it build the records that only the sender reads, not even
-    # an oscillator: it reads Phi and Psi at t as raw ints
-    for name in ("derive_session", "Session", "EvalPoint"):
+    # a grid point or an oscillator: it reads Phi and Psi at t as raw ints
+    for name in ("derive_session", "Session"):
         monkeypatch.setattr(protocol, name, unbuilt)
+    monkeypatch.setattr(EvalPoint, "__init__", unbuilt)
+    monkeypatch.setattr(genfunc, "reference_view", unbuilt)
     monkeypatch.setattr(PrfMasked, "__init__", unbuilt)
     monkeypatch.setattr(oscillator.PrfOscillator, "__init__", unbuilt)
     for name in ("PrfOscillator", "generate"):
@@ -224,7 +227,7 @@ def test_discarded_s2_point_still_aborts():
                       "90ff28dc4992f4f38468461acbac55e2")
     sess = derive_session(S, z, MINI)
     u, v = 1, 0
-    K, n, M = sess.t.K, sess.t.n, MINI.mod.M
+    K, n, M = sess.K, sess.n, MINI.mod.M
     assert (n + 2 * u * K) % M == 0
     assert (n + (2 * v + 1) * K) % M and (n + (2 * u + 2 * v + 1) * K) % M
     with pytest.raises(AbortSingular):

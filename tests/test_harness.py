@@ -11,7 +11,7 @@ import fourpoint
 from fourpoint import harness
 from fourpoint.errors import (AbortSingular, FieldOverflow, ProtocolAbort,
                               SingularDenominator, VerificationError)
-from fourpoint.genfunc import s_M
+from fourpoint.genfunc import reference_view, s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
                                new_game, random_adversary,
@@ -32,14 +32,15 @@ def reference_adjudicate(game, forgery):
     u = msg.u
     if forgery.delta_star in (2 * v + 1, 2 * u + 2 * v + 1):
         return False
-    if not 0 <= forgery.s_star < sess.p.mod.M:  # not a wire field value
+    if not 0 <= forgery.s_star < sess.profile.mod.M:  # not a wire value
         return False
-    s0 = s_M(sess.gen_numer, sess.t)
-    s2 = s_M(sess.gen_denom, sess.t + 2 * u)
-    s_star = FieldElem(forgery.s_star, sess.p.mod)
+    ref = reference_view(sess)
+    s0 = s_M(ref.numer, ref.t)
+    s2 = s_M(ref.denom, ref.t + 2 * u)
+    s_star = FieldElem(forgery.s_star, sess.profile.mod)
     try:
-        v_star = recover_v(s0, msg.s1, s2, s_star, sess.t.img, u,
-                           sess.p).value
+        v_star = recover_v(s0, msg.s1, s2, s_star, ref.t.img, u,
+                           ref.p).value
     except SingularDenominator:
         return False
     if v_star >= CHECK_V_BOUND:
@@ -50,10 +51,10 @@ def reference_adjudicate(game, forgery):
 
 def s_star_recovering(game, V):
     """The s* whose reference recovery is exactly V."""
-    sess, msg = game.hidden.session, game.transcript
-    M = sess.p.mod.M
-    s0, s2 = game.s0_s2
-    a, c, e = recovery_map(s0, msg.s1, s2, sess.t.img, msg.u, sess.p)
+    ref, msg = reference_view(game.hidden.session), game.transcript
+    s0, s2 = game.s0_s2(ref)
+    a, c, e = recovery_map(s0, msg.s1, s2, ref.t.img, msg.u, ref.p)
+    M = ref.p.mod.M
     return (2 * V * e - a) * pow(c + 2 * V, -1, M) % M
 
 
@@ -93,7 +94,7 @@ class TestGame:
         # from the secret: at 256 bits no residue shows up by chance
         game = new_game(PRODUCTION, random.Random(1))
         hid = game.hidden
-        s0, s2 = game.s0_s2
+        s0, s2 = game.s0_s2(reference_view(hid.session))
         for secret in (*hid.rmap, s0.value, s2.value, hid.v):
             assert str(secret) not in repr(game)
 
@@ -156,8 +157,9 @@ class TestGame:
         game = new_game(PRODUCTION, random.Random(5))
         hid, msg = game.hidden, game.transcript
         s_star = s_star_recovering(game, CHECK_V_BOUND)
-        rest = (hid.session.t.img, msg.u, hid.session.p)
-        s0, s2 = game.s0_s2
+        ref = reference_view(hid.session)
+        rest = (ref.t.img, msg.u, ref.p)
+        s0, s2 = game.s0_s2(ref)
         assert recover_v(s0, msg.s1, s2, FieldElem(
             s_star, PRODUCTION.mod), *rest).value == CHECK_V_BOUND
         assert not adjudicate(game, Forgery(s_star, 5))
@@ -176,7 +178,7 @@ class TestAdjudicateOnTheRecoveryMap:
             msg, v = game.transcript, game.hidden.v
             s3, u = msg.s3.value, msg.u
             e = game.hidden.rmap[2]
-            assert e == msg.s1.value * pow(game.hidden.session.p.value,
+            assert e == msg.s1.value * pow(game.hidden.session.base,
                                            2 * u, M) % M
             s_stars = [s3, e, (s3 + 1) % M,
                        *(rng.randrange(M) for _ in range(4))]
@@ -310,9 +312,10 @@ class TestLemma1:
         for _ in range(50):
             game = new_game(profile, rng)
             hid, msg = game.hidden, game.transcript
-            s0, s2 = game.s0_s2
+            ref = reference_view(hid.session)
+            s0, s2 = game.s0_s2(ref)
             args = (s0, msg.s1, s2)
-            rest = (hid.session.t.img, msg.u, hid.session.p)
+            rest = (ref.t.img, msg.u, ref.p)
             a, c, e = recovery_map(*args, *rest)
             witnesses = []
             for cand in range(M):

@@ -13,7 +13,7 @@ from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               ProtocolAbort, RejectDenominator, RejectHash,
                               NonInvertible, RejectRange, RejectSession,
                               SingularPoint, VerificationError)
-from fourpoint.genfunc import GenParams, s_M
+from fourpoint.genfunc import GenParams, reference_view, s_M
 from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
@@ -139,8 +139,9 @@ class TestProfiles:
 
     def test_records_are_immutable(self, session_factory):
         sess = session_factory(TOY)
-        for record, field in ((TOY, "u_bits"), (sess, "p"),
-                              (sess.gen_numer, "q_i")):
+        ref = reference_view(sess)
+        for record, field in ((TOY, "u_bits"), (sess, "base"), (ref, "p"),
+                              (ref.numer, "q_i")):
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
             with pytest.raises(AttributeError):
@@ -200,7 +201,7 @@ class TestProfiles:
                 msg._replace(**bad)
         assert msg._replace(u=(1 << 32) - 1).u == (1 << 32) - 1
         assert Message._make(msg) == msg
-        gp = derive_session(bytes(8), bytes(32), TOY).gen_numer
+        gp = reference_view(derive_session(bytes(8), bytes(32), TOY)).numer
         with pytest.raises(NonInvertible):
             gp._replace(p=FieldElem(0, mod))
         with pytest.raises(NonInvertible):
@@ -226,29 +227,30 @@ class TestDeriveSession:
         S, z = b"a shared secret!", b"\x05" * 32
         a = derive_session(S, z, TOY)
         b = derive_session(S, z, TOY)
-        assert a.p == b.p
-        assert a.t == b.t
-        assert a.gen_numer.phi.C == b.gen_numer.phi.C
-        assert (a.gen_numer.q_i, a.gen_numer.q_j) \
-            == (b.gen_numer.q_i, b.gen_numer.q_j)
-        assert (a.gen_denom.q_i, a.gen_denom.q_j) \
-            == (b.gen_denom.q_i, b.gen_denom.q_j)
+        assert a == b
+        ra, rb = reference_view(a), reference_view(b)
+        assert ra.p == rb.p
+        assert ra.t == rb.t
+        assert ra.conv == rb.conv
+        assert ra.numer.phi.C == rb.numer.phi.C
+        assert (ra.numer.q_i, ra.numer.q_j) == (rb.numer.q_i, rb.numer.q_j)
+        assert (ra.denom.q_i, ra.denom.q_j) == (rb.denom.q_i, rb.denom.q_j)
 
     def test_nonce_separates_sessions(self):
         S = b"a shared secret!"
         a = derive_session(S, b"\x00" * 32, TOY)
         b = derive_session(S, b"\x01" * 32, TOY)
-        assert (a.p, a.t) != (b.p, b.t)
+        assert (a.base, a.K, a.n) != (b.base, b.K, b.n)
 
     def test_parameters_in_range(self, session_factory):
         for profile in (TOY, MINI):
             for _ in range(20):
                 s = session_factory(profile)
-                assert 2 <= s.p.value <= profile.mod.M - 1
-                assert profile.K_min <= s.t.K <= profile.K_max
-                assert profile.C_min <= s.gen_numer.phi.C <= profile.C_max
-                assert 1 <= s.t.n % s.t.K < s.t.K
-                assert s.t.img.value != 0
+                assert 2 <= s.base <= profile.mod.M - 1
+                assert profile.K_min <= s.K <= profile.K_max
+                assert profile.C_min <= s.C <= profile.C_max
+                assert 1 <= s.n % s.K < s.K
+                assert reference_view(s).t.img.value != 0
 
     def test_repr_hides_the_secret(self):
         S = b"SECRETSECRET"
@@ -256,7 +258,8 @@ class TestDeriveSession:
         game = new_game(TOY, random.Random(1))
         for s in (sess, game.hidden.session):
             secrets = [repr(s.S), s.S.hex()]
-            for key in (s.phi.key, s.psi.key, s.conv.key):
+            ref = reference_view(s)
+            for key in (ref.phi.key, ref.psi.key, ref.conv.key):
                 secrets += [repr(key), key.hex()]
             for text in (repr(sess), str(sess), repr(game), str(game)):
                 assert not any(secret in text for secret in secrets)
@@ -275,7 +278,7 @@ class TestDeriveSession:
 
     @PROFILES
     def test_fields_match_the_hashlib_oracle(self, profile):
-        # raw fields and the typed s_M views, value by value
+        # raw fields and the typed reference view, value by value
         rng = random.Random(f"derive/{profile.name}")
         aborts = set()
         for _ in range(200):
@@ -288,17 +291,18 @@ class TestDeriveSession:
                 aborts.add(want)
                 continue
             sess = derive_session(S, z, profile)
+            ref = reference_view(sess)
             K, C = want["K"], want["C"]
-            assert {"p": sess.p.value, "K": sess.t.K, "C": sess.phi.C,
-                    "i": sess.t.n % sess.t.K, "B": sess.t.n // sess.t.K,
-                    "q": list(sess.q), "phi_key": sess.phi.key,
-                    "psi_key": sess.psi.key,
-                    "anchor_key": sess.conv.key} == want
-            gn, gd = sess.gen_numer, sess.gen_denom
+            assert {"p": ref.p.value, "K": ref.t.K, "C": ref.phi.C,
+                    "i": ref.t.n % ref.t.K, "B": ref.t.n // ref.t.K,
+                    "q": list(sess.q), "phi_key": ref.phi.key,
+                    "psi_key": ref.psi.key,
+                    "anchor_key": ref.conv.key} == want
+            gn, gd = ref.numer, ref.denom
             assert [gn.q_i.value, gn.q_j.value,
                     gd.q_i.value, gd.q_j.value] == want["q"]
             for gp in (gn, gd):
-                assert gp.p == sess.p
+                assert gp.p == ref.p
                 assert (gp.phi.key, gp.psi.key, gp.conv.key) \
                     == (want["phi_key"], want["psi_key"], want["anchor_key"])
                 assert (gp.phi.K, gp.phi.C, gp.psi.K, gp.psi.C) == (K, C, K, C)
@@ -313,11 +317,12 @@ class TestDeriveSession:
         parities = set()
         for _ in range(200):
             sess = fresh_session(profile, rng)
-            t = sess.t
-            A1, A3 = protocol._kernel(index_value(sess.phi, sess.C * t.n),
-                                      index_value(sess.psi, sess.C * t.n),
+            ref = reference_view(sess)
+            t = ref.t
+            A1, A3 = protocol._kernel(index_value(ref.phi, sess.C * t.n),
+                                      index_value(ref.psi, sess.C * t.n),
                                       sess.q)
-            for A, gp in ((A1, sess.gen_numer), (A3, sess.gen_denom)):
+            for A, gp in ((A1, ref.numer), (A3, ref.denom)):
                 want = (gp.q_i * eval_at(gp.phi, t)
                         + gp.q_j * eval_at(gp.psi, t))
                 assert A % profile.mod.M == want.value
@@ -435,7 +440,7 @@ class TestRejectionTaxonomy:
     def test_reject_denominator(self):
         sess, msg = valid_pair(TOY)
         # force s1*p^2u == s3, the blocked-recovery configuration
-        forced = msg.s3 * mod_pow(sess.p, 2 * msg.u) ** -1
+        forced = msg.s3 * mod_pow(reference_view(sess).p, 2 * msg.u) ** -1
         bad = Message(forced, msg.s3, msg.u, msg.z, msg.h_check)
         with pytest.raises(RejectDenominator):
             bob_verify(sess.S, bad, TOY)
@@ -453,9 +458,10 @@ class TestRejectionTaxonomy:
         # once, over the stand-in 0, so this path costs what a mismatch does
         sess, msg = valid_pair(PRODUCTION)
         bad = Message(msg.s1 + 1, msg.s3, msg.u, msg.z, msg.h_check)
-        v_star = recover_v(s_M(sess.gen_numer, sess.t), bad.s1,
-                           s_M(sess.gen_denom, sess.t + 2 * msg.u), bad.s3,
-                           sess.t.img, msg.u, sess.p)
+        ref = reference_view(sess)
+        v_star = recover_v(s_M(ref.numer, ref.t), bad.s1,
+                           s_M(ref.denom, ref.t + 2 * msg.u), bad.s3,
+                           ref.t.img, msg.u, ref.p)
         assert v_star.value >= protocol.CHECK_V_BOUND
         calls = []
         real = protocol.compute_check
@@ -475,8 +481,9 @@ class TestRejectionTaxonomy:
         # a range rejection, not an OverflowError from the encoding
         sess = fresh_session(PRODUCTION, random.Random(5))
         u, v = 7, protocol.CHECK_V_BOUND
-        s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
-        s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
+        ref = reference_view(sess)
+        s1 = s_M(ref.numer, ref.t + (2 * v + 1))
+        s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
         with pytest.raises(RejectRange, match=f"recovered value {v} "):
             bob_verify(sess.S, Message(s1, s3, u, sess.z, bytes(32)),
                        PRODUCTION)
@@ -489,12 +496,13 @@ class TestRejectionTaxonomy:
         v = 17
         while True:
             sess = fresh_session(TOY, rng)
+            ref = reference_view(sess)
             try:
-                s1 = s_M(sess.gen_numer, sess.t + (2 * v + 1))
-                s3 = s_M(sess.gen_denom, sess.t + (2 * u + 2 * v + 1))
+                s1 = s_M(ref.numer, ref.t + (2 * v + 1))
+                s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
             except SingularPoint:
                 continue
-            if check_denominator(s1, s3, sess.p, u):
+            if check_denominator(s1, s3, ref.p, u):
                 break
         h = compute_check(sess.S, v, s1.value, s3.value, u, sess.z)
         with pytest.raises(RejectRange):

@@ -5,25 +5,29 @@ On the reference path PrfOscillator and PrfMasked keep no value: each
 read hashes again, so these tests also check that a read always matches
 a fresh hash and that sessions from one nonce share no object. The
 hashes are counted through a patched hook. Three tests count every SHA3
-call: of a send, whose derive_session makes the nine derivation hashes
-and no more, of a receive, which builds no session at all, and of an
-exhaustive sweep, whose s0 and s2 each hash their own two oscillator
-keys and anchor key, two values and one anchor.
+call, in every package module that binds sha3_256: of a send, whose
+derive_session makes the nine derivation hashes and no more, of a
+receive, which builds no session at all, and of an exhaustive sweep,
+whose one reference view hashes the two oscillator keys and the anchor
+key, and whose s0 and s2 each hash two values and one anchor.
 """
 
 from collections import Counter
 import builtins
 import hashlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import fourpoint
 from fourpoint import genfunc, oscillator, prf, protocol
 from fourpoint.errors import ProtocolAbort, RejectHash, VerificationError
-from fourpoint.genfunc import PrfMasked
+from fourpoint.genfunc import PrfMasked, reference_view
 from fourpoint.harness import lemma1_exhaustive, new_game
 from fourpoint.modmath import FieldElem, Modulus
-from fourpoint.oscillator import PrfOscillator
+from fourpoint.oscillator import OscSeed, PrfOscillator, TableOscillator
 from fourpoint.prf import _prf_value
 from fourpoint.protocol import (MINI, PRODUCTION, TOY, alice_generate,
                                 bob_verify, derive_session)
@@ -51,6 +55,20 @@ def hashes(monkeypatch):
     return counts
 
 
+def hashing_modules() -> list:
+    """Every fourpoint module that binds hashlib's sha3_256."""
+    modules = [importlib.import_module(f"fourpoint.{info.name}")
+               for info in pkgutil.iter_modules(fourpoint.__path__)]
+    return [m for m in modules
+            if getattr(m, "sha3_256", None) is hashlib.sha3_256]
+
+
+def test_hashing_modules_are_found():
+    names = {m.__name__ for m in hashing_modules()}
+    assert {"fourpoint.protocol", "fourpoint.prf", "fourpoint.oscillator",
+            "fourpoint.genfunc"} <= names
+
+
 @pytest.fixture
 def sha3_calls(monkeypatch):
     """Counter of every SHA3-256 call the package makes ("sha3")."""
@@ -60,7 +78,7 @@ def sha3_calls(monkeypatch):
         counts["sha3"] += 1
         return hashlib.sha3_256(*args)
 
-    for module in (protocol, prf, oscillator):
+    for module in hashing_modules():
         monkeypatch.setattr(module, "sha3_256", counted_sha3_256)
     return counts
 
@@ -221,14 +239,14 @@ def test_game_hashes_two_values_and_one_anchor(hashes):
     assert clean >= 30
 
 
-def test_sweep_makes_12_sha3_calls(sha3_calls):
-    # gen_numer and gen_denom each hash the two oscillator keys and the
-    # anchor key; s0 and s2 each hash two PRF values and one anchor
+def test_sweep_makes_9_sha3_calls(sha3_calls):
+    # the sweep's one reference view hashes the two oscillator keys and
+    # the anchor key; s0 and s2 each hash two PRF values and one anchor
     for seed in range(20):
         game = new_game(TOY, random.Random(seed))
         sha3_calls.clear()
         assert lemma1_exhaustive(game) == (1, [game.transcript.s3.value])
-        assert sha3_calls == {"sha3": 12}, seed
+        assert sha3_calls == {"sha3": 9}, seed
 
 
 def test_interleaved_seed_reads_match_a_fresh_hash():
@@ -237,8 +255,10 @@ def test_interleaved_seed_reads_match_a_fresh_hash():
     osc = PrfOscillator(rng.randbytes(32), 4, 8, mod)
     for m in [0, 0, 5, 5, 0, 31, 5] + [rng.randrange(32) for _ in range(200)]:
         assert osc.seed_value(m) == _prf_value(osc.key, m, mod.M)
-    assert osc.as_table().table == tuple(_prf_value(osc.key, m, mod.M)
-                                         for m in range(osc.P))
+    table = TableOscillator(
+        OscSeed([osc.seed_value(m) for m in range(osc.P)], 4, 8), mod)
+    assert table.table == tuple(_prf_value(osc.key, m, mod.M)
+                                for m in range(osc.P))
     for m in (31, 0, 31):
         assert osc.seed_value(m) == _prf_value(osc.key, m, mod.M)
 
@@ -276,8 +296,9 @@ def test_sessions_from_one_nonce_share_no_memo(hashes):
         except ProtocolAbort:
             continue
     other = derive_session(S, sess.z, TOY)
-    assert other.conv == sess.conv and other.conv is not sess.conv
-    assert other.phi is not sess.phi and other.psi is not sess.psi
+    ref, other_ref = reference_view(sess), reference_view(other)
+    assert other_ref.conv == ref.conv and other_ref.conv is not ref.conv
+    assert other_ref.phi is not ref.phi and other_ref.psi is not ref.psi
     hashes.clear()
     alice_generate(other, 3, 7)
     assert hashes == {"prf": 2, "anchor": 1}

@@ -6,8 +6,9 @@ a function-local `json` import, the forgery-game harness is imported by
 `selftest` and `attack` only, and `fourpoint.selftest` (the suites and
 the fixture generators) by `selftest` and `fixtures` only. Both parties
 read their keyed values from `fourpoint.prf`, so the reference layers
-(`oscillator`, `genfunc`, `invariant`) load only when a typed `Session`
-view or one of `protocol`'s three traced reference names is used. The
+(`oscillator`, `genfunc`, `invariant`) load only when imported for
+`genfunc.reference_view` or when one of `protocol`'s three traced
+reference names is called. The
 check runs in a fresh interpreter started with `-S`, so that no `site`
 start-up or `.pth` file loads modules before it, and compares
 `sys.modules` before and after the import.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import fourpoint
 from fourpoint import genfunc, invariant, protocol
+from fourpoint.genfunc import reference_view
 from fourpoint.errors import ProtocolAbort
 from fourpoint.protocol import TOY, alice_generate, derive_session
 
@@ -64,16 +66,16 @@ def test_traced_reference_names_return_the_reference_results():
             msg = alice_generate(sess, u, v)
         except ProtocolAbort:
             continue
-        numer, denom = sess.gen_numer, sess.gen_denom
-        s0 = protocol.s_M(numer, sess.t)
-        s2 = protocol.s_M(denom, sess.t + 2 * u)
-        assert (s0, s2) == (genfunc.s_M(numer, sess.t),
-                            genfunc.s_M(denom, sess.t + 2 * u))
-        for s3, ok in ((msg.s3, True), (msg.s1 * sess.p ** (2 * u), False)):
-            args = (msg.s1, s3, sess.p, u)
+        ref = reference_view(sess)
+        s0 = protocol.s_M(ref.numer, ref.t)
+        s2 = protocol.s_M(ref.denom, ref.t + 2 * u)
+        assert (s0, s2) == (genfunc.s_M(ref.numer, ref.t),
+                            genfunc.s_M(ref.denom, ref.t + 2 * u))
+        for s3, ok in ((msg.s3, True), (msg.s1 * ref.p ** (2 * u), False)):
+            args = (msg.s1, s3, ref.p, u)
             assert protocol.check_denominator(*args) \
                 == invariant.check_denominator(*args) is ok
-        args = (s0, msg.s1, s2, msg.s3, sess.t.img, u, sess.p)
+        args = (s0, msg.s1, s2, msg.s3, ref.t.img, u, ref.p)
         assert protocol.recover_v(*args) == invariant.recover_v(*args)
         assert protocol.recover_v(*args).value == v
         checked += 1
