@@ -8,7 +8,7 @@ function, the invariant ratio collapsing to p^(-2u), and the same
 identity in plain floating point.
 """
 
-from fourpoint.genfunc import GenParams, PrfMasked, s_M
+from fourpoint.genfunc import GenParams, s_M
 from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
                                  eval_invariant, expected_constant)
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus
@@ -16,7 +16,7 @@ from fourpoint.oscillator import OscSeed, TableOscillator, eval_index
 
 M = Modulus(257)
 SEED = (2, -1, 0, 3, -2, 1, 1, -3)  # K = 4 samples/unit, C = 2 antiperiod
-MASK = PrfMasked(b"walkthrough mask key".ljust(32, b"."))  # any fixed key
+ANCHOR_KEY = b"walkthrough mask key".ljust(32, b".")  # any 32 bytes
 
 
 def fe(v):
@@ -37,8 +37,8 @@ def main():
     print("\n== 2. the masked generating function ==")
     psi = TableOscillator(OscSeed((1, 0, 2, -2, 1, 4, -1, 5), 4, 2), M)
     p = fe(3)
-    numer = GenParams(p, fe(12), fe(35), phi, psi, MASK)
-    denom = GenParams(p, fe(7), fe(11), phi, psi, MASK)
+    numer = GenParams(p, fe(12), fe(35), phi, psi, ANCHOR_KEY)
+    denom = GenParams(p, fe(7), fe(11), phi, psi, ANCHOR_KEY)
     t = EvalPoint(143, 4, M)  # the rational point 35.75
     print(f"base point t = 143/4, field image {t.img.value}")
     u, v = 2, 5

@@ -22,11 +22,10 @@ from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
                      BadLength, DomainError, FieldOverflow, FourPointError,
                      NonInvertible, ProtocolAbort, RejectDenominator,
                      RejectHash, RejectRange, RejectSession, SeedTooLarge,
-                     SingularDenominator, SingularPoint, VerificationError)
+                     VerificationError)
 from .modmath import EvalPoint, FieldElem, Modulus
 from .protocol import (MINI, PRODUCTION, TOY, Message, NonceLog, Profile,
-                       Session, alice_generate, bob_verify, derive_session,
-                       deserialize, get_profile, load_profile, receive, send,
-                       serialize)
+                       Session, bob_verify, deserialize, get_profile,
+                       load_profile, receive, send, serialize)
 
 __version__ = "0.1.0"

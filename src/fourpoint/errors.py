@@ -2,8 +2,10 @@
 
 Three families matter to callers: hard usage errors (bad arguments,
 malformed wire data), protocol aborts (Alice redraws and retries), and
-verification rejections (Bob refuses a message). Everything derives from
-FourPointError so `except FourPointError` catches the lot.
+verification rejections (Bob refuses a message). A value that must be
+inverted and is 0 mod M raises NonInvertible, wherever it occurs.
+Everything derives from FourPointError so `except FourPointError`
+catches the lot.
 """
 
 
@@ -14,7 +16,9 @@ class FourPointError(Exception):
 # --- modular arithmetic ---
 
 class NonInvertible(FourPointError):
-    """gcd(a, M) != 1 where an inverse was required."""
+    """A value that must be inverted is 0 mod the prime M: the base of a
+    negative power, a grid denominator K, a base p, an evaluation point's
+    image in s_M, or the invariant's or recovery's denominator."""
 
 
 # --- oscillators ---
@@ -23,17 +27,7 @@ class SeedTooLarge(FourPointError):
     """Table mode requested with P = K*C beyond the table cap."""
 
 
-# --- generating function ---
-
-class SingularPoint(FourPointError):
-    """Evaluation point t has field image 0; s_M(t) is undefined."""
-
-
 # --- invariant ---
-
-class SingularDenominator(FourPointError):
-    """Invariant or recovery denominator not invertible mod M."""
-
 
 class DomainError(FourPointError):
     """Analytic check called at an excluded real point."""

@@ -18,7 +18,7 @@ identity on the real line, using literal sin/cos oscillators.
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, SingularDenominator
+from .errors import DomainError
 from .genfunc import reference_view, s_M
 from .modmath import EvalPoint, FieldElem, mod_inv, mod_pow
 
@@ -35,15 +35,6 @@ class InvariantTuple(NamedTuple):
     v: int
 
 
-def _invert_checked(x: int, M: int) -> int:
-    """x^-1 mod M for x in [0, M); SingularDenominator when x is 0."""
-    try:
-        return pow(x, -1, M)
-    except ValueError:
-        raise SingularDenominator(f"denominator {x} not invertible "
-                                  f"mod {M}") from None
-
-
 def eval_invariant(tu: InvariantTuple) -> FieldElem:
     """The four-point ratio; equals expected_constant on honest tuples."""
     timg = tu.t.img
@@ -51,7 +42,7 @@ def eval_invariant(tu: InvariantTuple) -> FieldElem:
     b = 2 * tu.u
     numerator = tu.s0 * timg + tu.s1 * (timg + a)
     denominator = tu.s2 * (timg + b) + tu.s3 * (timg + a + b)
-    return numerator * _invert_checked(denominator.value, timg.mod.M)
+    return numerator * mod_inv(denominator)
 
 
 def expected_constant(p: FieldElem, u: int) -> FieldElem:
@@ -90,20 +81,19 @@ def recover_v(s0: FieldElem, s1: FieldElem, s2: FieldElem, s3: FieldElem,
     """Solve the invariant identity for v: recovery_map evaluated at s3.
 
     v = (a + c*s3) / (2*(e - s3)), the map lemma1_exhaustive sweeps;
-    SingularDenominator when 2*(s1*p^2u - s3) is not invertible. For an
-    honest tuple the result is v mod M.
+    NonInvertible when 2*(s1*p^2u - s3) is 0 mod M. For an honest tuple
+    the result is v mod M.
     """
     a, c, e = recovery_map(s0, s1, s2, t_img, u, p)
-    Dinv = _invert_checked(2 * (e - s3.value) % p.mod.M, p.mod.M)
-    return FieldElem((a + c * s3.value) * Dinv, p.mod)
+    return (s3 * c + a) * mod_inv((e - s3) * 2)
 
 
 def enumerate_fiber(session, u: int, v_list) -> list[tuple[FieldElem, FieldElem]]:
     """All (s1, s3) pairs for the given v values at a fixed session and u.
 
     Every pair sits on the same level set: combined with the session's s0
-    and s2 it reproduces expected_constant(p, u). Singular evaluation
-    points propagate as SingularPoint per element.
+    and s2 it reproduces expected_constant(p, u). A singular evaluation
+    point raises NonInvertible from s_M.
     """
     ref = reference_view(session)  # once, every v
     pairs = []

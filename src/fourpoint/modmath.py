@@ -6,10 +6,12 @@ overloads. Canonical representatives live in [0, M); negative
 intermediates are reduced with the Euclidean remainder, which is what
 Python's % already gives for a positive modulus.
 
-Powers and inverses come from FieldElem.__pow__, the one place a failed
-inverse becomes NonInvertible; mod_inv and mod_pow are that operator
-under names that the tests and the benchmark's tracer read. xgcd stays
-only as an independent oracle for the tests and the fixture ledger.
+Powers and inverses come from FieldElem.__pow__, which raises
+NonInvertible for a value that is 0 mod M; mod_inv and mod_pow are that
+operator under names that the tests and the benchmark's tracer read.
+xgcd stays only as an independent oracle for the tests and the fixture
+ledger. An EvalPoint prints only M, since a session's n and K derive
+from the secret; a FieldElem prints its value.
 """
 
 from hashlib import sha3_256
@@ -219,5 +221,5 @@ class EvalPoint:
     def __hash__(self):
         return hash((self.n, self.K, self.mod.M))
 
-    def __repr__(self):
-        return f"EvalPoint({self.n}/{self.K} mod {self.mod.M})"
+    def __repr__(self):  # for a session point, n and K derive from S
+        return f"EvalPoint(M={self.mod.M})"

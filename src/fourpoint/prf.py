@@ -3,7 +3,7 @@
 Each value is SHA3-256 over a key and 48-byte big-endian indices,
 reduced mod M; all take M as an int, so only hashlib is needed. The
 protocol path calls session_values and anchor_value; the reference
-path's PrfOscillator and PrfMasked read them through _prf_value and
+path's PrfOscillator and genfunc.exp_at read them through _prf_value and
 anchor_value, so the two agree; a CLI start loads neither module.
 """
 
@@ -39,7 +39,7 @@ def session_values(S: bytes, z: bytes, K: int, C: int, n: int,
 
 
 def anchor_value(key: bytes, i: int, K: int, M: int) -> int:
-    """PRF(i, K) under key, in [1, M-1]: PrfMasked.anchor on raw ints."""
+    """PRF(i, K) under key, in [1, M-1]: never 0, so p^t stays invertible."""
     digest = sha3_256(key + i.to_bytes(_INDEX_WIDTH, "big")
                       + K.to_bytes(_INDEX_WIDTH, "big")).digest()
     return int.from_bytes(digest, "big") % (M - 1) + 1

@@ -10,7 +10,7 @@ than use `assert`, so that they still check under `python -O`.
 import random
 from hashlib import sha3_256
 
-from .errors import (BadLength, FieldOverflow, SingularDenominator,
+from .errors import (BadLength, FieldOverflow, NonInvertible,
                      VerificationError)
 from .genfunc import reference_view
 from .harness import new_game
@@ -37,7 +37,7 @@ def selftest_suites(profile: Profile, rng: random.Random):
             tu = InvariantTuple(s0, msg.s1, s2, msg.s3, ref.t, msg.u, hid.v)
             try:
                 got = eval_invariant(tu)
-            except SingularDenominator:
+            except NonInvertible:
                 singular += 1
                 continue
             if got != expected_constant(ref.p, msg.u):

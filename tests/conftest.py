@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from fourpoint.errors import ProtocolAbort
-from fourpoint.protocol import MINI, PRODUCTION, TOY, derive_session
+from fourpoint.protocol import MINI, PRODUCTION, TOY, _draw, derive_session
 
 
 @pytest.fixture
@@ -22,13 +21,9 @@ def production():
 
 
 def fresh_session(profile, rng):
-    """Draw (S, z) until derivation succeeds; aborts are retried by design."""
-    while True:
-        try:
-            return derive_session(rng.randbytes(32), rng.randbytes(32),
-                                  profile)
-        except ProtocolAbort:
-            continue
+    """Draw (S, z) by protocol._draw until derivation succeeds."""
+    return _draw(lambda _: derive_session(rng.randbytes(32),
+                                          rng.randbytes(32), profile))
 
 
 @pytest.fixture

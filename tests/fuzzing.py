@@ -20,8 +20,8 @@ import json
 import random
 
 from fourpoint.cli import main
-from fourpoint.errors import FourPointError, ProtocolAbort
-from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY,
+from fourpoint.errors import FourPointError
+from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY, _draw,
                                 alice_generate, derive_session,
                                 deserialize, dump_profile, load_profile,
                                 profile_from_dict, profile_to_dict, receive,
@@ -41,15 +41,13 @@ ODD_VALUES = (None, True, False, 0, 1, 2, 3, 4, -1, 1.5, float("nan"),
 
 def honest(rng: random.Random, profile, S=None) -> tuple[bytes, bytes, int]:
     """(S, blob, v) of an honest message under a fresh nonce and the given
-    secret, or a fresh one."""
-    while True:
+    secret, or a fresh one, drawn by protocol._draw."""
+    def attempt(_):
         key, z = S or rng.randbytes(32), rng.randbytes(32)
         u, v = rng.randrange(1, profile.u_bound), rng.randrange(profile.v_bound)
-        try:
-            return key, serialize(alice_generate(
-                derive_session(key, z, profile), u, v)), v
-        except ProtocolAbort:
-            continue
+        return key, serialize(alice_generate(
+            derive_session(key, z, profile), u, v)), v
+    return _draw(attempt)
 
 
 def mutate_blob(rng: random.Random, blob: bytes, other: bytes,

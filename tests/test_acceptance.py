@@ -14,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from fourpoint.cli import main as cli_main
-from fourpoint.errors import (FieldOverflow, ProtocolAbort,
-                              SingularDenominator, SingularPoint,
+from fourpoint.errors import (FieldOverflow, NonInvertible, ProtocolAbort,
                               VerificationError)
 from fourpoint.genfunc import reference_view, s_M
 from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
@@ -56,7 +55,7 @@ def test_criterion_01_exact_modular_invariant():
                                                 rng.randbytes(32), TOY))
             tu = honest_tuple(ref, rng.randrange(1, 50), rng.randrange(0, 50))
             got = eval_invariant(tu)
-        except (ProtocolAbort, SingularPoint, SingularDenominator):
+        except (ProtocolAbort, NonInvertible):
             continue  # singular draws are redrawn, never scored
         assert got == expected_constant(ref.p, tu.u)
         done += 1
@@ -75,7 +74,7 @@ def test_criterion_02_base_case_constant():
                                                 rng.randbytes(32), TOY))
             tu = honest_tuple(ref, 1, 0)
             got = eval_invariant(tu)
-        except (ProtocolAbort, SingularPoint, SingularDenominator):
+        except (ProtocolAbort, NonInvertible):
             continue
         assert got == mod_inv(ref.p * ref.p)
         done += 1
@@ -250,7 +249,7 @@ def test_criterion_11_equivalence_fiber():
             s0 = s_M(ref.numer, ref.t)
             s2 = s_M(ref.denom, ref.t + 2 * u)
             break
-        except (ProtocolAbort, SingularPoint):
+        except (ProtocolAbort, NonInvertible):
             continue
     assert len(pairs) == 21
     want = expected_constant(ref.p, u)

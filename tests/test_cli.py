@@ -14,7 +14,7 @@ import pytest
 import fourpoint
 from fourpoint import selftest
 from fourpoint.cli import main
-from fourpoint.errors import ProtocolAbort, RejectHash, SingularDenominator
+from fourpoint.errors import NonInvertible, ProtocolAbort, RejectHash
 from fourpoint.modmath import is_probable_prime
 from fourpoint.protocol import (MESSAGE_LEN, PRODUCTION, TOY, NonceLog,
                                 alice_generate, derive_session, dump_profile,
@@ -403,7 +403,7 @@ def test_send_names_the_bad_bit_width(workdir, capsys, key, value):
 
 
 def _always_singular(*args):
-    raise SingularDenominator("forced")
+    raise NonInvertible("forced")
 
 
 class TestSelftestAndAttack:

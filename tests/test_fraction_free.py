@@ -18,16 +18,15 @@ import sys
 import pytest
 
 from fourpoint.errors import (AbortNonInvertible, AbortSingular, BadLength,
-                              FieldOverflow, ProtocolAbort, RejectDenominator,
-                              RejectHash, RejectRange, RejectSession,
-                              SingularDenominator, SingularPoint,
-                              VerificationError)
+                              FieldOverflow, NonInvertible, ProtocolAbort,
+                              RejectDenominator, RejectHash, RejectRange,
+                              RejectSession, VerificationError)
 from fourpoint import genfunc, oscillator, protocol
-from fourpoint.genfunc import PrfMasked, reference_view, s_M
+from fourpoint.genfunc import reference_view, s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import EvalPoint, FieldElem
 from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
-                                Message, alice_generate, bob_verify,
+                                Message, _draw, alice_generate, bob_verify,
                                 compute_check, derive_session, deserialize,
                                 serialize)
 
@@ -39,7 +38,7 @@ def reference_generate(sess, u, v):
         s1 = s_M(ref.numer, ref.t + (2 * v + 1))
         s_M(ref.denom, ref.t + 2 * u)
         s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
-    except SingularPoint as exc:
+    except NonInvertible as exc:
         raise AbortSingular(str(exc)) from None
     if not check_denominator(s1, s3, ref.p, u):
         raise AbortNonInvertible("recovery denominator not invertible")
@@ -57,14 +56,14 @@ def reference_verify(S, msg, profile):
     try:
         s0 = s_M(ref.numer, ref.t)
         s2 = s_M(ref.denom, ref.t + 2 * msg.u)
-    except SingularPoint:
+    except NonInvertible:
         raise RejectSession("evaluation point singular") from None
     if not check_denominator(msg.s1, msg.s3, ref.p, msg.u):
         raise RejectDenominator("denominator check failed")
     try:
         v = recover_v(s0, msg.s1, s2, msg.s3, ref.t.img, msg.u,
                       ref.p).value
-    except SingularDenominator:
+    except NonInvertible:
         raise RejectDenominator("singular") from None
     encodable = v < CHECK_V_BOUND
     matches = hmac.compare_digest(
@@ -123,13 +122,11 @@ def matches_the_reference(rng, S, sess, u, v):
 
 
 def fresh_session(rng, profile):
-    """(S, session) on the first nonce that does not abort."""
-    while True:
+    """(S, session) on the first nonce that does not abort, by _draw."""
+    def attempt(_):
         S = rng.randbytes(32)
-        try:
-            return S, derive_session(S, rng.randbytes(32), profile)
-        except ProtocolAbort:
-            continue
+        return S, derive_session(S, rng.randbytes(32), profile)
+    return _draw(attempt)
 
 
 PROFILES = pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
@@ -198,7 +195,7 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
         raise AssertionError("the receiver evaluated the exponential term")
 
     monkeypatch.setattr(protocol, "anchor_value", unreachable)
-    monkeypatch.setattr(PrfMasked, "anchor", unreachable)
+    monkeypatch.setattr(genfunc, "anchor_value", unreachable)
     for S, data, want in cases:
         assert receive(bob_verify, S, data, profile) == want
 
@@ -211,7 +208,6 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
         monkeypatch.setattr(protocol, name, unbuilt)
     monkeypatch.setattr(EvalPoint, "__init__", unbuilt)
     monkeypatch.setattr(genfunc, "reference_view", unbuilt)
-    monkeypatch.setattr(PrfMasked, "__init__", unbuilt)
     monkeypatch.setattr(oscillator.PrfOscillator, "__init__", unbuilt)
     for name in ("PrfOscillator", "generate"):
         monkeypatch.setattr(oscillator, name, unbuilt)

@@ -9,8 +9,8 @@ import pytest
 
 import fourpoint
 from fourpoint import harness
-from fourpoint.errors import (AbortSingular, FieldOverflow, ProtocolAbort,
-                              SingularDenominator, VerificationError)
+from fourpoint.errors import (AbortSingular, FieldOverflow, NonInvertible,
+                              ProtocolAbort, VerificationError)
 from fourpoint.genfunc import reference_view, s_M
 from fourpoint.harness import (AdversaryView, Forgery, adjudicate, emit_csv,
                                lemma1_exhaustive, lemma2_reuse_experiment,
@@ -41,7 +41,7 @@ def reference_adjudicate(game, forgery):
     try:
         v_star = recover_v(s0, msg.s1, s2, s_star, ref.t.img, u,
                            ref.p).value
-    except SingularDenominator:
+    except NonInvertible:
         return False
     if v_star >= CHECK_V_BOUND:
         return False
@@ -323,7 +323,7 @@ class TestLemma1:
                 try:
                     inv = pow(2 * (e - cand), -1, M)
                 except ValueError:
-                    with pytest.raises(SingularDenominator):
+                    with pytest.raises(NonInvertible):
                         recover_v(*args, s_star, *rest)
                     continue
                 v_star = recover_v(*args, s_star, *rest).value

@@ -6,16 +6,20 @@ The protocol path computes on raw ints. The reference layer
 stdlib `ast` module: the reference layer is imported only inside the
 three names that the benchmark traces, `EvalPoint` is not imported at
 all, and `Session`'s class body holds its fields and `__repr__` only.
-The last check builds a production view and reads its repr.
+The last two checks read the reprs of production views and their parts,
+and the message of s_M at a toy point whose image is 0.
 """
 
 import ast
 import random
 from pathlib import Path
 
+import pytest
+
 from fourpoint import protocol
-from fourpoint.genfunc import reference_view
-from fourpoint.protocol import PRODUCTION
+from fourpoint.errors import NonInvertible
+from fourpoint.genfunc import reference_view, s_M
+from fourpoint.protocol import PRODUCTION, TOY
 
 from conftest import fresh_session
 
@@ -78,6 +82,19 @@ def test_reference_view_repr_shows_nothing_derived_from_the_secret():
         ref = reference_view(sess)
         secrets = [str(sess.base), str(sess.n), *map(str, sess.q),
                    sess.S.hex(), ref.phi.key.hex(), ref.psi.key.hex(),
-                   ref.conv.key.hex()]
-        for text in (repr(ref), str(ref)):
+                   ref.anchor_key.hex()]
+        for text in (repr(ref), str(ref), repr(ref.numer), repr(ref.denom),
+                     repr(ref.t), repr(ref.t + 3)):
             assert not any(secret in text for secret in secrets), text
+
+
+def test_singular_point_message_shows_nothing_derived_from_the_secret():
+    rng = random.Random(27)
+    for _ in range(5):
+        sess = fresh_session(TOY, rng)
+        ref = reference_view(sess)
+        point = ref.t + (-ref.t.img.value % TOY.mod.M)  # image 0 mod M
+        with pytest.raises(NonInvertible) as info:
+            s_M(ref.numer, point)
+        assert str(sess.n) not in str(info.value)
+        assert str(point.n) not in str(info.value)

@@ -10,18 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import (AbortNonInvertible, AbortSingular,
                               AbortZeroIndex, BadLength, FieldOverflow,
-                              ProtocolAbort, RejectDenominator, RejectHash,
-                              NonInvertible, RejectRange, RejectSession,
-                              SingularPoint, VerificationError)
+                              NonInvertible, ProtocolAbort,
+                              RejectDenominator, RejectHash, RejectRange,
+                              RejectSession, VerificationError)
 from fourpoint.genfunc import GenParams, reference_view, s_M
 from fourpoint.harness import new_game
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import FieldElem, Modulus, mod_pow
 from fourpoint.oscillator import eval_at, index_value
+import fourpoint
 from fourpoint import modmath, protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, NONCE_TRIES, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, NonceLog,
-                                Profile, alice_generate, bob_verify,
+                                Profile, _draw, alice_generate, bob_verify,
                                 compute_check, derive_session, deserialize,
                                 dump_profile, get_profile, load_profile,
                                 profile_from_dict, profile_to_dict, receive,
@@ -231,7 +232,7 @@ class TestDeriveSession:
         ra, rb = reference_view(a), reference_view(b)
         assert ra.p == rb.p
         assert ra.t == rb.t
-        assert ra.conv == rb.conv
+        assert ra.anchor_key == rb.anchor_key
         assert ra.numer.phi.C == rb.numer.phi.C
         assert (ra.numer.q_i, ra.numer.q_j) == (rb.numer.q_i, rb.numer.q_j)
         assert (ra.denom.q_i, ra.denom.q_j) == (rb.denom.q_i, rb.denom.q_j)
@@ -259,7 +260,7 @@ class TestDeriveSession:
         for s in (sess, game.hidden.session):
             secrets = [repr(s.S), s.S.hex()]
             ref = reference_view(s)
-            for key in (ref.phi.key, ref.psi.key, ref.conv.key):
+            for key in (ref.phi.key, ref.psi.key, ref.anchor_key):
                 secrets += [repr(key), key.hex()]
             for text in (repr(sess), str(sess), repr(game), str(game)):
                 assert not any(secret in text for secret in secrets)
@@ -297,13 +298,13 @@ class TestDeriveSession:
                     "i": ref.t.n % ref.t.K, "B": ref.t.n // ref.t.K,
                     "q": list(sess.q), "phi_key": ref.phi.key,
                     "psi_key": ref.psi.key,
-                    "anchor_key": ref.conv.key} == want
+                    "anchor_key": ref.anchor_key} == want
             gn, gd = ref.numer, ref.denom
             assert [gn.q_i.value, gn.q_j.value,
                     gd.q_i.value, gd.q_j.value] == want["q"]
             for gp in (gn, gd):
                 assert gp.p == ref.p
-                assert (gp.phi.key, gp.psi.key, gp.conv.key) \
+                assert (gp.phi.key, gp.psi.key, gp.anchor_key) \
                     == (want["phi_key"], want["psi_key"], want["anchor_key"])
                 assert (gp.phi.K, gp.phi.C, gp.psi.K, gp.psi.C) == (K, C, K, C)
         if profile is MINI:
@@ -421,12 +422,11 @@ class TestRoundTrip:
 def valid_pair(profile, seed=7):
     """One non-aborting (session, message) pair for tamper tests."""
     rng = random.Random(seed)
-    while True:
+
+    def attempt(_):
         sess = fresh_session(profile, rng)
-        try:
-            return sess, alice_generate(sess, 5, min(17, profile.v_bound - 1))
-        except ProtocolAbort:
-            continue
+        return sess, alice_generate(sess, 5, min(17, profile.v_bound - 1))
+    return _draw(attempt)
 
 
 class TestRejectionTaxonomy:
@@ -500,7 +500,7 @@ class TestRejectionTaxonomy:
             try:
                 s1 = s_M(ref.numer, ref.t + (2 * v + 1))
                 s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
-            except SingularPoint:
+            except NonInvertible:
                 continue
             if check_denominator(s1, s3, ref.p, u):
                 break
@@ -735,6 +735,13 @@ class TestSendReceive:
         assert [p.name for p in params] == ["S", "u", "v", "profile", "log"]
         assert all(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
                    for p in params)
+
+    def test_package_root_offers_no_caller_chosen_nonce(self):
+        # derive_session and alice_generate let a caller pick z, and a
+        # reused z discloses v; the package root offers send only
+        for name in ("derive_session", "alice_generate"):
+            assert not hasattr(fourpoint, name)
+            assert hasattr(protocol, name)
 
     @PROFILES
     def test_round_trip(self, profile, tmp_path):

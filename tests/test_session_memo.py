@@ -1,9 +1,9 @@
 """A send, a receive and a forgery game hash each session value once.
 
 A send or a forgery game hashes two oscillator values and one anchor.
-On the reference path PrfOscillator and PrfMasked keep no value: each
-read hashes again, so these tests also check that a read always matches
-a fresh hash and that sessions from one nonce share no object. The
+On the reference path PrfOscillator and exp_at keep no value: each read
+hashes again, so these tests also check that a read always matches a
+fresh hash and that sessions from one nonce share no oscillator. The
 hashes are counted through a patched hook. Three tests count every SHA3
 call, in every package module that binds sha3_256: of a send, whose
 derive_session makes the nine derivation hashes and no more, of a
@@ -24,12 +24,12 @@ import pytest
 import fourpoint
 from fourpoint import genfunc, oscillator, prf, protocol
 from fourpoint.errors import ProtocolAbort, RejectHash, VerificationError
-from fourpoint.genfunc import PrfMasked, reference_view
+from fourpoint.genfunc import reference_view
 from fourpoint.harness import lemma1_exhaustive, new_game
 from fourpoint.modmath import FieldElem, Modulus
 from fourpoint.oscillator import OscSeed, PrfOscillator, TableOscillator
-from fourpoint.prf import _prf_value
-from fourpoint.protocol import (MINI, PRODUCTION, TOY, alice_generate,
+from fourpoint.prf import _prf_value, anchor_value
+from fourpoint.protocol import (MINI, PRODUCTION, TOY, _draw, alice_generate,
                                 bob_verify, derive_session)
 
 
@@ -50,7 +50,7 @@ def hashes(monkeypatch):
 
     for module in (prf, oscillator):  # session_values, PrfOscillator
         monkeypatch.setattr(module, "_prf_value", counted_prf_value)
-    for module in (protocol, genfunc):  # the sender, PrfMasked.anchor
+    for module in (protocol, genfunc):  # the sender, exp_at
         monkeypatch.setattr(module, "anchor_value", counted_anchor_value)
     return counts
 
@@ -167,15 +167,14 @@ def outcomes_past_derive(profile, rng):
     a v at or over 2^64 (only where M is wider) and a v at v_bound with
     a matching hash (only where v_bound is below both M and 2^64)."""
     M = profile.mod.M
-    while True:
+
+    def attempt(_):
         S, z = rng.randbytes(32), rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
-        try:
-            sess = derive_session(S, z, profile)
-            msg = alice_generate(sess, u, rng.randrange(profile.v_bound))
-        except ProtocolAbort:
-            continue
-        break
+        sess = derive_session(S, z, profile)
+        return S, z, u, sess, alice_generate(sess, u,
+                                             rng.randrange(profile.v_bound))
+    S, z, u, sess, msg = _draw(attempt)
     denom = FieldElem(msg.s3.value * pow(sess.base, -2 * u, M), profile.mod)
     cases = {"accept": msg, "RejectHash": msg._replace(h_check=bytes(32)),
              "RejectDenominator": msg._replace(s1=denom)}
@@ -266,7 +265,6 @@ def test_interleaved_seed_reads_match_a_fresh_hash():
 def test_interleaved_anchor_reads_match_a_fresh_hash():
     rng = random.Random(3)
     key = rng.randbytes(32)
-    conv = PrfMasked(key)
     moduli = (Modulus(17), TOY.mod, PRODUCTION.mod)
     reads = [(1, 4, 0), (1, 4, 0), (1, 4, 1), (2, 4, 1), (2, 5, 1),
              (1, 4, 0), (1, 4, 2), (1, 4, 2)]
@@ -274,30 +272,20 @@ def test_interleaved_anchor_reads_match_a_fresh_hash():
               for _ in range(200)]
     for i, K, which in reads:
         mod = moduli[which]
-        assert conv.anchor(i, K, mod) == anchor_hash(key, i, K, mod.M)
-
-
-def test_prf_masked_is_equal_and_hashed_by_key():
-    a, b = PrfMasked(b"\x01" * 32), PrfMasked(b"\x01" * 32)
-    a.anchor(1, 4, TOY.mod)
-    assert a == b and hash(a) == hash(b)
-    assert a != PrfMasked(b"\x02" * 32)
-    assert a.key.hex() not in repr(a) and repr(a.key) not in repr(a)
+        assert anchor_value(key, i, K, mod.M) == anchor_hash(key, i, K, mod.M)
 
 
 def test_sessions_from_one_nonce_share_no_memo(hashes):
     rng = random.Random(4)
-    while True:
-        S, z = rng.randbytes(32), rng.randbytes(32)
-        try:
-            sess = derive_session(S, z, TOY)
-            alice_generate(sess, 3, 7)
-            break
-        except ProtocolAbort:
-            continue
-    other = derive_session(S, sess.z, TOY)
+
+    def attempt(_):
+        sess = derive_session(rng.randbytes(32), rng.randbytes(32), TOY)
+        alice_generate(sess, 3, 7)
+        return sess
+    sess = _draw(attempt)
+    other = derive_session(sess.S, sess.z, TOY)
     ref, other_ref = reference_view(sess), reference_view(other)
-    assert other_ref.conv == ref.conv and other_ref.conv is not ref.conv
+    assert other_ref.anchor_key == ref.anchor_key
     assert other_ref.phi is not ref.phi and other_ref.psi is not ref.psi
     hashes.clear()
     alice_generate(other, 3, 7)
