@@ -77,13 +77,17 @@ class GameInstance(NamedTuple):
 
 
 def new_game(profile: Profile, rng: random.Random) -> GameInstance:
-    """Draw (S, z, u, v) by protocol._draw and seal the hidden state."""
+    """Draw (S, z, u, v) by protocol._draw and seal the hidden state. u
+    and v are drawn in range, and the session is derived with the three
+    evaluation points, so _generate runs unchecked."""
     def attempt(aborts):
         S = rng.randbytes(32)
         z = rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
         v = rng.randrange(0, profile.v_bound)
-        sess, M = derive_session(S, z, profile), profile.mod.M
+        sess = derive_session(S, z, profile,
+                              (2 * v + 1, 2 * u, 2 * u + 2 * v + 1))
+        M = profile.mod.M
         msg, p2u, A1, A3 = _generate(sess, u, v)
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
                              sess.K, u)

@@ -195,13 +195,16 @@ class Session(NamedTuple):
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
 
 
-def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
+def _derive(S: bytes, z: bytes, profile: Profile,
+            offsets: tuple = ()) -> tuple:
     """(p, K, C, n, q) for (S, z) as raw ints: the nine derivation hashes
     and their checks, which both parties run.
 
-    Raises AbortZeroIndex when the fractional index draws 0 and
-    AbortSingular when the evaluation point collides with 0 mod M (or M
-    divides K); callers redraw the nonce and retry.
+    The grid comes first, so that a draw that must abort stops early: K
+    and i (2 hashes) decide AbortZeroIndex on i = 0, then n (3 hashes)
+    AbortSingular when M divides K or the base point t = n/K is 0 mod M,
+    or when a point t + d, d in offsets, is. Only then come p, C and
+    q1..q4. Callers redraw the nonce and retry.
     """
     if len(S) < profile.min_secret_len:
         raise ValueError(f"secret must be >= {profile.min_secret_len} bytes")
@@ -210,18 +213,21 @@ def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
     M, Sz = profile.mod.M, S + z
     as_int = int.from_bytes  # each value reads SHA3(tag || S || z) big-endian
 
-    p = as_int(sha3_256(TAG_P + Sz).digest(), "big") % (M - 2) + 2
     K = (as_int(sha3_256(TAG_K + Sz).digest(), "big")
          % (profile.K_max - profile.K_min + 1) + profile.K_min)
-    C = (as_int(sha3_256(TAG_C + Sz).digest(), "big")
-         % (profile.C_max - profile.C_min + 1) + profile.C_min)
     i = as_int(sha3_256(TAG_T + Sz).digest(), "big") % K
     if i == 0:
         raise AbortZeroIndex("fractional index i = 0")
     n = as_int(sha3_256(TAG_B + Sz).digest(), "big") % M * K + i
     if K % M == 0 or n % M == 0:
         raise AbortSingular("grid denominator or base point t is 0 mod M")
+    for d in offsets:
+        if (n + d * K) % M == 0:
+            raise AbortSingular("an evaluation point reduces to 0 mod M")
 
+    p = as_int(sha3_256(TAG_P + Sz).digest(), "big") % (M - 2) + 2
+    C = (as_int(sha3_256(TAG_C + Sz).digest(), "big")
+         % (profile.C_max - profile.C_min + 1) + profile.C_min)
     qSz = TAG_Q + Sz
     q = (as_int(sha3_256(qSz + b"\x01").digest(), "big") % M,
          as_int(sha3_256(qSz + b"\x02").digest(), "big") % M,
@@ -230,10 +236,13 @@ def _derive(S: bytes, z: bytes, profile: Profile) -> tuple:
     return p, K, C, n, q
 
 
-def derive_session(S: bytes, z: bytes, profile: Profile) -> Session:
+def derive_session(S: bytes, z: bytes, profile: Profile,
+                   offsets: tuple = ()) -> Session:
     """Deterministically expand (S, z) into a Session: the nine derivation
-    hashes and nothing more; raises as _derive does."""
-    return tuple.__new__(Session, (S, z, profile, *_derive(S, z, profile)))
+    hashes and nothing more; raises as _derive does, and so also checks
+    the points t + d for d in offsets."""
+    return tuple.__new__(Session,
+                         (S, z, profile, *_derive(S, z, profile, offsets)))
 
 
 class Message(NamedTuple("Message", [
@@ -293,17 +302,14 @@ def _recover(rmap: tuple[int, int, int], s3: int, K: int, M: int) -> int:
 
 def _generate(sess: Session, u: int, v: int) -> tuple:
     """alice_generate's Message with the p^2u, A1 and A3 it computed, from
-    which harness.new_game builds the receiver's recovery map."""
+    which harness.new_game builds the receiver's recovery map. The
+    caller has checked u and v against the profile, and t + 2v+1, t + 2u
+    and t + 2u+2v+1 against 0 mod M (or derived sess with those offsets).
+    """
     S, z, profile, p, K, C, n, q = sess
-    if not 1 <= u < profile.u_bound:
-        raise ValueError(f"u must be in [1, {profile.u_bound})")
-    if not 0 <= v < profile.v_bound:
-        raise ValueError(f"v must be in [0, {profile.v_bound})")
     mod = profile.mod
     M = mod.M
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
-    if n1 % M == 0 or (n + 2 * u * K) % M == 0 or n3 % M == 0:
-        raise AbortSingular("an evaluation point reduces to 0 mod M")
     A1, A3 = _kernel(*session_values(S, z, K, C, n, M), q)
     p2u = pow(p, 2 * u, M)
     B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
@@ -322,8 +328,18 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
 
 
 def alice_generate(sess: Session, u: int, v: int) -> Message:
-    """Sender side: s1 and s3, denominator check, check hash. AbortSingular
+    """Sender side: s1 and s3, denominator check, check hash. ValueError
+    for u outside [1, u_bound) or v outside [0, v_bound); AbortSingular
     if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
+    profile, K, n = sess.profile, sess.K, sess.n
+    if not 1 <= u < profile.u_bound:
+        raise ValueError(f"u must be in [1, {profile.u_bound})")
+    if not 0 <= v < profile.v_bound:
+        raise ValueError(f"v must be in [0, {profile.v_bound})")
+    M = profile.mod.M
+    if ((n + (2 * v + 1) * K) % M == 0 or (n + 2 * u * K) % M == 0
+            or (n + (2 * u + 2 * v + 1) * K) % M == 0):
+        raise AbortSingular("an evaluation point reduces to 0 mod M")
     return _generate(sess, u, v)[0]
 
 
@@ -338,13 +354,15 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     singular t + 2u (RejectSession) or s1*p^2u = s3 (RejectDenominator)
     recovers at a stand-in s3, and these and a recovered value too large
     for the 8-byte check encoding (RejectRange) hash a stand-in v of 0.
+    A reject's text is fixed up to the public u, u_bound and v_bound: it
+    holds no value derived from S, the recovered value included.
     """
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
     try:
         p, K, C, n, q = _derive(S, msg.z, profile)
-    except ProtocolAbort as exc:
-        raise RejectSession(f"session recomputation aborted: {exc}") from None
+    except ProtocolAbort:  # its text would tell which secret check failed
+        raise RejectSession("session recomputation aborted") from None
     u, M = msg.u, profile.mod.M
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
         raise ValueError("mixed moduli")
@@ -366,11 +384,11 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     if reject is not None:
         raise reject
     if not encodable:
-        raise RejectRange(f"recovered value {v} exceeds the check encoding")
+        raise RejectRange("recovered value exceeds the check encoding")
     if not matches:
         raise RejectHash("check hash mismatch")
     if v >= profile.v_bound:
-        raise RejectRange(f"recovered value {v} outside [0, {profile.v_bound})")
+        raise RejectRange(f"recovered value outside [0, {profile.v_bound})")
     return v
 
 
@@ -436,10 +454,18 @@ def _draw(attempt, tries: int = NONCE_TRIES):
 def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
     """The 132-byte message carrying v under a fresh nonce from os.urandom,
     drawn by _draw; a nonce is claimed only once its message exists, and
-    one the log already holds counts as an aborted draw."""
+    one the log already holds counts as an aborted draw. u and v are
+    checked once, before any nonce is drawn; each draw derives with the
+    three evaluation points, so a singular one aborts inside _derive."""
+    if not 1 <= u < profile.u_bound:
+        raise ValueError(f"u must be in [1, {profile.u_bound})")
+    if not 0 <= v < profile.v_bound:
+        raise ValueError(f"v must be in [0, {profile.v_bound})")
+    offsets = (2 * v + 1, 2 * u, 2 * u + 2 * v + 1)
+
     def attempt(_):
         z = os.urandom(NONCE_LEN)
-        msg = alice_generate(derive_session(S, z, profile), u, v)
+        msg = _generate(derive_session(S, z, profile, offsets), u, v)[0]
         if not log.claim(S, z):
             raise ProtocolAbort("no usable nonce")
         return serialize(msg)

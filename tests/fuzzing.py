@@ -3,13 +3,15 @@
 Each generator takes a random.Random and yields cases (surface, call,
 args): deserialize and receive on random, bit-flipped, truncated,
 extended and spliced messages on mini, toy and production; receive
-against oracles.naive_receive on the same messages; profile_from_dict
-and load_profile on mutated profile dicts and files; and cli.main on
-argv drawn from a small grammar over its five commands. The property is
-that each call returns a value or raises one of ALLOWED, never another
+against oracles.naive_receive on the same messages, and on the
+production ones for the texts of its rejections; profile_from_dict and
+load_profile on mutated profile dicts and files; and cli.main on argv
+drawn from a small grammar over its five commands. The property is that
+each call returns a value or raises one of ALLOWED, never another
 exception; the checks that wrap a call (a loaded dict reads back as
-written, receive agrees with the oracle, main exits 0, 1 or 2 with no
-traceback) raise AssertionError, which is outside ALLOWED.
+written, receive agrees with the oracle, a rejection's text holds no
+value derived from the secret, main exits 0, 1 or 2 with no traceback)
+raise AssertionError, which is outside ALLOWED.
 tests/test_fuzz.py runs them on fixed seeds, tools/fuzz.py on fresh
 ones. Stdlib only.
 """
@@ -18,10 +20,13 @@ from contextlib import redirect_stderr, redirect_stdout
 import io
 import json
 import random
+import re
 
 from fourpoint.cli import main
-from fourpoint.errors import FourPointError
-from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY, _draw,
+from fourpoint.errors import FourPointError, ProtocolAbort, VerificationError
+from fourpoint.prf import session_values
+from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY, _derive,
+                                _draw, _kernel, _recover, _recovery_map,
                                 alice_generate, derive_session,
                                 deserialize, dump_profile, load_profile,
                                 profile_from_dict, profile_to_dict, receive,
@@ -113,6 +118,50 @@ def oracle_cases(cases):
     for surface, _, args in cases:
         if surface == "receive":
             yield "receive vs oracle", agrees_with_oracle, args
+
+
+def session_secrets(S: bytes, data: bytes, profile) -> set:
+    """Decimal strings of what the receiver derives from S for the
+    well-formed message data: p, K, C, n, q1..q4 and the value recovered
+    at data's s3. Empty when the derivation aborts."""
+    msg = deserialize(data, profile)
+    try:
+        p, K, C, n, q = _derive(S, msg.z, profile)
+    except ProtocolAbort:
+        return set()
+    M, s3 = profile.mod.M, msg.s3.value
+    p2u = pow(p, 2 * msg.u, M)
+    e = msg.s1.value * p2u % M
+    found = {p, K, C, n, *q}
+    if e != s3:  # otherwise there is no recovered value
+        A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, M), q)
+        found.add(_recover(_recovery_map(A1, A3, p2u, e, n, K, msg.u),
+                           s3, K, M))
+    return {str(value) for value in found}
+
+
+def hides_session_values(S: bytes, data: bytes, profile):
+    """receive's outcome; AssertionError if a rejection's text holds, as a
+    whole decimal token, a value in session_secrets. On production each
+    is drawn from 2^24 values or more, so a public number in a text, such
+    as u, matches one by chance too rarely to show."""
+    try:
+        return receive(S, data, profile)
+    except VerificationError as exc:
+        text, kind = str(exc), type(exc).__name__
+    leaked = set(re.findall(r"\d+", text)) & session_secrets(S, data, profile)
+    if leaked:
+        raise AssertionError(f"{kind} text carries {len(leaked)} "
+                             f"secret-derived value(s)")
+    return text
+
+
+def leak_cases(cases):
+    """The production receive cases among wire_cases, each checked by
+    hides_session_values."""
+    for surface, _, args in cases:
+        if surface == "receive" and args[2] is PRODUCTION:
+            yield "receive hides session values", hides_session_values, args
 
 
 def nested(depth: int) -> list:

@@ -11,6 +11,7 @@ corners of the (u, v) envelope.
 """
 
 import builtins
+import gc
 import hmac
 import random
 import sys
@@ -267,18 +268,24 @@ def test_one_full_width_pow_for_the_sender_none_for_the_receiver(
 
 def python_calls(fn, *args):
     """fn's result and the number of Python-level calls under it, fn's
-    own call excluded; built-ins such as pow and sha3_256 do not count."""
+    own call excluded; built-ins such as pow and sha3_256 do not count.
+    The collector is off meanwhile: a collection would run the gc.callbacks
+    that hypothesis installs, as calls that fn did not make."""
     calls = []
 
     def profiler(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code.co_name)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return result, len(calls) - 1
 
 
@@ -375,8 +382,11 @@ def test_hash_bound_value_at_v_bound_rejected_as_out_of_range():
             msg = reference_generate(sess, rng.randrange(1, MINI.u_bound), v)
         except ProtocolAbort:
             continue
-        with pytest.raises(RejectRange, match=f"recovered value {v} outside"):
+        with pytest.raises(RejectRange) as info:
             bob_verify(S, msg, MINI)
+        # the text does not carry the recovered value: it is fixed, and
+        # its one number is the public v_bound (which here equals v)
+        assert str(info.value) == f"recovered value outside [0, {v})"
         with pytest.raises(RejectRange, match="out of range"):
             reference_verify(S, msg, MINI)
         reached += 1

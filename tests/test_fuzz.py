@@ -3,10 +3,11 @@
 deserialize, receive, profile_from_dict and load_profile must return a
 value or raise FourPointError, ValueError or OSError on every case,
 never another exception; a dict that loads must read back as written;
-receive must agree with oracles.naive_receive on every mutated message;
-and cli.main must exit 0, 1 or 2 with no traceback on every argv. Each
-violation the corpus found first has its own test below. tools/fuzz.py
-runs the same generators on fresh seeds.
+receive must agree with oracles.naive_receive on every mutated message,
+and on production no text of its rejections may hold a value derived
+from the secret; and cli.main must exit 0, 1 or 2 with no traceback on
+every argv. Each violation the corpus found first has its own test
+below. tools/fuzz.py runs the same generators on fresh seeds.
 """
 
 from contextlib import redirect_stderr
@@ -19,8 +20,9 @@ from fourpoint.cli import build_parser
 from fourpoint.protocol import (TOY, profile_from_dict, profile_to_dict,
                                 receive)
 
-from fuzzing import (PROFILES, cli_argv, cli_cases, honest, nested,
-                     oracle_cases, profile_cases, violations, wire_cases)
+from fuzzing import (PROFILES, cli_argv, cli_cases, honest, leak_cases,
+                     nested, oracle_cases, profile_cases, violations,
+                     wire_cases)
 from oracles import naive_receive
 
 SEEDS = range(8)
@@ -45,6 +47,12 @@ def test_profile_surfaces_raise_only_typed_errors(seed, tmp_path):
 def test_receive_agrees_with_the_oracle(seed):
     cases = wire_cases(random.Random(f"wire/{seed}"), CASES)
     assert violations(oracle_cases(cases)) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rejection_texts_hold_no_session_value(seed):
+    cases = wire_cases(random.Random(f"wire/{seed}"), CASES)
+    assert violations(leak_cases(cases)) == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)

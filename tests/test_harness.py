@@ -64,7 +64,7 @@ class TestGame:
         # ten times the cap the patch stops the loop with another error
         calls = []
 
-        def always_aborts(S, z, profile):
+        def always_aborts(S, z, profile, offsets):
             calls.append(z)
             if len(calls) > 10 * NONCE_TRIES:
                 raise RuntimeError("new_game kept drawing")

@@ -484,9 +484,31 @@ class TestRejectionTaxonomy:
         ref = reference_view(sess)
         s1 = s_M(ref.numer, ref.t + (2 * v + 1))
         s3 = s_M(ref.denom, ref.t + (2 * u + 2 * v + 1))
-        with pytest.raises(RejectRange, match=f"recovered value {v} "):
+        with pytest.raises(RejectRange, match="exceeds the check") as info:
             bob_verify(sess.S, Message(s1, s3, u, sess.z, bytes(32)),
                        PRODUCTION)
+        assert str(v) not in str(info.value)  # the text keeps v hidden
+
+    def test_reject_range_text_hides_the_recovered_value(self):
+        # v*(s) is a Moebius map of the attacker's s3: three v* read from
+        # rejection texts would solve it, and it gives the hidden v at the
+        # honest s3. No text may carry v*.
+        rng = random.Random(12)
+        for _ in range(3):
+            sess = fresh_session(PRODUCTION, rng)
+            msg = alice_generate(sess, rng.randrange(1, PRODUCTION.u_bound),
+                                 rng.randrange(PRODUCTION.v_bound))
+            ref = reference_view(sess)
+            s0 = s_M(ref.numer, ref.t)
+            s2 = s_M(ref.denom, ref.t + 2 * msg.u)
+            for _ in range(3):
+                s3 = FieldElem(rng.randrange(PRODUCTION.mod.M),
+                               PRODUCTION.mod)
+                v_star = recover_v(s0, msg.s1, s2, s3, ref.t.img, msg.u,
+                                   ref.p).value
+                with pytest.raises(RejectRange) as info:
+                    bob_verify(sess.S, msg._replace(s3=s3), PRODUCTION)
+                assert str(v_star) not in str(info.value)
 
     @pytest.mark.parametrize("u", [0, TOY.u_bound, (1 << 32) - 1])
     def test_reject_u_outside_envelope(self, u):
@@ -766,6 +788,22 @@ class TestSendReceive:
         assert made == [taken, aborting, fresh]
         assert not log.claim(self.S, fresh)
         assert len(list((tmp_path / "nonces").iterdir())) == 2
+
+    @pytest.mark.parametrize("u, v", [(0, 17), (TOY.u_bound, 17),
+                                      (5, -1), (5, TOY.v_bound)])
+    def test_bad_u_or_v_refused_before_a_nonce_is_drawn(self, tmp_path,
+                                                        monkeypatch, u, v):
+        def urandom(n):
+            raise AssertionError("send drew a nonce")
+        monkeypatch.setattr(os, "urandom", urandom)
+        with pytest.raises(ValueError, match="must be in"):
+            send(self.S, u, v, TOY, NonceLog(tmp_path / "nonces"))
+
+    @pytest.mark.parametrize("u, v", [(1, 0),
+                                      (TOY.u_bound - 1, TOY.v_bound - 1)])
+    def test_envelope_edges_are_sent(self, tmp_path, u, v):
+        blob = send(self.S, u, v, TOY, NonceLog(tmp_path / "nonces"))
+        assert receive(self.S, blob, TOY) == v
 
     def test_every_draw_aborting_raises_the_last_abort(self, tmp_path,
                                                        monkeypatch):

@@ -4,33 +4,39 @@ A send or a forgery game hashes two oscillator values and one anchor.
 On the reference path PrfOscillator and exp_at keep no value: each read
 hashes again, so these tests also check that a read always matches a
 fresh hash and that sessions from one nonce share no oscillator. The
-hashes are counted through a patched hook. Three tests count every SHA3
+hashes are counted through a patched hook. Other tests count every SHA3
 call, in every package module that binds sha3_256: of a send, whose
 derive_session makes the nine derivation hashes and no more, of a
-receive, which builds no session at all, and of an exhaustive sweep,
-whose one reference view hashes the two oscillator keys and the anchor
-key, and whose s0 and s2 each hash two values and one anchor.
+receive, which builds no session at all, of an exhaustive sweep, whose
+one reference view hashes the two oscillator keys and the anchor key,
+and whose s0 and s2 each hash two values and one anchor, and of a draw
+that aborts, which stops after the two or three grid hashes.
 """
 
 from collections import Counter
 import builtins
 import hashlib
 import importlib
+import os
 import pkgutil
 import random
 
 import pytest
 
 import fourpoint
-from fourpoint import genfunc, oscillator, prf, protocol
-from fourpoint.errors import ProtocolAbort, RejectHash, VerificationError
+from fourpoint import genfunc, harness, oscillator, prf, protocol
+from fourpoint.errors import (AbortSingular, AbortZeroIndex, ProtocolAbort,
+                              RejectHash, RejectSession, VerificationError)
 from fourpoint.genfunc import reference_view
 from fourpoint.harness import lemma1_exhaustive, new_game
 from fourpoint.modmath import FieldElem, Modulus
 from fourpoint.oscillator import OscSeed, PrfOscillator, TableOscillator
 from fourpoint.prf import _prf_value, anchor_value
-from fourpoint.protocol import (MINI, PRODUCTION, TOY, _draw, alice_generate,
-                                bob_verify, derive_session)
+from fourpoint.protocol import (MINI, PRODUCTION, TOY, Message, NonceLog,
+                                _draw, alice_generate, bob_verify,
+                                derive_session, send)
+
+from oracles import naive_session
 
 
 @pytest.fixture
@@ -158,6 +164,85 @@ def test_send_makes_9_sha3_calls_to_derive_and_16_in_all(profile,
         assert sha3_calls == {"sha3": 16}
         assert bob_verify(S, msg, profile) == v
         sent += 1
+
+
+@pytest.mark.parametrize("profile", [MINI, TOY], ids=lambda p: p.name)
+def test_failed_derivation_stops_after_2_or_3_sha3_calls(profile, sha3_calls):
+    # K and i decide i = 0 (2 hashes), n decides M | K, M | n and the
+    # caller's points (3 hashes); p, C and q1..q4 come after every check.
+    # The receiver rejects such a nonce after the same hashes.
+    rng = random.Random(f"sha3/abort/{profile.name}")
+    want = {AbortZeroIndex: 2, AbortSingular: 3}
+    seen = set()
+    for _ in range(3000):
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        offsets = tuple(rng.randrange(1, 64) for _ in range(rng.randrange(4)))
+        sha3_calls.clear()
+        try:
+            derive_session(S, z, profile, offsets)
+        except ProtocolAbort as exc:
+            assert sha3_calls == {"sha3": want[type(exc)]}, exc
+            seen.add(str(exc))
+            if offsets:
+                continue
+            sha3_calls.clear()
+            one = FieldElem(1, profile.mod)
+            with pytest.raises(RejectSession):
+                bob_verify(S, Message(one, one, 1, z, bytes(32)), profile)
+            assert sha3_calls == {"sha3": want[type(exc)]}
+        else:
+            assert sha3_calls == {"sha3": 9}
+    assert seen >= {"grid denominator or base point t is 0 mod M",
+                    "an evaluation point reduces to 0 mod M"}
+    if profile is MINI:  # i = 0 has chance 1/K, so toy all but never draws it
+        assert "fractional index i = 0" in seen
+
+
+# the three points t + d the sender checks, d as a function of (u, v)
+POINTS = pytest.mark.parametrize("offset", [
+    lambda u, v: 2 * v + 1, lambda u, v: 2 * u,
+    lambda u, v: 2 * u + 2 * v + 1], ids=["2v+1", "2u", "2u+2v+1"])
+
+
+def singular_draw(profile, offset):
+    """(seed, S, z, u, v): the first seed whose first new_game draw
+    derives with i != 0 and a base point off 0 mod M, but puts
+    t + offset(u, v) at 0 mod M. naive_session, not _derive, finds it."""
+    M = profile.mod.M
+    for seed in range(100_000):
+        rng = random.Random(seed)
+        S, z = rng.randbytes(32), rng.randbytes(32)
+        u = rng.randrange(1, profile.u_bound)
+        v = rng.randrange(0, profile.v_bound)
+        sess = naive_session(S, z, profile)
+        if not isinstance(sess, str) and (sess["B"] * sess["K"] + sess["i"]
+                                          + offset(u, v) * sess["K"]) % M == 0:
+            return seed, S, z, u, v
+    raise AssertionError("no such draw")
+
+
+@POINTS
+def test_singular_point_aborts_a_game_after_3_sha3_calls(offset, sha3_calls,
+                                                         monkeypatch):
+    seed, *_ = singular_draw(TOY, offset)
+    monkeypatch.setattr(harness, "_draw", lambda attempt: attempt(0))
+    sha3_calls.clear()
+    with pytest.raises(AbortSingular, match="evaluation point"):
+        new_game(TOY, random.Random(seed))
+    assert sha3_calls == {"sha3": 3}
+
+
+@POINTS
+def test_singular_point_aborts_a_send_draw_after_3_sha3_calls(
+        offset, sha3_calls, monkeypatch, tmp_path):
+    _, S, z, u, v = singular_draw(TOY, offset)
+    monkeypatch.setattr(protocol, "_draw", lambda attempt: attempt(0))
+    monkeypatch.setattr(os, "urandom", lambda n: z)
+    sha3_calls.clear()
+    with pytest.raises(AbortSingular, match="evaluation point"):
+        send(S, u, v, TOY, NonceLog(tmp_path / "nonces"))
+    assert sha3_calls == {"sha3": 3}
+    assert not (tmp_path / "nonces").exists()
 
 
 def outcomes_past_derive(profile, rng):

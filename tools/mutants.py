@@ -39,8 +39,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "fourpoint"
-# README.md too: a test runs its library quick start
-COPIED = ("src", "tests", "perfbench", "demos", "pyproject.toml", "README.md")
+# README.md too: a test runs its library quick start; tools and
+# BENCHMARK.json: a test loads tools/pairs.py and the benchmark's metrics
+COPIED = ("src", "tests", "perfbench", "demos", "tools", "pyproject.toml",
+          "README.md", "BENCHMARK.json")
 
 DEFAULT_TARGETS = ("protocol._derive", "protocol.derive_session",
                    "protocol._kernel", "protocol._generate",
