@@ -14,12 +14,12 @@ accepts only if the check hash over (S, v, s1, s3, u, z) matches.
 Both work fraction-free on raw ints. The points t + d, d = 0, 2v+1, 2u,
 2u+2v+1, share t = n/K, n = B*K + i, so s_d = K*N_d / (n + d*K) with
 N_d = X*p^d + (-1)^d * (q*Phi + q'*Psi), X = p^B * anchor(i, K). A
-Session holds the raw (p, K, C, n, q), and both parties read Phi and Psi
-at t through prf.session_values, building no oscillator object.
+Session holds the raw (p, K, C, n, q); derive_session makes it for both
+parties, and both read Phi and Psi at t through prf.session_values,
+building no oscillator object.
 The sender's one full-width pow is X*p^(2v+1) = exp_at(t + 2v+1), and
 one inverse serves s1 and s3. X cancels out of the receiver's recovery,
-so v costs one inverse and no full-width pow, and the receiver rederives
-(p, K, C, n, q) without building a Session. The recovery formula lives
+so v costs one inverse and no full-width pow. The recovery formula lives
 in _recovery_map and _recover, which the forgery games in harness run
 too. genfunc.s_M and invariant.recover_v are the reference; they read a
 Session through genfunc.reference_view, and this module loads them only
@@ -68,7 +68,8 @@ class Profile(NamedTuple("Profile", [
 
     The envelope must fit the wire: M by Modulus's own check, u below 2^32
     and v below the 8-byte check encoding, so every in-envelope message
-    can be sent. The grid must fit the PRF index: K_max * C_max <= 2^384.
+    can be sent. The grid must fit the PRF index, K_max * C_max <= 2^384,
+    and hold a K not 0 mod M, which only a one-value range can fail.
     """
 
     __slots__ = ()
@@ -86,6 +87,9 @@ class Profile(NamedTuple("Profile", [
             raise ValueError("v_bits too wide for the 8-byte check encoding")
         if not (2 <= self.K_min <= self.K_max):
             raise ValueError("bad K range")
+        if self.K_min == self.K_max and self.K_min % self.mod.M == 0:
+            raise ValueError(f"K range [{self.K_min}, {self.K_max}] holds "
+                             f"only multiples of M, so every draw aborts")
         if not (2 <= self.C_min <= self.C_max):
             raise ValueError("bad C range")
         if self.K_max * self.C_max > 1 << 8 * _INDEX_WIDTH:
@@ -179,7 +183,7 @@ def dump_profile(profile: Profile, path) -> None:
 
 class Session(NamedTuple):
     """Everything derived from (S, z) under one profile, as the raw ints
-    that _derive returns. The reference layer types it by
+    derive_session gives both parties. The reference layer types it by
     genfunc.reference_view; the protocol path and games read the ints."""
 
     S: bytes
@@ -195,10 +199,10 @@ class Session(NamedTuple):
         return f"Session(z={self.z.hex()}, profile={self.profile.name})"
 
 
-def _derive(S: bytes, z: bytes, profile: Profile,
-            offsets: tuple = ()) -> tuple:
-    """(p, K, C, n, q) for (S, z) as raw ints: the nine derivation hashes
-    and their checks, which both parties run.
+def derive_session(S: bytes, z: bytes, profile: Profile,
+                   offsets: tuple = ()) -> Session:
+    """Deterministically expand (S, z) into a Session: the nine derivation
+    hashes and their checks, the one derivation of both parties.
 
     The grid comes first, so that a draw that must abort stops early: K
     and i (2 hashes) decide AbortZeroIndex on i = 0, then n (3 hashes)
@@ -233,16 +237,17 @@ def _derive(S: bytes, z: bytes, profile: Profile,
          as_int(sha3_256(qSz + b"\x02").digest(), "big") % M,
          as_int(sha3_256(qSz + b"\x03").digest(), "big") % M,
          as_int(sha3_256(qSz + b"\x04").digest(), "big") % M)
-    return p, K, C, n, q
+    return tuple.__new__(Session, (S, z, profile, p, K, C, n, q))
 
 
-def derive_session(S: bytes, z: bytes, profile: Profile,
-                   offsets: tuple = ()) -> Session:
-    """Deterministically expand (S, z) into a Session: the nine derivation
-    hashes and nothing more; raises as _derive does, and so also checks
-    the points t + d for d in offsets."""
-    return tuple.__new__(Session,
-                         (S, z, profile, *_derive(S, z, profile, offsets)))
+def _offsets(profile: Profile, u: int, v: int) -> tuple:
+    """(2v+1, 2u, 2u+2v+1), the offsets of s1, s2 and s3 from t; ValueError
+    for u outside [1, u_bound) or v outside [0, v_bound), the envelope."""
+    if not 1 <= u < profile.u_bound:
+        raise ValueError(f"u must be in [1, {profile.u_bound})")
+    if not 0 <= v < profile.v_bound:
+        raise ValueError(f"v must be in [0, {profile.v_bound})")
+    return 2 * v + 1, 2 * u, 2 * u + 2 * v + 1
 
 
 class Message(NamedTuple("Message", [
@@ -303,8 +308,8 @@ def _recover(rmap: tuple[int, int, int], s3: int, K: int, M: int) -> int:
 def _generate(sess: Session, u: int, v: int) -> tuple:
     """alice_generate's Message with the p^2u, A1 and A3 it computed, from
     which harness.new_game builds the receiver's recovery map. The
-    caller has checked u and v against the profile, and t + 2v+1, t + 2u
-    and t + 2u+2v+1 against 0 mod M (or derived sess with those offsets).
+    caller has checked u and v by _offsets and the points t + d, d in its
+    offsets, against 0 mod M (or derived sess with those offsets).
     """
     S, z, profile, p, K, C, n, q = sess
     mod = profile.mod
@@ -320,8 +325,8 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
     s3 = (X1 * p2u - A3) * n1 % M * scale % M
     if (s1 * p2u - s3) % M == 0:
         raise AbortNonInvertible("recovery denominator not invertible")
-    # u < u_bound <= 2^32, _derive has checked z's length and the check
-    # hash is 32 bytes: Message's checks hold
+    # u < u_bound <= 2^32, derive_session has checked z's length and the
+    # check hash is 32 bytes: Message's checks hold
     msg = tuple.__new__(Message, (FieldElem(s1, mod), FieldElem(s3, mod), u,
                                   z, compute_check(S, v, s1, s3, u, z)))
     return msg, p2u, A1, A3
@@ -329,17 +334,13 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
 
 def alice_generate(sess: Session, u: int, v: int) -> Message:
     """Sender side: s1 and s3, denominator check, check hash. ValueError
-    for u outside [1, u_bound) or v outside [0, v_bound); AbortSingular
-    if t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
+    from _offsets for u or v outside the envelope; AbortSingular if
+    t + 2v+1, t + 2u (the receiver's s2) or t + 2u+2v+1 is 0 mod M."""
     profile, K, n = sess.profile, sess.K, sess.n
-    if not 1 <= u < profile.u_bound:
-        raise ValueError(f"u must be in [1, {profile.u_bound})")
-    if not 0 <= v < profile.v_bound:
-        raise ValueError(f"v must be in [0, {profile.v_bound})")
     M = profile.mod.M
-    if ((n + (2 * v + 1) * K) % M == 0 or (n + 2 * u * K) % M == 0
-            or (n + (2 * u + 2 * v + 1) * K) % M == 0):
-        raise AbortSingular("an evaluation point reduces to 0 mod M")
+    for d in _offsets(profile, u, v):
+        if (n + d * K) % M == 0:
+            raise AbortSingular("an evaluation point reduces to 0 mod M")
     return _generate(sess, u, v)[0]
 
 
@@ -360,7 +361,7 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     if not 1 <= msg.u < profile.u_bound:
         raise RejectRange(f"u = {msg.u} outside [1, {profile.u_bound})")
     try:
-        p, K, C, n, q = _derive(S, msg.z, profile)
+        _, _, _, p, K, C, n, q = derive_session(S, msg.z, profile)
     except ProtocolAbort:  # its text would tell which secret check failed
         raise RejectSession("session recomputation aborted") from None
     u, M = msg.u, profile.mod.M
@@ -454,14 +455,10 @@ def _draw(attempt, tries: int = NONCE_TRIES):
 def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
     """The 132-byte message carrying v under a fresh nonce from os.urandom,
     drawn by _draw; a nonce is claimed only once its message exists, and
-    one the log already holds counts as an aborted draw. u and v are
-    checked once, before any nonce is drawn; each draw derives with the
-    three evaluation points, so a singular one aborts inside _derive."""
-    if not 1 <= u < profile.u_bound:
-        raise ValueError(f"u must be in [1, {profile.u_bound})")
-    if not 0 <= v < profile.v_bound:
-        raise ValueError(f"v must be in [0, {profile.v_bound})")
-    offsets = (2 * v + 1, 2 * u, 2 * u + 2 * v + 1)
+    one the log already holds counts as an aborted draw. _offsets checks
+    u and v once, before any nonce is drawn; each draw derives with its
+    three offsets, so a singular point aborts inside derive_session."""
+    offsets = _offsets(profile, u, v)
 
     def attempt(_):
         z = os.urandom(NONCE_LEN)

@@ -4,14 +4,17 @@ Each generator takes a random.Random and yields cases (surface, call,
 args): deserialize and receive on random, bit-flipped, truncated,
 extended and spliced messages on mini, toy and production; receive
 against oracles.naive_receive on the same messages, and on the
-production ones for the texts of its rejections; profile_from_dict and
+production ones for the texts of its rejections; both sender paths
+against oracles.naive_send, and that oracle against naive_receive, on
+(S, z, u, v) drawn on the three profiles; profile_from_dict and
 load_profile on mutated profile dicts and files; and cli.main on argv
 drawn from a small grammar over its five commands. The property is that
 each call returns a value or raises one of ALLOWED, never another
 exception; the checks that wrap a call (a loaded dict reads back as
-written, receive agrees with the oracle, a rejection's text holds no
-value derived from the secret, main exits 0, 1 or 2 with no traceback)
-raise AssertionError, which is outside ALLOWED.
+written, receive and the sender agree with their oracles, the oracles
+agree with each other, a rejection's text holds no value derived from
+the secret, main exits 0, 1 or 2 with no traceback) raise
+AssertionError, which is outside ALLOWED.
 tests/test_fuzz.py runs them on fixed seeds, tools/fuzz.py on fresh
 ones. Stdlib only.
 """
@@ -25,14 +28,14 @@ import re
 from fourpoint.cli import main
 from fourpoint.errors import FourPointError, ProtocolAbort, VerificationError
 from fourpoint.prf import session_values
-from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY, _derive,
-                                _draw, _kernel, _recover, _recovery_map,
-                                alice_generate, derive_session,
+from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY, _draw,
+                                _generate, _kernel, _offsets, _recover,
+                                _recovery_map, alice_generate, derive_session,
                                 deserialize, dump_profile, load_profile,
                                 profile_from_dict, profile_to_dict, receive,
                                 serialize)
 
-from oracles import naive_receive
+from oracles import naive_receive, naive_send
 
 ALLOWED = (FourPointError, ValueError, OSError)
 PROFILES = (MINI, TOY, PRODUCTION)
@@ -126,7 +129,7 @@ def session_secrets(S: bytes, data: bytes, profile) -> set:
     at data's s3. Empty when the derivation aborts."""
     msg = deserialize(data, profile)
     try:
-        p, K, C, n, q = _derive(S, msg.z, profile)
+        _, _, _, p, K, C, n, q = derive_session(S, msg.z, profile)
     except ProtocolAbort:
         return set()
     M, s3 = profile.mod.M, msg.s3.value
@@ -162,6 +165,62 @@ def leak_cases(cases):
     for surface, _, args in cases:
         if surface == "receive" and args[2] is PRODUCTION:
             yield "receive hides session values", hides_session_values, args
+
+
+def sender_draw(rng: random.Random, profile) -> tuple:
+    """(S, z, u, v, profile) for the sender, with S at least the profile's
+    floor long and u and v each at an envelope corner (u = 1 or
+    u_bound - 1, v = 0 or v_bound - 1) one time in two."""
+    u_bound, v_bound = profile.u_bound, profile.v_bound
+    u = rng.choice((1, u_bound - 1, rng.randrange(1, u_bound),
+                    rng.randrange(1, u_bound)))
+    v = rng.choice((0, v_bound - 1, rng.randrange(v_bound),
+                    rng.randrange(v_bound)))
+    return (rng.randbytes(rng.randrange(profile.min_secret_len, 41)),
+            rng.randbytes(32), u, v, profile)
+
+
+def sender_outcome(make) -> bytes | str:
+    """The serialized Message of make(), or the name of what it raised."""
+    try:
+        return serialize(make())
+    except (FourPointError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def sends_as_the_oracle(S: bytes, z: bytes, u: int, v: int, profile):
+    """The sender's bytes or abort class; AssertionError unless both of its
+    paths give oracles.naive_send's: alice_generate over a plain session,
+    and send's _generate over one derived with _offsets."""
+    want = naive_send(S, z, u, v, profile)
+    checked = sender_outcome(lambda: alice_generate(
+        derive_session(S, z, profile), u, v))
+    offset = sender_outcome(lambda: _generate(
+        derive_session(S, z, profile, _offsets(profile, u, v)), u, v)[0])
+    if not checked == offset == want:
+        raise AssertionError(f"alice_generate gave {checked!r:.40}, "
+                             f"_generate {offset!r:.40}, the oracle "
+                             f"{want!r:.40}")
+    return want
+
+
+def oracle_round_trip(S: bytes, z: bytes, u: int, v: int, profile):
+    """naive_send's outcome; AssertionError unless naive_receive reads v
+    back from the message it sends: the loop with no package code."""
+    blob = naive_send(S, z, u, v, profile)
+    if isinstance(blob, bytes) and naive_receive(S, blob, profile) != v:
+        raise AssertionError(f"naive_receive lost v = {v}")
+    return blob
+
+
+def sender_cases(rng: random.Random, count: int):
+    """count sender_draw inputs per profile, each against the oracle and
+    through the oracle's round trip."""
+    for profile in PROFILES:
+        for _ in range(count):
+            args = sender_draw(rng, profile)
+            yield "send vs oracle", sends_as_the_oracle, args
+            yield "oracle round trip", oracle_round_trip, args
 
 
 def nested(depth: int) -> list:

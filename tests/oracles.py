@@ -89,6 +89,50 @@ def naive_session(S: bytes, z: bytes, profile) -> dict | str:
             "anchor_key": digest(b"IBC.prf")}
 
 
+def naive_send(S: bytes, z: bytes, u: int, v: int, profile) -> bytes | str:
+    """The sender as README's sender description gives it, with hashlib
+    and naive_session only: the 132-byte message carrying v under nonce z,
+    or the name of the abort protocol's sender raises ("AbortZeroIndex",
+    "AbortSingular" or "AbortNonInvertible"). u and v lie in the
+    profile's envelope, and S is long enough for it.
+    """
+    M = profile.mod.M
+    sess = naive_session(S, z, profile)
+    if isinstance(sess, str):
+        return sess
+    p, K, C, i, B = sess["p"], sess["K"], sess["C"], sess["i"], sess["B"]
+    q1, q2, q3, q4 = sess["q"]
+    n = B * K + i  # t = n/K
+    # s_d at t + d for d = 2v+1 and d = 2u+2v+1; the receiver's s2 at t + 2u
+    d1, d3 = 2 * v + 1, 2 * u + 2 * v + 1
+    if any((n + d * K) % M == 0 for d in (d1, 2 * u, d3)):
+        return "AbortSingular"
+    # Phi and Psi at t, as naive_receive reads them
+    block, m = divmod(C * n, K * C)
+
+    def oscillator(key: bytes) -> int:
+        value = int.from_bytes(hashlib.sha3_256(
+            key + m.to_bytes(48, "big")).digest(), "big") % M
+        return -value if block % 2 else value
+    phi, psi = oscillator(sess["phi_key"]), oscillator(sess["psi_key"])
+    # X = p^B * anchor(i, K), the anchor a keyed PRF value in [1, M-1]
+    anchor = int.from_bytes(hashlib.sha3_256(
+        sess["anchor_key"] + i.to_bytes(48, "big") + K.to_bytes(48, "big")
+    ).digest(), "big") % (M - 1) + 1
+    X = pow(p, B, M) * anchor % M
+    # s_d = K*N_d / (n + d*K), N_d = X*p^d - (q*Phi + q'*Psi) for odd d
+    s1 = (K * (X * pow(p, d1, M) - (q1 * phi + q2 * psi))
+          * pow(n + d1 * K, -1, M) % M)
+    s3 = (K * (X * pow(p, d3, M) - (q3 * phi + q4 * psi))
+          * pow(n + d3 * K, -1, M) % M)
+    if s1 * pow(p, 2 * u, M) % M == s3:  # the receiver's e = s1*p^2u
+        return "AbortNonInvertible"
+    head = (s1.to_bytes(32, "big") + s3.to_bytes(32, "big")
+            + u.to_bytes(4, "big"))
+    return head + z + hashlib.sha3_256(
+        b"IBC.check" + S + v.to_bytes(8, "big") + head + z).digest()
+
+
 def naive_receive(S: bytes, data: bytes, profile) -> int | str:
     """The receiver as README's wire format and recovery sections describe
     it, with hashlib and naive_session only: v on accept, else the name of

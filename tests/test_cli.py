@@ -476,12 +476,16 @@ class TestSelftestAndAttack:
         assert fails and "protocol round trip" in fails[0]
 
     @pytest.mark.parametrize("command", ["selftest", "attack"])
-    @pytest.mark.parametrize("changes", [
-        {"K_min": 3, "K_max": 3},  # every K is 0 mod 3
-        {"u_bits": 1, "v_bits": 0},  # t + 1 or t + 2 is 0 mod 3
+    @pytest.mark.parametrize("changes, why", [
+        # every K is 0 mod 3: the profile is refused at load
+        ({"K_min": 3, "K_max": 3},
+         r": K range \[3, 3\] holds only multiples of M, so every draw "
+         r"aborts"),
+        # t + 1 or t + 2 is 0 mod 3: the draws give up
+        ({"u_bits": 1, "v_bits": 0}, r" failed: Abort\w+: .*"),
     ], ids=["K-is-0-mod-M", "u-1-v-0"])
     def test_profile_whose_every_draw_aborts_exits_2(self, tmp_path, command,
-                                                     changes):
+                                                     changes, why):
         # each game redraws at most NONCE_TRIES times; the timeout fails
         # a loop that never ends
         path = _write_profile(tmp_path, TOY, name="degenerate", M="3",
@@ -493,7 +497,7 @@ class TestSelftestAndAttack:
                                "--profile", path], capture_output=True,
                               text=True, env=env, timeout=20)
         assert proc.returncode == 2
-        assert re.fullmatch(rf"{command} failed: Abort\w+: .*\n", proc.stderr)
+        assert re.fullmatch(rf"{command}{why}\n", proc.stderr)
         assert proc.stdout == ""
 
     def test_attack_csv(self, capsys):

@@ -201,12 +201,10 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
         assert receive(bob_verify, S, data, profile) == want
 
     def unbuilt(*args):
-        raise AssertionError("the receiver built a session record")
+        raise AssertionError("the receiver built a reference object")
 
-    # nor does it build the records that only the sender reads, not even
-    # a grid point or an oscillator: it reads Phi and Psi at t as raw ints
-    for name in ("derive_session", "Session"):
-        monkeypatch.setattr(protocol, name, unbuilt)
+    # nor does it build a grid point, an oscillator or a typed view: it
+    # reads the Session's raw ints and Phi and Psi at t as raw ints
     monkeypatch.setattr(EvalPoint, "__init__", unbuilt)
     monkeypatch.setattr(genfunc, "reference_view", unbuilt)
     monkeypatch.setattr(oscillator.PrfOscillator, "__init__", unbuilt)
@@ -291,8 +289,9 @@ def python_calls(fn, *args):
 
 @PROFILES
 def test_receive_makes_at_most_16_python_calls(profile):
-    # deserialize and bob_verify build no session, oscillator or Message
-    # field check, and hash without a helper call per value
+    # deserialize and bob_verify build one Session tuple and no
+    # oscillator or Message field check, and hash without a helper call
+    # per value
     rng = random.Random(f"calls/{profile.name}")
     received = 0
     while received < 5:

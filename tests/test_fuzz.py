@@ -5,9 +5,11 @@ value or raise FourPointError, ValueError or OSError on every case,
 never another exception; a dict that loads must read back as written;
 receive must agree with oracles.naive_receive on every mutated message,
 and on production no text of its rejections may hold a value derived
-from the secret; and cli.main must exit 0, 1 or 2 with no traceback on
-every argv. Each violation the corpus found first has its own test
-below. tools/fuzz.py runs the same generators on fresh seeds.
+from the secret; both sender paths must give oracles.naive_send's bytes
+or abort, and naive_receive must read v back from naive_send's message;
+and cli.main must exit 0, 1 or 2 with no traceback on every argv. Each
+violation the corpus found first has its own test below. tools/fuzz.py
+runs the same generators on fresh seeds.
 """
 
 from contextlib import redirect_stderr
@@ -17,17 +19,18 @@ import random
 import pytest
 
 from fourpoint.cli import build_parser
-from fourpoint.protocol import (TOY, profile_from_dict, profile_to_dict,
-                                receive)
+from fourpoint.protocol import (MINI, TOY, profile_from_dict,
+                                profile_to_dict, receive)
 
 from fuzzing import (PROFILES, cli_argv, cli_cases, honest, leak_cases,
-                     nested, oracle_cases, profile_cases, violations,
-                     wire_cases)
-from oracles import naive_receive
+                     nested, oracle_cases, profile_cases, sender_cases,
+                     sender_draw, violations, wire_cases)
+from oracles import naive_receive, naive_send
 
 SEEDS = range(8)
 CASES = 100  # messages per profile, and dicts and files each, per seed
 CLI_CASES = 30  # argv per seed: each runs a whole command
+SENDER_CASES = 30  # (S, z, u, v) per profile per seed
 ARGV_DRAWS = 1000  # argv drawn, not run, to bound attack's trials
 
 
@@ -53,6 +56,32 @@ def test_receive_agrees_with_the_oracle(seed):
 def test_rejection_texts_hold_no_session_value(seed):
     cases = wire_cases(random.Random(f"wire/{seed}"), CASES)
     assert violations(leak_cases(cases)) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sender_agrees_with_the_oracle(seed):
+    cases = sender_cases(random.Random(f"sender/{seed}"), SENDER_CASES)
+    assert violations(cases) == []
+
+
+def test_sender_corpus_reaches_every_outcome_and_corner():
+    # the property is checked at the four envelope corners of every
+    # profile, and on mini on messages and on each abort the sender raises
+    outcomes, drawn = set(), set()
+    for seed in SEEDS:
+        rng = random.Random(f"sender/{seed}")
+        for profile in PROFILES:
+            for _ in range(SENDER_CASES):
+                args = sender_draw(rng, profile)
+                drawn.add((profile.name, *args[2:4]))
+                if profile is MINI:
+                    got = naive_send(*args)
+                    outcomes.add(got if isinstance(got, str) else "message")
+    assert outcomes == {"message", "AbortZeroIndex", "AbortSingular",
+                        "AbortNonInvertible"}
+    corners = {(p.name, u, v) for p in PROFILES
+               for u in (1, p.u_bound - 1) for v in (0, p.v_bound - 1)}
+    assert corners <= drawn
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -458,15 +458,17 @@ class TestLemma2:
             lemma2_reuse_experiment(TOY, 257)
         assert calls == []
 
-    @pytest.mark.parametrize("profile, V_max", [
-        # every K is 0 mod 3, so every session aborts
-        ("TOY._replace(mod=Modulus(3), K_min=3, K_max=3)", 2),
+    @pytest.mark.parametrize("profile, V_max, outcome, draws", [
+        # every K is 0 mod 3: Profile refuses the range before any draw
+        ("TOY._replace(mod=Modulus(3), K_min=3, K_max=3)", 2,
+         "ValueError", 0),
         # 16 payloads keep every t + 2v+1 off 0 mod 17 only at t = 1, and
         # then some t + 2u+2v+1 is 0 unless 17 divides u; no u below 2^4
         # does
-        ("MINI._replace(u_bits=4)", 16),
+        ("MINI._replace(u_bits=4)", 16, "Abort", 1 << 14),
     ], ids=["K-is-0-mod-M", "mini-u-bits-4"])
-    def test_gives_up_on_a_profile_no_draw_suits(self, profile, V_max):
+    def test_gives_up_on_a_profile_no_draw_suits(self, profile, V_max,
+                                                 outcome, draws):
         # the experiment draws at most 2^14 sessions, then raises the last
         # abort; the timeout fails a loop that never ends
         code = ("from fourpoint import harness\n"
@@ -478,7 +480,7 @@ class TestLemma2:
                 "    calls.append(args) or derive_session(*args))\n"
                 "try:\n"
                 f"    harness.lemma2_reuse_experiment({profile}, {V_max})\n"
-                "except ProtocolAbort as exc:\n"
+                "except (ProtocolAbort, ValueError) as exc:\n"
                 "    print(type(exc).__name__, len(calls))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -487,8 +489,8 @@ class TestLemma2:
                               capture_output=True, text=True, env=env,
                               timeout=60)
         assert proc.returncode == 0, proc.stderr
-        kind, draws = proc.stdout.split()
-        assert kind.startswith("Abort") and int(draws) == 1 << 14
+        kind, made = proc.stdout.split()
+        assert kind.startswith(outcome) and int(made) == draws
 
     def test_replayed_donors_are_not_splices(self):
         # two of these mini donors share s3 mod 17, so 8 of the 112

@@ -105,6 +105,17 @@ class TestProfiles:
         with pytest.raises(ValueError, match=key):
             profile_from_dict({**profile_to_dict(TOY), key: value})
 
+    def test_k_range_of_multiples_of_m_refused(self):
+        # every draw on it would abort: M divides its only K; a two-value
+        # range always holds a K that M does not divide
+        with pytest.raises(ValueError, match=r"^K range \[514, 514\] holds "
+                                             "only multiples of M"):
+            profile_from_dict({**profile_to_dict(TOY),
+                               "K_min": 514, "K_max": 514})
+        for K_min, K_max in ((513, 514), (514, 515), (515, 515)):
+            assert profile_from_dict({**profile_to_dict(TOY), "K_min": K_min,
+                                      "K_max": K_max}).K_max == K_max
+
     def test_smallest_bit_widths_accepted(self):
         narrow = profile_from_dict({**profile_to_dict(TOY),
                                     "u_bits": 1, "v_bits": 0})
@@ -793,11 +804,17 @@ class TestSendReceive:
                                       (5, -1), (5, TOY.v_bound)])
     def test_bad_u_or_v_refused_before_a_nonce_is_drawn(self, tmp_path,
                                                         monkeypatch, u, v):
+        [(z, _)] = nonces(self.S, 5, 17, TOY, True, 1)
+
         def urandom(n):
             raise AssertionError("send drew a nonce")
         monkeypatch.setattr(os, "urandom", urandom)
-        with pytest.raises(ValueError, match="must be in"):
+        with pytest.raises(ValueError, match="must be in") as sent:
             send(self.S, u, v, TOY, NonceLog(tmp_path / "nonces"))
+        # alice_generate refuses the same (u, v) with the same text
+        with pytest.raises(ValueError) as generated:
+            alice_generate(derive_session(self.S, z, TOY), u, v)
+        assert str(generated.value) == str(sent.value)
 
     @pytest.mark.parametrize("u, v", [(1, 0),
                                       (TOY.u_bound - 1, TOY.v_bound - 1)])
@@ -819,6 +836,31 @@ class TestSendReceive:
         assert (type(info.value), str(info.value)) == (type(last), str(last))
         assert len(made) == NONCE_TRIES
         assert not any((tmp_path / "nonces").glob("*"))
+
+    def test_receive_derives_through_derive_session(self, tmp_path,
+                                                    monkeypatch):
+        # one derivation serves both parties: each receive past the u
+        # check calls derive_session once, accepted or not, and a u
+        # outside [1, u_bound) is rejected before it
+        blob = send(self.S, 5, 17, TOY, NonceLog(tmp_path / "n"))
+        calls = []
+        real = protocol.derive_session
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+        monkeypatch.setattr(protocol, "derive_session", counting)
+        z = blob[68:100]
+        assert receive(self.S, blob, TOY) == 17
+        assert calls == [z]
+        with pytest.raises(RejectHash):
+            receive(self.S, blob[:100] + bytes(32), TOY)
+        assert calls == [z, z]
+        for u in (0, TOY.u_bound):
+            with pytest.raises(RejectRange):
+                receive(self.S, blob[:64] + u.to_bytes(4, "big") + blob[68:],
+                        TOY)
+        assert calls == [z, z]
 
     @pytest.mark.parametrize("tamper, kind", [
         (lambda b: b[:-1], BadLength),

@@ -7,10 +7,11 @@ fresh hash and that sessions from one nonce share no oscillator. The
 hashes are counted through a patched hook. Other tests count every SHA3
 call, in every package module that binds sha3_256: of a send, whose
 derive_session makes the nine derivation hashes and no more, of a
-receive, which builds no session at all, of an exhaustive sweep, whose
-one reference view hashes the two oscillator keys and the anchor key,
-and whose s0 and s2 each hash two values and one anchor, and of a draw
-that aborts, which stops after the two or three grid hashes.
+receive, which derives through derive_session too, of an exhaustive
+sweep, whose one reference view hashes the two oscillator keys and the
+anchor key, and whose s0 and s2 each hash two values and one anchor,
+and of a draw that aborts, which stops after the two or three grid
+hashes.
 """
 
 from collections import Counter
@@ -207,7 +208,8 @@ POINTS = pytest.mark.parametrize("offset", [
 def singular_draw(profile, offset):
     """(seed, S, z, u, v): the first seed whose first new_game draw
     derives with i != 0 and a base point off 0 mod M, but puts
-    t + offset(u, v) at 0 mod M. naive_session, not _derive, finds it."""
+    t + offset(u, v) at 0 mod M. naive_session, not derive_session, finds
+    it."""
     M = profile.mod.M
     for seed in range(100_000):
         rng = random.Random(seed)
@@ -247,10 +249,11 @@ def test_singular_point_aborts_a_send_draw_after_3_sha3_calls(
 
 def outcomes_past_derive(profile, rng):
     """{outcome: (S, msg)} for an honest message and each reject after
-    _derive that the profile can reach: a tampered hash, s1*p^2u = s3, a
-    u that makes t + 2u singular (only where such a u is below u_bound),
-    a v at or over 2^64 (only where M is wider) and a v at v_bound with
-    a matching hash (only where v_bound is below both M and 2^64)."""
+    derive_session that the profile can reach: a tampered hash,
+    s1*p^2u = s3, a u that makes t + 2u singular (only where such a u is
+    below u_bound), a v at or over 2^64 (only where M is wider) and a v
+    at v_bound with a matching hash (only where v_bound is below both M
+    and 2^64)."""
     M = profile.mod.M
 
     def attempt(_):

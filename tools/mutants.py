@@ -44,7 +44,7 @@ PACKAGE = Path("src") / "fourpoint"
 COPIED = ("src", "tests", "perfbench", "demos", "tools", "pyproject.toml",
           "README.md", "BENCHMARK.json")
 
-DEFAULT_TARGETS = ("protocol._derive", "protocol.derive_session",
+DEFAULT_TARGETS = ("protocol.derive_session", "protocol._offsets",
                    "protocol._kernel", "protocol._generate",
                    "protocol.bob_verify", "harness.lemma1_exhaustive")
 
