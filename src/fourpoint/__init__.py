@@ -19,10 +19,9 @@ Library layout:
 """
 
 from .errors import (AbortNonInvertible, AbortSingular, AbortZeroIndex,
-                     BadLength, DomainError, FieldOverflow, FourPointError,
-                     NonInvertible, ProtocolAbort, RejectDenominator,
-                     RejectHash, RejectRange, RejectSession, SeedTooLarge,
-                     VerificationError)
+                     BadLength, FieldOverflow, FourPointError, NonInvertible,
+                     ProtocolAbort, RejectDenominator, RejectHash,
+                     RejectRange, RejectSession, VerificationError)
 from .modmath import EvalPoint, FieldElem, Modulus
 from .protocol import (MINI, PRODUCTION, TOY, Message, NonceLog, Profile,
                        Session, bob_verify, deserialize, get_profile,

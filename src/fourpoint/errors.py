@@ -1,11 +1,12 @@
 """Exception hierarchy for the fourpoint package.
 
-Three families matter to callers: hard usage errors (bad arguments,
-malformed wire data), protocol aborts (Alice redraws and retries), and
-verification rejections (Bob refuses a message). A value that must be
-inverted and is 0 mod M raises NonInvertible, wherever it occurs.
-Everything derives from FourPointError so `except FourPointError`
-catches the lot.
+Every class here belongs to one of four families: malformed wire data
+(BadLength, FieldOverflow), protocol aborts (Alice redraws and retries),
+verification rejections (Bob refuses a message), and the modular
+arithmetic, where a value that must be inverted and is 0 mod M raises
+NonInvertible, wherever it occurs. A bad argument anywhere else raises
+ValueError. Everything here derives from FourPointError so
+`except FourPointError` catches the lot.
 """
 
 
@@ -19,18 +20,6 @@ class NonInvertible(FourPointError):
     """A value that must be inverted is 0 mod the prime M: the base of a
     negative power, a grid denominator K, a base p, an evaluation point's
     image in s_M, or the invariant's or recovery's denominator."""
-
-
-# --- oscillators ---
-
-class SeedTooLarge(FourPointError):
-    """Table mode requested with P = K*C beyond the table cap."""
-
-
-# --- invariant ---
-
-class DomainError(FourPointError):
-    """Analytic check called at an excluded real point."""
 
 
 # --- protocol aborts (Alice's side; caller redraws) ---

@@ -18,7 +18,6 @@ identity on the real line, using literal sin/cos oscillators.
 import math
 from typing import NamedTuple
 
-from .errors import DomainError
 from .genfunc import reference_view, s_M
 from .modmath import EvalPoint, FieldElem, mod_inv, mod_pow
 
@@ -122,12 +121,15 @@ def analytic_invariant_check(p: float, q1: float, q2: float,
     would dominate the ratio. Splitting keeps the fractional part g (and
     hence the computed sine) identical across x and x+1, so paired terms
     cancel bit-exactly inside fsum and only the exponential survives.
+
+    Raises ValueError for p <= 0, and for a t that makes one of the four
+    points t, t+1, t+2, t+3 zero.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     for k in _EXCLUDED_SHIFTS:
         if t + k == 0.0:
-            raise DomainError(f"t = {t} makes point t+{k:g} zero")
+            raise ValueError(f"t = {t} makes point t+{k:g} zero")
 
     def terms(x: float) -> tuple:
         n = math.floor(x)

@@ -12,21 +12,17 @@ eval_index, eval_arg and eval_at read through it at j, n and C*n. The
 protocol path reads each value once, so prf.session_values hashes its
 two keys and values for both parties without building an oscillator or
 loading this module; genfunc.reference_view builds a session's two
-oscillators by generate. TableOscillator holds an explicit seed in
-memory: the worked examples, and the tests' tables of a PRF oscillator's
-seed_value, which must agree with it everywhere.
+oscillators by generate. TableOscillator holds the reduced copy of an
+explicit seed that its caller has already built, at any size: the worked
+examples, and the tests' tables of a PRF oscillator's seed_value, which
+must agree with it everywhere.
 """
 
 from hashlib import sha3_256
 from typing import NamedTuple
 
-from .errors import SeedTooLarge
 from .modmath import EvalPoint, FieldElem, Modulus
 from .prf import _TAG_PHI, _TAG_PSI, _prf_value
-
-# Tables may be built explicitly up to TABLE_CAP entries; beyond that
-# construction refuses.
-TABLE_CAP = 1 << 20
 
 _TAGS = {"phi": _TAG_PHI, "psi": _TAG_PSI}  # generate's labels, key tags
 
@@ -58,8 +54,6 @@ class TableOscillator:
 
     def __init__(self, seed: OscSeed, mod: Modulus):
         self.K, self.C, self.P, self.mod = seed.K, seed.C, seed.P, mod
-        if seed.P > TABLE_CAP:
-            raise SeedTooLarge(f"P = {seed.P} exceeds table cap {TABLE_CAP}")
         self.table = tuple(v % mod.M for v in seed.values)
 
     def seed_value(self, m: int) -> int:

@@ -260,11 +260,13 @@ class Message(NamedTuple("Message", [
 
     def __new__(cls, s1: FieldElem, s3: FieldElem, u: int, z: bytes,
                 h_check: bytes):
+        if not isinstance(u, int):
+            raise ValueError("u must be an int")
         if not 0 <= u < _U_BOUND:
             raise ValueError("u out of 32-bit range")
-        if len(z) != NONCE_LEN:
+        if not isinstance(z, (bytes, bytearray)) or len(z) != NONCE_LEN:
             raise ValueError("nonce must be 32 bytes")
-        if len(h_check) != 32:
+        if not isinstance(h_check, (bytes, bytearray)) or len(h_check) != 32:
             raise ValueError("check hash must be 32 bytes")
         return tuple.__new__(cls, (s1, s3, u, z, h_check))
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import threading
@@ -510,6 +511,15 @@ class TestSelftestAndAttack:
         assert main(["attack", "--adversary", "quantum"]) == 2
 
 
+@pytest.mark.parametrize("inverse", ["_sweep_inv", "_xgcd_inv"])
+def test_ledger_oracles_refuse_a_value_with_no_inverse(inverse):
+    invert = getattr(selftest, inverse)
+    for a in (0, 257, -257):
+        with pytest.raises(ValueError, match="not invertible"):
+            invert(a, 257)
+    assert invert(3, 257) * 3 % 257 == 1
+
+
 class TestFixtures:
     def test_outputs_are_deterministic(self, tmp_path, capsys):
         for d in ("f1", "f2"):
@@ -563,3 +573,14 @@ def test_installed_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "send" in proc.stdout and "recv" in proc.stdout
+
+
+def test_module_main_guard_runs_the_parser(monkeypatch, capsys):
+    # in process, so that a line trace of the suite reaches the guard; the
+    # loaded module leaves sys.modules so that runpy does not warn
+    monkeypatch.delitem(sys.modules, "fourpoint.cli")
+    monkeypatch.setattr(sys, "argv", ["fourpoint", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fourpoint.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "invariant-based symmetric authentication" in capsys.readouterr().out

@@ -390,6 +390,11 @@ class TestRandomAdversary:
             report = run_random_adversary(profile, trials, seed)
             assert (report.wins, report.aborts) == counts
 
+    def test_advantage_is_wins_over_trials(self):
+        report = harness.AdvantageReport("g", "random", 400, 10, 0.0, 1.0, 0)
+        assert report.advantage == 0.025
+        assert report._replace(trials=0, wins=0).advantage == 0.0
+
     def test_advantage_near_one_over_m(self):
         # 2000 trials at 1/257 expects ~8 wins; 30 would be wild
         report = run_random_adversary(TOY, 2000, seed=1)

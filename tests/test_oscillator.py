@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourpoint.errors import SeedTooLarge
 from fourpoint.modmath import EvalPoint, Modulus
-from fourpoint.oscillator import (TABLE_CAP, OscSeed, PrfOscillator,
-                                  TableOscillator, eval_arg, eval_at,
-                                  eval_index, generate, index_value)
+from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
+                                  eval_arg, eval_at, eval_index, generate,
+                                  index_value)
 from fourpoint.prf import session_values
 
 from oracles import unrolled_oscillator
@@ -33,9 +32,6 @@ class TestSeedValidation:
     def test_table_cap(self):
         seed = OscSeed(tuple(range(4)), 2, 2)
         assert TableOscillator(seed, M257).P == 4
-        over = OscSeed((0,) * (TABLE_CAP + 1), TABLE_CAP + 1, 1)
-        with pytest.raises(SeedTooLarge):
-            TableOscillator(over, M257)
 
 
 class TestWalkthroughFixture:

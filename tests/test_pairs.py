@@ -1,5 +1,5 @@
-"""tools/pairs.py's summary of paired benchmark runs, on fixed numbers;
-no benchmark runs here."""
+"""tools/pairs.py's summary of paired benchmark runs, on fixed numbers,
+and its argument checks; no benchmark runs here."""
 
 import importlib.util
 import json
@@ -58,3 +58,17 @@ def test_needs_two_complete_pairs():
         pairs.summarize(one, one, METRICS)
     with pytest.raises(ValueError):
         pairs.summarize(one * 3, one * 2, METRICS)
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_refused_before_any_run(count, monkeypatch,
+                                                     capsys):
+    def run_once(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--parent", str(ROOT), "--change", str(ROOT),
+                    "--pairs", count, "--workload", "toy-roundtrip"])
+    assert exc.value.code == 2
+    assert f"--pairs must be 2 or more, not {count}" in capsys.readouterr().err

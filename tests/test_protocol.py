@@ -628,8 +628,13 @@ class TestWireFormat:
         ok = dict(s1=FieldElem(1, mod), s3=FieldElem(2, mod), u=1,
                   z=bytes(32), h_check=bytes(32))
         Message(**ok)
-        for field, bad in (("u", 1 << 32), ("u", -1),
-                           ("z", bytes(31)), ("h_check", bytes(33))):
+        Message(**dict(ok, z=bytearray(32), h_check=bytearray(32)))
+        for field, bad in (("u", 1 << 32), ("u", -1), ("u", 3.0),
+                           ("u", "1"), ("u", None),
+                           ("z", bytes(31)), ("z", "z" * 32),
+                           ("z", list(bytes(32))),
+                           ("h_check", bytes(33)), ("h_check", "h" * 32),
+                           ("h_check", memoryview(bytes(32)))):
             kw = dict(ok)
             kw[field] = bad
             with pytest.raises(ValueError):

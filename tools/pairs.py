@@ -83,6 +83,8 @@ def main(argv=None) -> int:
                     help="pair k runs seed SEED+k on both sides")
     ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = ap.parse_args(argv)
+    if args.pairs < 2:  # summarize needs two pairs; refuse before any run
+        ap.error(f"--pairs must be 2 or more, not {args.pairs}")
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             ap.error(f"{checkout} holds no perfbench/run.py")
