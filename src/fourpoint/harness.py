@@ -30,8 +30,9 @@ from .genfunc import ReferenceView, reference_view, s_M
 from .invariant import recovery_map
 from .invariant import recover_v  # noqa: F401  unused here; perfbench traces it
 from .protocol import (CHECK_V_BOUND, Message, Profile, Session, _draw,
-                       _generate, _recover, _recovery_map, alice_generate,
-                       bob_verify, compute_check, derive_session)
+                       _generate, _offsets, _recover, _recovery_map,
+                       alice_generate, bob_verify, compute_check,
+                       derive_session)
 
 
 class AdversaryView(NamedTuple):
@@ -85,8 +86,7 @@ def new_game(profile: Profile, rng: random.Random) -> GameInstance:
         z = rng.randbytes(32)
         u = rng.randrange(1, profile.u_bound)
         v = rng.randrange(0, profile.v_bound)
-        sess = derive_session(S, z, profile,
-                              (2 * v + 1, 2 * u, 2 * u + 2 * v + 1))
+        sess = derive_session(S, z, profile, _offsets(profile, u, v))
         M = profile.mod.M
         msg, p2u, A1, A3 = _generate(sess, u, v)
         rmap = _recovery_map(A1, A3, p2u, msg.s1.value * p2u % M, sess.n,
@@ -206,7 +206,7 @@ def lemma1_exhaustive(game: GameInstance) -> tuple[int, list[int]]:
         raise AssertionError("the receiver's recovery map differs from "
                              "the reference")
     Kv2 = 2 * K * hid.v
-    k0, k1 = (Kv2 * e - Ka) % M, Kc + Kv2
+    k0, k1 = (Kv2 * e - Ka) % M, (Kc + Kv2) % M
     witnesses = [cand for cand in range(M)
                  if k1 * cand % M == k0 and cand != e]
     return len(witnesses), witnesses

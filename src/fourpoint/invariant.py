@@ -33,6 +33,9 @@ class InvariantTuple(NamedTuple):
     u: int
     v: int
 
+    def __repr__(self):  # public parts only: s0, s2 and v stay out
+        return f"InvariantTuple(u={self.u})"
+
 
 def eval_invariant(tu: InvariantTuple) -> FieldElem:
     """The four-point ratio; equals expected_constant on honest tuples."""

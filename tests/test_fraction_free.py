@@ -10,11 +10,8 @@ the same typed reason and the same v on every input, including the
 corners of the (u, v) envelope.
 """
 
-import builtins
-import gc
 import hmac
 import random
-import sys
 
 import pytest
 
@@ -229,131 +226,6 @@ def test_discarded_s2_point_still_aborts():
         alice_generate(sess, u, v)
     with pytest.raises(AbortSingular):
         reference_generate(sess, u, v)
-
-
-def test_one_full_width_pow_for_the_sender_none_for_the_receiver(
-        monkeypatch):
-    rng = random.Random(5)
-    S, z = rng.randbytes(32), rng.randbytes(32)
-    u, v = rng.randrange(1, PRODUCTION.u_bound), rng.randrange(1 << 64)
-    calls = []
-    real_pow = builtins.pow
-
-    def counting_pow(base, exp, mod=None):
-        calls.append(exp)
-        return real_pow(base, exp, mod)
-
-    def budget(fn, *args):
-        """fn's result and its pow exponents: over 65 bits, 34 to 65 bits,
-        and the count of inverses."""
-        calls.clear()
-        monkeypatch.setattr(builtins, "pow", counting_pow)
-        try:
-            result = fn(*args)
-        finally:
-            monkeypatch.setattr(builtins, "pow", real_pow)
-        widths = [e.bit_length() for e in calls]
-        return (result, sum(w > 65 for w in widths),
-                sum(33 < w <= 65 for w in widths), calls.count(-1))
-
-    msg, wide, middle, inverses = budget(
-        lambda: alice_generate(derive_session(S, z, PRODUCTION), u, v))
-    assert (wide, middle, inverses) == (1, 0, 1)
-    got, wide, middle, inverses = budget(bob_verify, S, msg, PRODUCTION)
-    assert got == v
-    assert (wide, middle, inverses) == (0, 0, 1)
-
-
-def python_calls(fn, *args):
-    """fn's result and the number of Python-level calls under it, fn's
-    own call excluded; built-ins such as pow and sha3_256 do not count.
-    The collector is off meanwhile: a collection would run the gc.callbacks
-    that hypothesis installs, as calls that fn did not make."""
-    calls = []
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return result, len(calls) - 1
-
-
-@PROFILES
-def test_receive_makes_at_most_16_python_calls(profile):
-    # deserialize and bob_verify build one Session tuple and no
-    # oscillator or Message field check, and hash without a helper call
-    # per value
-    rng = random.Random(f"calls/{profile.name}")
-    received = 0
-    while received < 5:
-        S, sess = fresh_session(rng, profile)
-        v = rng.randrange(profile.v_bound)
-        try:
-            blob = serialize(alice_generate(
-                sess, rng.randrange(1, profile.u_bound), v))
-        except ProtocolAbort:
-            continue
-
-        def receive_once():
-            return bob_verify(S, deserialize(blob, profile), profile)
-
-        got, calls = python_calls(receive_once)
-        assert got == v
-        assert calls <= 16
-        received += 1
-
-
-@PROFILES
-def test_send_makes_at_most_16_python_calls(profile):
-    # derive_session builds one tuple; alice_generate reads its raw ints,
-    # builds no oscillator, anchor or typed session view, and its Message
-    # in one tuple.__new__ call
-    rng = random.Random(f"calls/send/{profile.name}")
-    sent = 0
-    while sent < 5:
-        S, z = rng.randbytes(32), rng.randbytes(32)
-        u, v = rng.randrange(1, profile.u_bound), rng.randrange(profile.v_bound)
-
-        def send_once():
-            return serialize(alice_generate(derive_session(S, z, profile),
-                                            u, v))
-
-        try:
-            blob, calls = python_calls(send_once)
-        except ProtocolAbort:
-            continue
-        assert bob_verify(S, deserialize(blob, profile), profile) == v
-        assert calls <= 16
-        sent += 1
-
-
-def test_toy_round_trip_makes_at_most_31_python_calls():
-    rng = random.Random("calls/round-trip")
-    trips = 0
-    while trips < 5:
-        S, z = rng.randbytes(32), rng.randbytes(32)
-        u, v = rng.randrange(1, TOY.u_bound), rng.randrange(TOY.v_bound)
-
-        def round_trip():
-            msg = alice_generate(derive_session(S, z, TOY), u, v)
-            return bob_verify(S, deserialize(serialize(msg), TOY), TOY)
-
-        try:
-            got, calls = python_calls(round_trip)
-        except ProtocolAbort:
-            continue
-        assert got == v
-        assert calls <= 31
-        trips += 1
 
 
 def test_foreign_modulus_refused_like_the_reference():

@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from fourpoint.errors import NonInvertible
 from fourpoint.genfunc import reference_view, s_M
+from fourpoint.harness import new_game
 from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
                                  check_denominator, enumerate_fiber,
                                  eval_invariant, expected_constant, recover_v,
                                  recovery_map)
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
-from fourpoint.protocol import TOY
+from fourpoint.protocol import PRODUCTION, TOY
 
 from conftest import fresh_session
 
@@ -61,6 +62,18 @@ class TestModularIdentity:
         tu = InvariantTuple(fe(1), fe(1), fe(0), fe(0), t, 1, 0)
         with pytest.raises(NonInvertible):
             eval_invariant(tu)
+
+    def test_repr_prints_only_u(self):
+        # the tuple selftest's invariant suite builds for a production
+        # game: at 256 bits no secret residue shows up by chance
+        game = new_game(PRODUCTION, random.Random(5))
+        hid, msg = game.hidden, game.transcript
+        ref = reference_view(hid.session)
+        s0, s2 = game.s0_s2(ref)
+        tu = InvariantTuple(s0, msg.s1, s2, msg.s3, ref.t, msg.u, hid.v)
+        assert repr(tu) == str(tu) == f"InvariantTuple(u={msg.u})"
+        for secret in (s0.value, s2.value, hid.v):
+            assert str(secret) not in repr(tu)
 
 
 class TestExpectedConstant:

@@ -1,11 +1,14 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourpoint.modmath import EvalPoint, Modulus
+from fourpoint.modmath import PRODUCTION_PRIME, EvalPoint, Modulus
 from fourpoint.oscillator import (OscSeed, PrfOscillator, TableOscillator,
                                   eval_arg, eval_at, eval_index, generate,
                                   index_value)
-from fourpoint.prf import session_values
+from fourpoint.prf import _prf_value, anchor_value, session_values
 
 from oracles import unrolled_oscillator
 
@@ -95,6 +98,20 @@ class TestModeEquivalence:
         for j in range(-2 * prf.P, 2 * prf.P):
             assert eval_index(prf, j) == eval_index(tab, j)
 
+    def test_interleaved_seed_reads_match_a_fresh_hash(self):
+        # PrfOscillator keeps no value: each read hashes again
+        rng = random.Random(2)
+        osc = PrfOscillator(rng.randbytes(32), 4, 8, M257)
+        reads = [0, 0, 5, 5, 0, 31, 5] + [rng.randrange(32) for _ in range(200)]
+        for m in reads:
+            assert osc.seed_value(m) == _prf_value(osc.key, m, M257.M)
+        table = TableOscillator(
+            OscSeed([osc.seed_value(m) for m in range(osc.P)], 4, 8), M257)
+        assert table.table == tuple(_prf_value(osc.key, m, M257.M)
+                                    for m in range(osc.P))
+        for m in (31, 0, 31):
+            assert osc.seed_value(m) == _prf_value(osc.key, m, M257.M)
+
     def test_generate_is_on_demand_at_every_size(self):
         small = generate(b"s", b"\x01" * 32, "phi", 8, 8, M257)
         big = generate(b"s", b"\x01" * 32, "phi", 257, 256, M257)
@@ -129,3 +146,18 @@ class TestRawValues:
         assert session_values(S, z, K, C, n, M257.M) == (
             index_value(generate(S, z, "phi", K, C, M257), C * n),
             index_value(generate(S, z, "psi", K, C, M257), C * n))
+
+    def test_interleaved_anchor_reads_match_a_fresh_hash(self):
+        # nor does anchor_value: each read hashes again, under any M
+        rng = random.Random(3)
+        key = rng.randbytes(32)
+        reads = [(1, 4, 0), (1, 4, 0), (1, 4, 1), (2, 4, 1), (2, 5, 1),
+                 (1, 4, 0), (1, 4, 2), (1, 4, 2)]
+        reads += [(rng.randrange(1, 3), rng.randrange(3, 5), rng.randrange(3))
+                  for _ in range(200)]
+        for i, K, which in reads:
+            M = (17, M257.M, PRODUCTION_PRIME)[which]
+            digest = hashlib.sha3_256(key + i.to_bytes(48, "big")
+                                      + K.to_bytes(48, "big")).digest()
+            assert anchor_value(key, i, K, M) \
+                == int.from_bytes(digest, "big") % (M - 1) + 1
