@@ -25,7 +25,8 @@ import pytest
 
 from fourpoint import harness, prf, protocol
 from fourpoint.errors import (AbortSingular, AbortZeroIndex, ProtocolAbort,
-                              RejectRange, RejectSession, VerificationError)
+                              RejectHash, RejectRange, RejectSession,
+                              VerificationError)
 from fourpoint.genfunc import reference_view
 from fourpoint.harness import Forgery, adjudicate, lemma1_exhaustive, new_game
 from fourpoint.modmath import FieldElem
@@ -111,6 +112,17 @@ def test_send(profile, work):
         assert receive_once(profile, S, z, u, v, blob) == v
 
 
+@PROFILES
+def test_receive(profile, work):
+    # an honest message and one with a tampered check hash alike
+    for S, z, u, v, blob in sends(profile, f"sha3/receive/{profile.name}", 10):
+        msg = deserialize(blob, profile)
+        assert work(bob_verify, S, msg, profile) == (v, RECEIVE)
+        got, counts = work(bob_verify, S, msg._replace(h_check=bytes(32)),
+                           profile)
+        assert isinstance(got, RejectHash) and counts == RECEIVE
+
+
 def outcomes_past_derive(profile, rng):
     """{outcome: (S, msg)} for an honest message and each reject after
     derive_session that the profile can reach: a tampered hash,
@@ -148,9 +160,8 @@ def outcomes_past_derive(profile, rng):
     (TOY, {"accept", "RejectHash", "RejectDenominator", "RejectSession"}),
     (PRODUCTION, {"accept", "RejectHash", "RejectDenominator",
                   "RejectRange"})], ids=["mini", "toy", "production"])
-def test_receive(profile, reached, work):
-    # every outcome past derive does equal work: the reason a reject
-    # names is not told by the work it takes
+def test_every_outcome_past_derive_does_equal_work(profile, reached, work):
+    # the reason a reject names is not told by the work it takes
     for seed in range(5):
         cases = outcomes_past_derive(profile, random.Random(seed))
         assert set(cases) == reached
