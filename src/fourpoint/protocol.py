@@ -63,8 +63,21 @@ _HASH_NAME = "sha3-256"  # the one hash; profile files name it
 
 class Profile(NamedTuple("Profile", [
         ("name", str), ("mod", Modulus), ("K_min", int), ("K_max", int),
-        ("C_min", int), ("C_max", int), ("u_bits", int), ("v_bits", int)])):
+        ("C_min", int), ("C_max", int), ("u_bits", int), ("v_bits", int),
+        ("u_bound", int), ("v_bound", int), ("min_secret_len", int)])):
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
+
+    A caller gives the first eight fields; __new__ checks them and derives
+    the last three once, so the hot path reads stored values:
+    - u_bound = 2^u_bits, the exclusive cap on u;
+    - v_bound = min(2^v_bits, M), the exclusive cap on v: both the
+      profile width and exact recovery;
+    - min_secret_len, 32 bytes at production scale (M of 64 bits or
+      more), 8 at desk scale.
+    No caller gives a derived value: __new__ and _replace refuse one with
+    TypeError, as for any unknown argument, _make drops the last three of
+    a whole Profile, and pickle and copy pass only the eight, so each
+    rebuild checks the eight and derives the three afresh.
 
     The envelope must fit the wire: M by Modulus's own check, u below 2^32
     and v below the 8-byte check encoding, so every in-envelope message
@@ -73,42 +86,42 @@ class Profile(NamedTuple("Profile", [
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
+    _make = classmethod(lambda cls, it: cls(*tuple(it)[:8]))
+    __getnewargs__ = lambda self: self[:8]  # for pickle and copy
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.u_bits < 1:  # the sender draws u from [1, 2^u_bits)
-            raise ValueError(f"u_bits must be >= 1, got {self.u_bits}")
-        if self.v_bits < 0:
-            raise ValueError(f"v_bits must be >= 0, got {self.v_bits}")
-        if self.u_bits > _U_BITS:
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields[:8], self)), **changes})
+
+    def __new__(cls, name: str, mod: Modulus, K_min: int, K_max: int,
+                C_min: int, C_max: int, u_bits: int, v_bits: int):
+        given = (name, mod, K_min, K_max, C_min, C_max, u_bits, v_bits)
+        for field, value, kind in zip(cls._fields, given, (
+                str, Modulus, int, int, int, int, int, int)):
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"profile field {field!r} has a "
+                                 f"{type(value).__name__} value")
+        M = mod.M
+        if u_bits < 1:  # the sender draws u from [1, 2^u_bits)
+            raise ValueError(f"u_bits must be >= 1, got {u_bits}")
+        if v_bits < 0:
+            raise ValueError(f"v_bits must be >= 0, got {v_bits}")
+        if u_bits > _U_BITS:
             raise ValueError("u_bits too wide for the 4-byte wire field")
-        if self.v_bits > 8 * _CHECK_V_WIDTH and self.mod.M > CHECK_V_BOUND:
+        if v_bits > 8 * _CHECK_V_WIDTH and M > CHECK_V_BOUND:
             raise ValueError("v_bits too wide for the 8-byte check encoding")
-        if not (2 <= self.K_min <= self.K_max):
+        if not (2 <= K_min <= K_max):
             raise ValueError("bad K range")
-        if self.K_min == self.K_max and self.K_min % self.mod.M == 0:
-            raise ValueError(f"K range [{self.K_min}, {self.K_max}] holds "
+        if K_min == K_max and K_min % M == 0:
+            raise ValueError(f"K range [{K_min}, {K_max}] holds "
                              f"only multiples of M, so every draw aborts")
-        if not (2 <= self.C_min <= self.C_max):
+        if not (2 <= C_min <= C_max):
             raise ValueError("bad C range")
-        if self.K_max * self.C_max > 1 << 8 * _INDEX_WIDTH:
+        if K_max * C_max > 1 << 8 * _INDEX_WIDTH:
             raise ValueError("K_max * C_max too wide for the PRF index")
-        return self
-
-    @property
-    def u_bound(self) -> int:
-        return 1 << self.u_bits
-
-    @property
-    def v_bound(self) -> int:
-        """Exclusive cap on v: both the profile width and exact recovery."""
-        return min(1 << min(self.v_bits, self.mod.M.bit_length()), self.mod.M)
-
-    @property
-    def min_secret_len(self) -> int:
-        """32 bytes at production scale, 8 at desk scale."""
-        return 32 if self.mod.M.bit_length() >= 64 else 8
+        width = M.bit_length()
+        return tuple.__new__(cls, given + (
+            1 << u_bits, min(1 << min(v_bits, width), M),
+            32 if width >= 64 else 8))
 
 
 TOY = Profile("toy", Modulus(257), 2, 1 << 16, 2, 1 << 10,
@@ -242,7 +255,10 @@ def derive_session(S: bytes, z: bytes, profile: Profile,
 
 def _offsets(profile: Profile, u: int, v: int) -> tuple:
     """(2v+1, 2u, 2u+2v+1), the offsets of s1, s2 and s3 from t; ValueError
-    for u outside [1, u_bound) or v outside [0, v_bound), the envelope."""
+    for a u or v that is not an int (a bool is one, as in Message), u
+    outside [1, u_bound) or v outside [0, v_bound), the envelope."""
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise ValueError("u and v must be ints")
     if not 1 <= u < profile.u_bound:
         raise ValueError(f"u must be in [1, {profile.u_bound})")
     if not 0 <= v < profile.v_bound:

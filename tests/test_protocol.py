@@ -1,5 +1,7 @@
+import copy
 import inspect
 import os
+import pickle
 import random
 import time
 import tracemalloc
@@ -22,8 +24,9 @@ import fourpoint
 from fourpoint import modmath, protocol
 from fourpoint.protocol import (MESSAGE_LEN, MINI, NONCE_TRIES, PRODUCTION,
                                 PRODUCTION_PRIME, TOY, Message, NonceLog,
-                                Profile, _draw, alice_generate, bob_verify,
-                                compute_check, derive_session, deserialize,
+                                Profile, _draw, _offsets, alice_generate,
+                                bob_verify, compute_check, derive_session,
+                                deserialize,
                                 dump_profile, get_profile, load_profile,
                                 profile_from_dict, profile_to_dict, receive,
                                 send, serialize)
@@ -33,6 +36,23 @@ from oracles import naive_session
 
 PROFILES = pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
                                    ids=lambda p: p.name)
+# primes of 2 to 256 bits, built once: a 64-bit M is the min_secret_len edge
+MODULI = [Modulus(M) for M in (3, 17, 257, 65537, (1 << 31) - 1,
+                               (1 << 61) - 1, (1 << 63) - 25, (1 << 64) - 59,
+                               (1 << 89) - 1, (1 << 127) - 1,
+                               PRODUCTION_PRIME)]
+
+
+def bounds(profile):
+    return profile.u_bound, profile.v_bound, profile.min_secret_len
+
+
+def closed_forms(profile):
+    """(2^u_bits, min(2^v_bits, M), 32 if M >= 2^63 else 8), computed
+    without bit_length; v_bits is small enough to shift here."""
+    M = profile.mod.M
+    return (2 ** profile.u_bits, min(2 ** profile.v_bits, M),
+            32 if M >= 2 ** 63 else 8)
 
 
 class TestProfiles:
@@ -44,6 +64,82 @@ class TestProfiles:
         assert TOY.u_bound == 1 << 16
         assert TOY.min_secret_len == 8
         assert PRODUCTION.min_secret_len == 32
+
+    @pytest.mark.parametrize("profile", [
+        TOY, MINI, PRODUCTION,
+        # the min_secret_len edge: a 63-bit and a 64-bit M
+        Profile("63", Modulus((1 << 63) - 25), 2, 4, 2, 4, 8, 70),
+        Profile("64", Modulus((1 << 64) - 59), 2, 4, 2, 4, 8, 70)],
+        ids=["toy", "mini", "production", "M63", "M64"])
+    def test_stored_bounds_are_the_closed_forms(self, profile):
+        assert bounds(profile) == closed_forms(profile)
+        assert profile.min_secret_len == (32 if profile.name in
+                                          ("production", "64") else 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(MODULI), st.integers(2, 1 << 40),
+           st.integers(0, 1 << 40), st.integers(2, 1 << 40),
+           st.integers(0, 1 << 40), st.integers(1, 32), st.integers(0, 80))
+    def test_stored_bounds_of_any_valid_profile(self, mod, K_min, K_span,
+                                                C_min, C_span, u_bits,
+                                                v_bits):
+        if mod.M > protocol.CHECK_V_BOUND:
+            v_bits = min(v_bits, 64)
+        if K_span == 0 and K_min % mod.M == 0:
+            K_span = 1
+        profile = Profile("p", mod, K_min, K_min + K_span, C_min,
+                          C_min + C_span, u_bits, v_bits)
+        assert bounds(profile) == closed_forms(profile)
+
+    def test_every_rebuild_derives_the_bounds_afresh(self):
+        # a record whose stored bounds are wrong, built past __new__:
+        # each way of copying or rebuilding it derives them again
+        stale = tuple.__new__(Profile, TOY[:8] + (5, 5, 5))
+        for rebuilt in (Profile._make(stale), stale._replace(name="toy"),
+                        pickle.loads(pickle.dumps(stale)), copy.copy(stale),
+                        copy.deepcopy(stale),
+                        profile_from_dict(profile_to_dict(stale))):
+            assert type(rebuilt) is Profile
+            assert rebuilt == TOY and bounds(rebuilt) == closed_forms(TOY)
+        narrow = stale._replace(u_bits=8)
+        assert bounds(narrow) == (1 << 8, 257, 8) == closed_forms(narrow)
+
+    def test_a_derived_value_is_never_taken_from_the_caller(self):
+        # the constructor and _replace refuse one as an unknown argument;
+        # _make drops the last three of a whole record
+        for field in ("u_bound", "v_bound", "min_secret_len"):
+            with pytest.raises(TypeError, match=field):
+                Profile(*TOY[:8], **{field: 5})
+            with pytest.raises(TypeError, match=field):
+                TOY._replace(**{field: 5})
+        with pytest.raises(TypeError):
+            Profile(*TOY[:8], 5)
+        assert bounds(Profile._make(TOY[:8] + (5, 5, 5))) == bounds(TOY)
+        assert Profile._make(TOY[:8]) == TOY
+
+    def test_files_hold_only_the_given_fields(self, tmp_path):
+        assert list(profile_to_dict(TOY)) == [
+            "name", "K_min", "K_max", "C_min", "C_max", "u_bits", "v_bits",
+            "M", "hash"]
+        dump_profile(TOY, tmp_path / "toy.json")
+        assert (tmp_path / "toy.json").read_text() == (
+            '{\n  "C_max": 1024,\n  "C_min": 2,\n  "K_max": 65536,\n'
+            '  "K_min": 2,\n  "M": "257",\n  "hash": "sha3-256",\n'
+            '  "name": "toy",\n  "u_bits": 16,\n  "v_bits": 16\n}\n')
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 7), ("name", None), ("mod", 257), ("mod", None),
+        ("K_min", 2.0), ("K_max", True), ("C_min", "2"), ("C_max", None),
+        ("u_bits", 8.0), ("u_bits", True), ("v_bits", False)])
+    def test_wrongly_typed_field_refused(self, field, value):
+        # each is refused by name before any check reads it; a bool is
+        # no width, as in profile files
+        fields = dict(zip(Profile._fields[:8], TOY))
+        with pytest.raises(ValueError, match=f"^profile field {field!r} has "
+                                             f"a {type(value).__name__} "):
+            Profile(**{**fields, field: value})
+        with pytest.raises(ValueError, match=repr(field)):
+            TOY._replace(**{field: value})
 
     def test_get_profile(self):
         assert get_profile("toy") is TOY
@@ -820,6 +916,30 @@ class TestSendReceive:
         with pytest.raises(ValueError) as generated:
             alice_generate(derive_session(self.S, z, TOY), u, v)
         assert str(generated.value) == str(sent.value)
+
+    @pytest.mark.parametrize("u, v", [(9, 5.0), (9, "9"), (9, None),
+                                      (5.0, 9), ("9", 9), (None, 9)])
+    def test_u_or_v_not_an_int_refused_before_a_nonce_is_drawn(
+            self, tmp_path, monkeypatch, u, v):
+        # 5.0 would pass the range checks and die in a draw's pow, "9"
+        # and None in the comparison, each with a TypeError
+        [(z, _)] = nonces(self.S, 9, 9, TOY, True, 1)
+        sess = derive_session(self.S, z, TOY)
+
+        def urandom(n):
+            raise AssertionError("send drew a nonce")
+        monkeypatch.setattr(os, "urandom", urandom)
+        log = tmp_path / "nonces"
+        for refused in (lambda: _offsets(TOY, u, v),
+                        lambda: alice_generate(sess, u, v),
+                        lambda: send(self.S, u, v, TOY, NonceLog(log))):
+            with pytest.raises(ValueError, match="^u and v must be ints$"):
+                refused()
+        assert not log.exists() or not any(log.iterdir())
+
+    def test_bool_u_and_v_are_ints(self):
+        # as Message takes a bool u, the envelope takes True and False
+        assert _offsets(TOY, True, False) == _offsets(TOY, 1, 0) == (1, 2, 3)
 
     @pytest.mark.parametrize("u, v", [(1, 0),
                                       (TOY.u_bound - 1, TOY.v_bound - 1)])

@@ -13,8 +13,8 @@ host as microseconds do, so a change to the hot path shows here first.
   one inverse.
 - A game makes a send's work and adjudicates with one inverse. A
   failed draw stops after the two or three grid hashes.
-- A send or a receive makes at most 16 Python-level calls, a toy round
-  trip at most 31.
+- A send makes at most 13 Python-level calls, a receive at most 12, a
+  toy round trip at most 25 and a toy game with its adversary at most 34.
 """
 
 from collections import Counter
@@ -28,7 +28,8 @@ from fourpoint.errors import (AbortSingular, AbortZeroIndex, ProtocolAbort,
                               RejectHash, RejectRange, RejectSession,
                               VerificationError)
 from fourpoint.genfunc import reference_view
-from fourpoint.harness import Forgery, adjudicate, lemma1_exhaustive, new_game
+from fourpoint.harness import (Forgery, adjudicate, lemma1_exhaustive,
+                               new_game, random_adversary)
 from fourpoint.modmath import FieldElem
 from fourpoint.protocol import (MINI, PRODUCTION, TOY, Message, NonceLog,
                                 _draw, alice_generate, bob_verify,
@@ -180,21 +181,36 @@ def test_round_trip(profile, work):
             == (v, SEND[profile.name] + RECEIVE)
 
 
+def game_once(profile, rng):
+    """A game drawn by rng, its view and a random forgery adjudicated:
+    the game's transcript and redraw count."""
+    game = new_game(profile, rng)
+    adjudicate(game, random_adversary(game.view(), rng))
+    return game.transcript, game.aborts
+
+
 @pytest.mark.parametrize("path, profile, ceiling", [
-    (send_once, MINI, 16), (send_once, TOY, 16), (send_once, PRODUCTION, 16),
-    (receive_once, MINI, 16), (receive_once, TOY, 16),
-    (receive_once, PRODUCTION, 16), (round_trip, TOY, 31)],
+    (send_once, MINI, 13), (send_once, TOY, 13), (send_once, PRODUCTION, 13),
+    (receive_once, MINI, 12), (receive_once, TOY, 12),
+    (receive_once, PRODUCTION, 12), (round_trip, TOY, 25),
+    (game_once, TOY, 34)],
     ids=["send-mini", "send-toy", "send-production", "receive-mini",
-         "receive-toy", "receive-production", "round-trip-toy"])
+         "receive-toy", "receive-production", "round-trip-toy", "game-toy"])
 def test_python_calls(path, profile, ceiling, work):
     # derive_session builds one tuple; alice_generate reads its raw ints,
     # builds no oscillator, anchor or typed session view, and its Message
     # in one tuple.__new__ call; deserialize and bob_verify build one
     # Session tuple and no oscillator or Message field check, and hash
-    # without a helper call per value
+    # without a helper call per value; every path reads the profile's
+    # bounds as stored fields, not properties
     for S, z, u, v, blob in sends(profile, f"calls/{profile.name}", 5):
-        got, counts = work(path, profile, S, z, u, v, blob, calls=True)
-        assert got == (blob if path is send_once else v)
+        args, want = (S, z, u, v, blob), blob if path is send_once else v
+        if path is game_once:  # each of these five games draws once
+            args, want = (random.Random(S),), game_once(profile,
+                                                        random.Random(S))
+            assert want[1] == 0
+        got, counts = work(path, profile, *args, calls=True)
+        assert got == want
         assert counts["calls"] <= ceiling
 
 

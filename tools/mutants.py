@@ -44,9 +44,10 @@ PACKAGE = Path("src") / "fourpoint"
 COPIED = ("src", "tests", "perfbench", "demos", "tools", "pyproject.toml",
           "README.md", "BENCHMARK.json")
 
-DEFAULT_TARGETS = ("protocol.derive_session", "protocol._offsets",
-                   "protocol._kernel", "protocol._generate",
-                   "protocol.bob_verify", "harness.lemma1_exhaustive")
+DEFAULT_TARGETS = ("protocol.Profile.__new__", "protocol.derive_session",
+                   "protocol._offsets", "protocol._kernel",
+                   "protocol._generate", "protocol.bob_verify",
+                   "harness.lemma1_exhaustive")
 
 _BINOP_SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add,
                ast.FloorDiv: ast.Mult, ast.Pow: ast.Mult}
