@@ -18,9 +18,7 @@ from pathlib import Path
 from .errors import (BadLength, FieldOverflow, FourPointError,
                      ProtocolAbort, VerificationError)
 from .protocol import (MESSAGE_LEN, NonceLog, Profile, get_profile,
-                       load_profile, receive, send)
-
-SECRET_CAP = 4096  # bytes; a longer --secret-file is refused unread
+                       load_profile, read_capped, receive, send)
 
 
 def _resolve_profile(arg: str) -> Profile:
@@ -29,16 +27,8 @@ def _resolve_profile(arg: str) -> Profile:
     return get_profile(arg)
 
 
-def _read_secret(path) -> bytes:
-    with open(path, "rb") as fh:
-        S = fh.read(SECRET_CAP + 1)  # one byte over tells a long file
-    if len(S) > SECRET_CAP:
-        raise ValueError(f"secret file {path} is over {SECRET_CAP} bytes")
-    return S
-
-
 def cmd_send(args) -> int:
-    S = _read_secret(args.secret_file)
+    S = read_capped(args.secret_file, "secret")
     profile = _resolve_profile(args.profile)
     blob = send(S, args.u, args.v, profile, NonceLog(args.nonce_log))
     Path(args.out).write_bytes(blob)
@@ -50,7 +40,7 @@ def cmd_recv(args) -> int:
     with open(args.infile, "rb") as fh:
         data = fh.read(MESSAGE_LEN + 1)  # one byte over tells a long file
     profile = _resolve_profile(args.profile)
-    S = _read_secret(args.secret_file)
+    S = read_capped(args.secret_file, "secret")
     print(receive(S, data, profile))
     return 0
 

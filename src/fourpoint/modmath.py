@@ -6,6 +6,11 @@ overloads. Canonical representatives live in [0, M); negative
 intermediates are reduced with the Euclidean remainder, which is what
 Python's % already gives for a positive modulus.
 
+FieldElem's +, - and * and their reflections share one operand rule,
+held by the factory _operators: the other operand is an int, which the
+result reduces, or a FieldElem of the same modulus; another modulus is
+ValueError("mixed moduli"), and anything else NotImplemented.
+
 Powers and inverses come from FieldElem.__pow__, which raises
 NonInvertible for a value that is 0 mod M; mod_inv and mod_pow are that
 operator under names that the tests and the benchmark's tracer read.
@@ -15,6 +20,7 @@ from the secret; a FieldElem prints its value.
 """
 
 from hashlib import sha3_256
+import operator
 from typing import NamedTuple
 
 from .errors import NonInvertible
@@ -78,12 +84,26 @@ class Modulus(NamedTuple("Modulus", [("M", int)])):
         return tuple.__new__(cls, (M,))
 
 
-class FieldElem:
-    """Canonical residue in [0, M) with ring arithmetic.
+def _operators(op):
+    """FieldElem's forward and reflected operator for op, by the one rule."""
+    def forward(self, other):
+        if isinstance(other, FieldElem):
+            if other.mod.M != self.mod.M:
+                raise ValueError("mixed moduli")
+            return FieldElem(op(self.value, other.value), self.mod)
+        if isinstance(other, int):
+            return FieldElem(op(self.value, other), self.mod)
+        return NotImplemented
 
-    Mixed arithmetic with plain ints is allowed and reduces the int
-    first; two FieldElems must share a modulus.
-    """
+    def reflected(self, other):  # other is never a FieldElem here
+        if isinstance(other, int):
+            return FieldElem(op(other, self.value), self.mod)
+        return NotImplemented
+    return forward, reflected
+
+
+class FieldElem:
+    """Canonical residue in [0, M) with ring arithmetic."""
 
     __slots__ = ("value", "mod")
 
@@ -91,42 +111,9 @@ class FieldElem:
         self.value = value % mod.M
         self.mod = mod
 
-    def _other_value(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.mod.M != self.mod.M:
-                raise ValueError("mixed moduli")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value + v, self.mod)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value - v, self.mod)
-
-    def __rsub__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(v - self.value, self.mod)
-
-    def __mul__(self, other):
-        v = self._other_value(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value * v, self.mod)
-
-    __rmul__ = __mul__
+    __add__, __radd__ = _operators(operator.add)
+    __sub__, __rsub__ = _operators(operator.sub)
+    __mul__, __rmul__ = _operators(operator.mul)
 
     def __neg__(self):
         return FieldElem(-self.value, self.mod)

@@ -57,17 +57,23 @@ _CHECK_V_WIDTH = 8  # bytes for v inside the check hash
 CHECK_V_BOUND = 1 << (8 * _CHECK_V_WIDTH)  # v at or above cannot be hashed
 _U_BITS = 32  # u travels in a 4-byte wire field
 _U_BOUND = 1 << _U_BITS
-_PROFILE_CAP = 4096  # bytes; a longer profile file is refused unread
+_FILE_CAP = 4096  # bytes; a longer secret or profile file is refused unread
 _HASH_NAME = "sha3-256"  # the one hash; profile files name it
 
 
+# The eight fields a caller gives a Profile, with their types, in order
+_GIVEN = {"name": str, "mod": Modulus, "K_min": int, "K_max": int,
+          "C_min": int, "C_max": int, "u_bits": int, "v_bits": int}
+_bind = NamedTuple("Profile", _GIVEN.items())  # a caller's arguments, by name
+_FILE_KEYS = [key for key in _GIVEN if key != "mod"]  # file keys, and "M"
+
+
 class Profile(NamedTuple("Profile", [
-        ("name", str), ("mod", Modulus), ("K_min", int), ("K_max", int),
-        ("C_min", int), ("C_max", int), ("u_bits", int), ("v_bits", int),
-        ("u_bound", int), ("v_bound", int), ("min_secret_len", int)])):
+        *_GIVEN.items(), ("u_bound", int), ("v_bound", int),
+        ("min_secret_len", int)])):
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
 
-    A caller gives the first eight fields; __new__ checks them and derives
+    A caller gives the fields of _GIVEN; __new__ checks them and derives
     the last three once, so the hot path reads stored values:
     - u_bound = 2^u_bits, the exclusive cap on u;
     - v_bound = min(2^v_bits, M), the exclusive cap on v: both the
@@ -76,8 +82,8 @@ class Profile(NamedTuple("Profile", [
       more), 8 at desk scale.
     No caller gives a derived value: __new__ and _replace refuse one with
     TypeError, as for any unknown argument, _make drops the last three of
-    a whole Profile, and pickle and copy pass only the eight, so each
-    rebuild checks the eight and derives the three afresh.
+    a whole Profile, and pickle and copy pass only the given fields, so
+    each rebuild checks them and derives the three afresh.
 
     The envelope must fit the wire: M by Modulus's own check, u below 2^32
     and v below the 8-byte check encoding, so every in-envelope message
@@ -86,21 +92,19 @@ class Profile(NamedTuple("Profile", [
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*tuple(it)[:8]))
-    __getnewargs__ = lambda self: self[:8]  # for pickle and copy
+    _make = classmethod(lambda cls, it: cls(*tuple(it)[:len(_GIVEN)]))
+    __getnewargs__ = lambda self: self[:len(_GIVEN)]  # for pickle and copy
 
     def _replace(self, **changes):
-        return type(self)(**{**dict(zip(self._fields[:8], self)), **changes})
+        return type(self)(**{**dict(zip(_GIVEN, self)), **changes})
 
-    def __new__(cls, name: str, mod: Modulus, K_min: int, K_max: int,
-                C_min: int, C_max: int, u_bits: int, v_bits: int):
-        given = (name, mod, K_min, K_max, C_min, C_max, u_bits, v_bits)
-        for field, value, kind in zip(cls._fields, given, (
-                str, Modulus, int, int, int, int, int, int)):
+    def __new__(cls, *args, **kwargs):
+        given = _bind(*args, **kwargs)
+        for (field, kind), value in zip(_GIVEN.items(), given):
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"profile field {field!r} has a "
                                  f"{type(value).__name__} value")
-        M = mod.M
+        M, u_bits, v_bits = given.mod.M, given.u_bits, given.v_bits
         if u_bits < 1:  # the sender draws u from [1, 2^u_bits)
             raise ValueError(f"u_bits must be >= 1, got {u_bits}")
         if v_bits < 0:
@@ -109,14 +113,14 @@ class Profile(NamedTuple("Profile", [
             raise ValueError("u_bits too wide for the 4-byte wire field")
         if v_bits > 8 * _CHECK_V_WIDTH and M > CHECK_V_BOUND:
             raise ValueError("v_bits too wide for the 8-byte check encoding")
-        if not (2 <= K_min <= K_max):
+        if not (2 <= given.K_min <= given.K_max):
             raise ValueError("bad K range")
-        if K_min == K_max and K_min % M == 0:
-            raise ValueError(f"K range [{K_min}, {K_max}] holds "
+        if given.K_min == given.K_max and given.K_min % M == 0:
+            raise ValueError(f"K range [{given.K_min}, {given.K_max}] holds "
                              f"only multiples of M, so every draw aborts")
-        if not (2 <= C_min <= C_max):
+        if not (2 <= given.C_min <= given.C_max):
             raise ValueError("bad C range")
-        if K_max * C_max > 1 << 8 * _INDEX_WIDTH:
+        if given.K_max * given.C_max > 1 << 8 * _INDEX_WIDTH:
             raise ValueError("K_max * C_max too wide for the PRF index")
         width = M.bit_length()
         return tuple.__new__(cls, given + (
@@ -143,44 +147,46 @@ def get_profile(name: str) -> Profile:
                          f"choose from {sorted(_BUILTIN_PROFILES)}") from None
 
 
-_PROFILE_TYPES = {"name": str, "M": (str, int), "K_min": int, "K_max": int,
-                  "C_min": int, "C_max": int, "u_bits": int, "v_bits": int}
-
-
 def profile_to_dict(profile: Profile) -> dict:
-    d = {key: getattr(profile, key) for key in _PROFILE_TYPES if key != "M"}
+    d = {key: getattr(profile, key) for key in _FILE_KEYS}
     return {**d, "M": str(profile.mod.M), "hash": _HASH_NAME}
 
 
 def profile_from_dict(d: dict) -> Profile:
-    """Inverse of profile_to_dict; ValueError on malformed input: a missing
-    key, or a null or wrongly typed value ("M" an integer or the decimal
-    string profile_to_dict writes, "name" a string, the rest integers)."""
+    """Inverse of profile_to_dict; ValueError on malformed input. Beside
+    Profile's checks, d must be a dict with every key and the one hash, "M"
+    an int or the decimal string profile_to_dict writes."""
     if not isinstance(d, dict):
         raise ValueError("profile must be a JSON object")
     if d.get("hash", _HASH_NAME) != _HASH_NAME:  # no repr: it may recurse
         raise ValueError(f"profile hash not supported; only {_HASH_NAME}")
-    for key, kind in _PROFILE_TYPES.items():
+    for key in [*_FILE_KEYS, "M"]:
         if key not in d:
             raise ValueError(f"profile is missing key {key!r}")
-        if not isinstance(d[key], kind) or isinstance(d[key], bool):
-            raise ValueError(f"profile key {key!r} has a "
-                             f"{type(d[key]).__name__} value")
+    if not isinstance(d["M"], (str, int)) or isinstance(d["M"], bool):
+        raise ValueError(f"profile key 'M' has a "
+                         f"{type(d['M']).__name__} value")
     M = int(d["M"])  # int() also takes "+", spaces, "_" and non-ASCII digits
     if isinstance(d["M"], str) and str(M) != d["M"]:
         raise ValueError("profile key 'M' is not a plain decimal string")
-    return Profile(mod=Modulus(M),
-                   **{key: d[key] for key in _PROFILE_TYPES if key != "M"})
+    return Profile(mod=Modulus(M), **{key: d[key] for key in _FILE_KEYS})
+
+
+def read_capped(path, what: str) -> bytes:
+    """The bytes of a `what` file; ValueError, unread, for a longer file
+    than _FILE_CAP."""
+    with open(path, "rb") as fh:
+        data = fh.read(_FILE_CAP + 1)  # one byte over tells a long file
+    if len(data) > _FILE_CAP:
+        raise ValueError(f"{what} file {path} is over {_FILE_CAP} bytes")
+    return data
 
 
 def load_profile(path) -> Profile:
     """profile_from_dict of a JSON file; ValueError also for a file over
-    _PROFILE_CAP bytes or nested past the parser's depth."""
+    _FILE_CAP bytes, not ASCII or nested past the parser's depth."""
     import json  # here, so that runs on builtin profiles start without it
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read(_PROFILE_CAP + 1)  # one byte over tells a long file
-    if len(text) > _PROFILE_CAP:
-        raise ValueError(f"profile file {path} is over {_PROFILE_CAP} bytes")
+    text = read_capped(path, "profile").decode("ascii")
     try:
         return profile_from_dict(json.loads(text))
     except RecursionError:
@@ -470,13 +476,22 @@ def _draw(attempt, tries: int = NONCE_TRIES):
     raise abort
 
 
+def _check_secret(S) -> None:
+    """ValueError for an S that derive_session cannot read as a secret."""
+    if not isinstance(S, (bytes, bytearray)):
+        raise ValueError(f"S must be bytes or bytearray, "
+                         f"not {type(S).__name__}")
+
+
 def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
     """The 132-byte message carrying v under a fresh nonce from os.urandom,
     drawn by _draw; a nonce is claimed only once its message exists, and
     one the log already holds counts as an aborted draw. _offsets checks
-    u and v once, before any nonce is drawn; each draw derives with its
-    three offsets, so a singular point aborts inside derive_session."""
+    u and v once, and _check_secret S, before any nonce is drawn; each
+    draw derives with its three offsets, so a singular point aborts
+    inside derive_session."""
     offsets = _offsets(profile, u, v)
+    _check_secret(S)
 
     def attempt(_):
         z = os.urandom(NONCE_LEN)
@@ -488,7 +503,12 @@ def send(S: bytes, u: int, v: int, profile: Profile, log: NonceLog) -> bytes:
 
 
 def receive(S: bytes, data: bytes, profile: Profile) -> int:
-    """v from a 132-byte message; raises as deserialize and bob_verify do."""
+    """v from a 132-byte message; raises as deserialize and bob_verify do,
+    after ValueError for an S or data of a type neither can read."""
+    _check_secret(S)
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise ValueError(f"data must be bytes, bytearray or memoryview, "
+                         f"not {type(data).__name__}")
     return bob_verify(S, deserialize(data, profile), profile)
 
 

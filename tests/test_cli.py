@@ -369,6 +369,14 @@ def _profile_modulus_fullwidth_digits(d):
     return ["selftest", "--profile", path]
 
 
+def _profile_not_ascii(d):
+    # a valid profile but for one UTF-8 name, which the ASCII decode refuses
+    (d / "p.json").write_bytes(json.dumps(
+        {**profile_to_dict(TOY), "name": "t\u00f4y"},
+        ensure_ascii=False).encode("utf-8"))
+    return send_args(d) + ["--profile", str(d / "p.json")]
+
+
 @pytest.mark.parametrize("build", [_short_secret, _missing_secret,
                                    _missing_infile, _profile_not_json,
                                    _profile_missing_key, _profile_not_object,
@@ -383,7 +391,8 @@ def _profile_modulus_fullwidth_digits(d):
                                    _profile_grid_too_wide,
                                    _profile_modulus_too_wide,
                                    _profile_modulus_3900_digits,
-                                   _profile_modulus_fullwidth_digits])
+                                   _profile_modulus_fullwidth_digits,
+                                   _profile_not_ascii])
 def test_malformed_input_exits_2(workdir, capsys, build):
     assert main(send_args(workdir)) == 0
     capsys.readouterr()

@@ -201,8 +201,11 @@ class TestFieldElem:
         assert int(fe(-1)) == 256
 
     def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            fe(1) + FieldElem(1, M17)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError, match="^mixed moduli$"):
+                op(fe(1), FieldElem(1, M17))
+            with pytest.raises(ValueError, match="^mixed moduli$"):
+                op(FieldElem(1, M17), fe(1))
 
     def test_pow(self):
         assert (fe(3) ** 2).value == 9

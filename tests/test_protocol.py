@@ -179,6 +179,18 @@ class TestProfiles:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_size_cap_counts_bytes_not_decoded_characters(self, tmp_path):
+        # CRLF padding: 4097 bytes on disk, fewer characters once a text
+        # read has turned each "\r\n" into "\n"
+        path = tmp_path / "crlf.json"
+        dump_profile(TOY, path)
+        body = path.read_bytes()
+        pad = 4097 - len(body)
+        path.write_bytes(body + b"\r\n" * (pad // 2) + b" " * (pad % 2))
+        assert os.path.getsize(path) == 4097 and len(path.read_text()) < 4096
+        with pytest.raises(ValueError, match="over 4096 bytes"):
+            load_profile(path)
+
     def test_bad_hash_rejected(self):
         d = profile_to_dict(TOY)
         assert d["hash"] == "sha3-256"
@@ -188,9 +200,15 @@ class TestProfiles:
 
     @pytest.mark.parametrize("key, value", [
         ("u_bits", None), ("u_bits", True), ("u_bits", 8.0), ("u_bits", "8"),
-        ("K_min", [2]), ("M", None), ("M", 257.0), ("name", 7)])
+        ("K_min", [2]), ("M", None), ("M", 257.0), ("name", 7),
+        ("name", None), ("C_max", "1024"), ("K_max", {}), ("v_bits", "16"),
+        ("v_bits", 16.0), ("M", [257]), ("M", True)])
     def test_wrongly_typed_value_rejected(self, key, value):
-        with pytest.raises(ValueError, match=repr(key)):
+        # a file's value gets the record's own text; only M, which a file
+        # spells its own way, has a file text
+        text = "profile key" if key == "M" else "profile field"
+        with pytest.raises(ValueError, match=f"^{text} {key!r} has a "
+                                             f"{type(value).__name__} value$"):
             profile_from_dict({**profile_to_dict(TOY), key: value})
 
     @pytest.mark.parametrize("key, value", [
@@ -936,6 +954,36 @@ class TestSendReceive:
             with pytest.raises(ValueError, match="^u and v must be ints$"):
                 refused()
         assert not log.exists() or not any(log.iterdir())
+
+    @pytest.mark.parametrize("S, data, named", [
+        (S.hex(), bytes(MESSAGE_LEN), "S"), (None, bytes(MESSAGE_LEN), "S"),
+        (memoryview(S), bytes(MESSAGE_LEN), "S"), (S, None, "data"),
+        (S, list(bytes(MESSAGE_LEN)), "data"),
+        (S, bytes(MESSAGE_LEN).hex(), "data")],
+        ids=["str-S", "None-S", "memoryview-S", "None-data", "list-data",
+             "str-data"])
+    def test_secret_or_data_of_another_type_refused_before_any_work(
+            self, tmp_path, monkeypatch, S, data, named):
+        # a str S died concatenating, None in len(), a memoryview S in
+        # derive_session, and a list of 132 ints passed deserialize's
+        # length check; each is refused by name before a draw or a hash
+        def unreachable(*args):
+            raise AssertionError("a nonce was drawn or a hash ran")
+        monkeypatch.setattr(os, "urandom", unreachable)
+        monkeypatch.setattr(protocol, "sha3_256", unreachable)
+        log = tmp_path / "nonces"
+        refused = [lambda: receive(S, data, TOY)]
+        if named == "S":
+            refused.append(lambda: send(S, 9, 5, TOY, NonceLog(log)))
+        for attempt in refused:
+            with pytest.raises(ValueError, match=f"^{named} must be bytes"):
+                attempt()
+        assert not log.exists()
+
+    def test_bytearray_secret_and_memoryview_data_accepted(self, tmp_path):
+        blob = send(bytearray(self.S), 9, 5, TOY, NonceLog(tmp_path / "n"))
+        assert receive(self.S, memoryview(blob), TOY) == 5
+        assert receive(bytearray(self.S), bytearray(blob), TOY) == 5
 
     def test_bool_u_and_v_are_ints(self):
         # as Message takes a bool u, the envelope takes True and False
