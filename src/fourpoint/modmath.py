@@ -14,9 +14,10 @@ ValueError("mixed moduli"), and anything else NotImplemented.
 Powers and inverses come from FieldElem.__pow__, which raises
 NonInvertible for a value that is 0 mod M; mod_inv and mod_pow are that
 operator under names that the tests and the benchmark's tracer read.
-xgcd stays only as an independent oracle for the tests and the fixture
-ledger. An EvalPoint prints only M, since a session's n and K derive
-from the secret; a FieldElem prints its value.
+Both rest on the built-in pow, whose inverse is extended Euclid; the
+fixture ledger uses it as oracle A and checks it against a sweep. An
+EvalPoint prints only M, since a session's n and K derive from the
+secret; a FieldElem prints its value.
 """
 
 from hashlib import sha3_256
@@ -74,6 +75,8 @@ class Modulus(NamedTuple("Modulus", [("M", int)])):
     _make = classmethod(lambda cls, it: cls(*it))  # validates _replace too
 
     def __new__(cls, M: int):
+        if not isinstance(M, int):
+            raise ValueError(f"modulus must be an int, not {type(M).__name__}")
         if M < 3:
             raise ValueError("modulus must be >= 3")
         if M.bit_length() > MODULUS_BITS:
@@ -108,6 +111,9 @@ class FieldElem:
     __slots__ = ("value", "mod")
 
     def __init__(self, value: int, mod: Modulus):
+        if not isinstance(value, int):
+            raise ValueError(
+                f"field value must be an int, not {type(value).__name__}")
         self.value = value % mod.M
         self.mod = mod
 
@@ -142,21 +148,6 @@ class FieldElem:
         return f"FieldElem({self.value} mod {self.mod.M})"
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:  # keep g nonnegative for negative inputs
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def mod_inv(a: FieldElem) -> FieldElem:
     """Multiplicative inverse; NonInvertible when gcd(a, M) != 1."""
     return a ** -1
@@ -182,6 +173,9 @@ class EvalPoint:
     __slots__ = ("n", "K", "mod")
 
     def __init__(self, n: int, K: int, mod: Modulus):
+        if not (isinstance(n, int) and isinstance(K, int)):
+            raise ValueError(f"grid point n/K must be ints, not "
+                             f"{type(n).__name__}/{type(K).__name__}")
         if K < 1:
             raise ValueError("grid denominator must be >= 1")
         if K % mod.M == 0:  # M is prime: only multiples of M lack an inverse

@@ -282,6 +282,9 @@ class Message(NamedTuple("Message", [
 
     def __new__(cls, s1: FieldElem, s3: FieldElem, u: int, z: bytes,
                 h_check: bytes):
+        if not (isinstance(s1, FieldElem) and isinstance(s3, FieldElem)):
+            raise ValueError(f"s1 and s3 must be FieldElem, not "
+                             f"{type(s1).__name__}/{type(s3).__name__}")
         if not isinstance(u, int):
             raise ValueError("u must be an int")
         if not 0 <= u < _U_BOUND:
@@ -443,7 +446,8 @@ def deserialize(data: bytes, profile: Profile) -> Message:
 
 
 class NonceLog:
-    """Directory of empty files, one per (secret fingerprint, nonce) pair."""
+    """Owner-only directory (0o700) of empty files (0o600), one per
+    (secret fingerprint, nonce) pair."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -454,10 +458,10 @@ class NonceLog:
         O_CREAT|O_EXCL tests for the entry and creates it in one atomic
         step, so two senders cannot both claim the same nonce.
         """
-        self.path.mkdir(parents=True, exist_ok=True)
+        self.path.mkdir(mode=0o700, parents=True, exist_ok=True)
         path = self.path / f"{sha3_256(S).hexdigest()[:32]}-{z.hex()}"
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
         except FileExistsError:
             return False
         os.close(fd)

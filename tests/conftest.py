@@ -12,22 +12,7 @@ import pytest
 import fourpoint
 from fourpoint import prf
 from fourpoint.errors import ProtocolAbort, VerificationError
-from fourpoint.protocol import MINI, PRODUCTION, TOY, _draw, derive_session
-
-
-@pytest.fixture
-def toy():
-    return TOY
-
-
-@pytest.fixture
-def mini():
-    return MINI
-
-
-@pytest.fixture
-def production():
-    return PRODUCTION
+from fourpoint.protocol import _draw, derive_session
 
 
 def fresh_session(profile, rng):

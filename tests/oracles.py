@@ -2,29 +2,12 @@
 
 Everything here trades speed for obviousness: linear scans, repeated
 multiplication, explicit list unrolling. Tests freeze a constant only
-after the fast implementation and one of these oracles agree on it.
+after the fast implementation and one of these oracles agree on it. The
+naive inverse and power are the fixture ledger's own, selftest._sweep_inv
+and selftest._naive_pow.
 """
 
 import hashlib
-
-
-def exhaustive_inverse(a: int, M: int) -> int | None:
-    """Scan Z_M for the inverse of a; None if a is not invertible."""
-    a %= M
-    for x in range(M):
-        if (a * x) % M == 1:
-            return x
-    return None
-
-
-def naive_pow(base: int, exp: int, M: int) -> int:
-    """Repeated multiplication, no squaring shortcuts."""
-    if exp < 0:
-        raise ValueError("naive_pow wants a nonnegative exponent")
-    acc = 1 % M
-    for _ in range(exp):
-        acc = (acc * base) % M
-    return acc
 
 
 def unrolled_oscillator(values, M: int, lo: int, hi: int) -> dict[int, int]:
@@ -89,6 +72,19 @@ def naive_session(S: bytes, z: bytes, profile) -> dict | str:
             "anchor_key": digest(b"IBC.prf")}
 
 
+def naive_oscillators(sess: dict, n: int, M: int) -> tuple[int, int]:
+    """Phi and Psi at t = n/K: index C*n of a table of K*C keyed values
+    whose odd-numbered repeats are negated."""
+    K, C = sess["K"], sess["C"]
+    block, m = divmod(C * n, K * C)
+
+    def oscillator(key: bytes) -> int:
+        value = int.from_bytes(hashlib.sha3_256(
+            key + m.to_bytes(48, "big")).digest(), "big") % M
+        return -value if block % 2 else value
+    return oscillator(sess["phi_key"]), oscillator(sess["psi_key"])
+
+
 def naive_send(S: bytes, z: bytes, u: int, v: int, profile) -> bytes | str:
     """The sender as README's sender description gives it, with hashlib
     and naive_session only: the 132-byte message carrying v under nonce z,
@@ -100,21 +96,14 @@ def naive_send(S: bytes, z: bytes, u: int, v: int, profile) -> bytes | str:
     sess = naive_session(S, z, profile)
     if isinstance(sess, str):
         return sess
-    p, K, C, i, B = sess["p"], sess["K"], sess["C"], sess["i"], sess["B"]
+    p, K, i, B = sess["p"], sess["K"], sess["i"], sess["B"]
     q1, q2, q3, q4 = sess["q"]
     n = B * K + i  # t = n/K
     # s_d at t + d for d = 2v+1 and d = 2u+2v+1; the receiver's s2 at t + 2u
     d1, d3 = 2 * v + 1, 2 * u + 2 * v + 1
     if any((n + d * K) % M == 0 for d in (d1, 2 * u, d3)):
         return "AbortSingular"
-    # Phi and Psi at t, as naive_receive reads them
-    block, m = divmod(C * n, K * C)
-
-    def oscillator(key: bytes) -> int:
-        value = int.from_bytes(hashlib.sha3_256(
-            key + m.to_bytes(48, "big")).digest(), "big") % M
-        return -value if block % 2 else value
-    phi, psi = oscillator(sess["phi_key"]), oscillator(sess["psi_key"])
+    phi, psi = naive_oscillators(sess, n, M)
     # X = p^B * anchor(i, K), the anchor a keyed PRF value in [1, M-1]
     anchor = int.from_bytes(hashlib.sha3_256(
         sess["anchor_key"] + i.to_bytes(48, "big") + K.to_bytes(48, "big")
@@ -156,20 +145,12 @@ def naive_receive(S: bytes, data: bytes, profile) -> int | str:
     sess = naive_session(S, z, profile)
     if isinstance(sess, str):
         return "RejectSession"
-    p, K, C = sess["p"], sess["K"], sess["C"]
+    p, K = sess["p"], sess["K"]
     q1, q2, q3, q4 = sess["q"]
     n = sess["B"] * K + sess["i"]  # t = n/K
     if (n + 2 * u * K) % M == 0:  # t + 2u, the point of s2, is 0 mod M
         return "RejectSession"
-    # Phi and Psi at t: index C*n of a table of K*C keyed values whose
-    # odd-numbered repeats are negated
-    block, m = divmod(C * n, K * C)
-
-    def oscillator(key: bytes) -> int:
-        value = int.from_bytes(hashlib.sha3_256(
-            key + m.to_bytes(48, "big")).digest(), "big") % M
-        return -value if block % 2 else value
-    phi, psi = oscillator(sess["phi_key"]), oscillator(sess["psi_key"])
+    phi, psi = naive_oscillators(sess, n, M)
     p2u = pow(p, 2 * u, M)
     e = s1 * p2u % M
     if e == s3:

@@ -6,7 +6,6 @@ tolerances, and runtime budgets are the contract, not suggestions, so
 they are asserted literally.
 """
 
-import math
 import random
 import time
 from pathlib import Path

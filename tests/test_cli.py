@@ -3,6 +3,7 @@ import json
 import os
 import re
 import runpy
+import stat
 import subprocess
 import sys
 import threading
@@ -178,6 +179,17 @@ class TestNonceHandling:
         nested = NonceLog(workdir / "new" / "dir" / "nonces.log")
         assert nested.claim(b"secret", z)
         assert not nested.claim(b"secret", z)
+
+    def test_log_is_owner_only(self, workdir):
+        old = os.umask(0o022)  # under which the defaults give 0o755
+        try:
+            log = NonceLog(workdir / "nonces.log")
+            assert log.claim(b"secret", bytes.fromhex(self.Z))
+        finally:
+            os.umask(old)
+        (entry,) = log.path.iterdir()
+        assert stat.S_IMODE(log.path.stat().st_mode) == 0o700
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o600
 
     def test_explicit_nonce_reuse_blocked(self, workdir, capsys, monkeypatch):
         # an RNG that repeats one usable nonce: the second send finds it
@@ -520,13 +532,15 @@ class TestSelftestAndAttack:
         assert main(["attack", "--adversary", "quantum"]) == 2
 
 
-@pytest.mark.parametrize("inverse", ["_sweep_inv", "_xgcd_inv"])
+@pytest.mark.parametrize("inverse", ["_sweep_inv"])
 def test_ledger_oracles_refuse_a_value_with_no_inverse(inverse):
     invert = getattr(selftest, inverse)
     for a in (0, 257, -257):
         with pytest.raises(ValueError, match="not invertible"):
             invert(a, 257)
     assert invert(3, 257) * 3 % 257 == 1
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        selftest._naive_pow(3, -1, 257)
 
 
 class TestFixtures:

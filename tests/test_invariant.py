@@ -13,8 +13,6 @@ from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from fourpoint.protocol import PRODUCTION, TOY
 
-from conftest import fresh_session
-
 M257 = Modulus(257)
 
 

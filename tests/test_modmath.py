@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import math
 import operator
 import pickle
 import random
@@ -11,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from fourpoint import modmath, protocol
 from fourpoint.errors import NonInvertible
 from fourpoint.modmath import (WHITELISTED_MODULI, EvalPoint, FieldElem,
-                               Modulus, is_probable_prime, mod_inv, mod_pow,
-                               xgcd)
+                               Modulus, is_probable_prime, mod_inv, mod_pow)
 from fourpoint.protocol import PRODUCTION_PRIME
+# the fixture ledger's oracle B for an inverse and a power
+from fourpoint.selftest import (_naive_pow as naive_pow,
+                                _sweep_inv as exhaustive_inverse)
 
-from oracles import exhaustive_inverse, naive_pow, trial_division_is_prime
+from oracles import trial_division_is_prime
 
 M257 = Modulus(257)
 M17 = Modulus(17)
@@ -120,6 +121,16 @@ class TestModulus:
             with pytest.raises(ValueError):
                 Modulus(bad)
 
+    def test_rejects_a_value_not_an_int(self):
+        for bad in (257.0, "257", None, M257):
+            why = f"^modulus must be an int, not {type(bad).__name__}$"
+            for build in (Modulus, lambda M: Modulus._make([M]),
+                          lambda M: M257._replace(M=M)):
+                with pytest.raises(ValueError, match=why):
+                    build(bad)
+        with pytest.raises(ValueError, match="^modulus must be >= 3$"):
+            Modulus(True)  # a bool is an int
+
     def test_immutable_and_equal_by_value(self):
         m = Modulus(257)
         for mutate in (lambda: setattr(m, "M", 17), lambda: delattr(m, "M"),
@@ -196,6 +207,13 @@ class TestFieldElem:
                 op(fe(3), "5")
         assert not fe(3) == "3"
 
+    def test_rejects_a_value_not_an_int(self):
+        for bad in (1.5, "1", None, fe(1)):
+            why = f"^field value must be an int, not {type(bad).__name__}$"
+            with pytest.raises(ValueError, match=why):
+                FieldElem(bad, M257)
+        assert FieldElem(True, M257) == 1  # a bool is an int
+
     def test_int(self):
         assert int(fe(300)) == 43
         assert int(fe(-1)) == 256
@@ -218,15 +236,6 @@ class TestFieldElem:
     def test_commutativity(self, a, b):
         assert fe(a) + fe(b) == fe(b) + fe(a)
         assert fe(a) * fe(b) == fe(b) * fe(a)
-
-
-class TestXgcd:
-    @given(a=st.integers(min_value=-10**9, max_value=10**9),
-           b=st.integers(min_value=-10**9, max_value=10**9))
-    def test_bezout_identity(self, a, b):
-        g, x, y = xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 class TestModInv:
@@ -265,6 +274,9 @@ class TestModPow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             mod_pow(fe(3), -1)
+
+    def test_naive_oracle_reduces_the_empty_product(self):
+        assert naive_pow(5, 0, 1) == pow(5, 0, 1) == 0
 
     @given(base=residues_257, e1=st.integers(min_value=0, max_value=200),
            e2=st.integers(min_value=0, max_value=200))
@@ -308,6 +320,14 @@ class TestEvalPoint:
         assert EvalPoint(143, 4, M17) not in table
         assert EvalPoint(144, 4, M257) not in table
         assert not a == "143/4"
+
+    def test_rejects_a_value_not_an_int(self):
+        for n, K, kinds in ((1.5, 4, "float/int"), (3, 4.0, "int/float"),
+                            ("3", 4, "str/int"), (3, None, "int/NoneType")):
+            why = f"^grid point n/K must be ints, not {kinds}$"
+            with pytest.raises(ValueError, match=why):
+                EvalPoint(n, K, M257)
+        assert EvalPoint(True, 4, M257) == EvalPoint(1, 4, M257)
 
     def test_grid_denominator_below_1_rejected(self):
         for K in (0, -4):

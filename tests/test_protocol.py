@@ -743,7 +743,8 @@ class TestWireFormat:
                   z=bytes(32), h_check=bytes(32))
         Message(**ok)
         Message(**dict(ok, z=bytearray(32), h_check=bytearray(32)))
-        for field, bad in (("u", 1 << 32), ("u", -1), ("u", 3.0),
+        for field, bad in (("s1", 5), ("s3", 7), ("s1", None),
+                           ("s3", b"7"), ("u", 1 << 32), ("u", -1), ("u", 3.0),
                            ("u", "1"), ("u", None),
                            ("z", bytes(31)), ("z", "z" * 32),
                            ("z", list(bytes(32))),
