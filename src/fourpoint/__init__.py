@@ -13,6 +13,8 @@ Library layout:
   invariant   the four-point identity, recovery, analytic reference
   protocol    session derivation, Alice/Bob, 132-byte wire format,
               send/receive and the nonce log
+  montpow     b^e mod M on libcrypto's constant-time Montgomery
+              ladder, for profiles wider than 64 bits
   harness     forgery games, adversaries, exhaustive oracles
   cli         `fourpoint` command-line front end
   selftest    the CLI's property suites and fixture generators

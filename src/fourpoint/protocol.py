@@ -59,6 +59,9 @@ _U_BITS = 32  # u travels in a 4-byte wire field
 _U_BOUND = 1 << _U_BITS
 _FILE_CAP = 4096  # bytes; a longer secret or profile file is refused unread
 _HASH_NAME = "sha3-256"  # the one hash; profile files name it
+# Widest M whose powers stay with the built-in pow: at 64 bits and below
+# it beats the ladder on a 33-bit exponent, from 65 bits on it loses
+_NARROW_BITS = 64
 
 
 # The eight fields a caller gives a Profile, with their types, in order
@@ -70,20 +73,22 @@ _FILE_KEYS = [key for key in _GIVEN if key != "mod"]  # file keys, and "M"
 
 class Profile(NamedTuple("Profile", [
         *_GIVEN.items(), ("u_bound", int), ("v_bound", int),
-        ("min_secret_len", int)])):
+        ("min_secret_len", int), ("ladder", bool)])):
     """Parameter envelope: modulus, grid/period ranges, u/v bounds.
 
     A caller gives the fields of _GIVEN; __new__ checks them and derives
-    the last three once, so the hot path reads stored values:
+    the last four once, so the hot path reads stored values:
     - u_bound = 2^u_bits, the exclusive cap on u;
     - v_bound = min(2^v_bits, M), the exclusive cap on v: both the
       profile width and exact recovery;
     - min_secret_len, 32 bytes at production scale (M of 64 bits or
-      more), 8 at desk scale.
+      more), 8 at desk scale;
+    - ladder, whether the protocol path takes its powers from _wide_pow:
+      for an M wider than _NARROW_BITS; else from the built-in pow.
     No caller gives a derived value: __new__ and _replace refuse one with
-    TypeError, as for any unknown argument, _make drops the last three of
+    TypeError, as for any unknown argument, _make drops the last four of
     a whole Profile, and pickle and copy pass only the given fields, so
-    each rebuild checks them and derives the three afresh.
+    each rebuild checks them and derives the four afresh.
 
     The envelope must fit the wire: M by Modulus's own check, u below 2^32
     and v below the 8-byte check encoding, so every in-envelope message
@@ -125,7 +130,17 @@ class Profile(NamedTuple("Profile", [
         width = M.bit_length()
         return tuple.__new__(cls, given + (
             1 << u_bits, min(1 << min(v_bits, width), M),
-            32 if width >= 64 else 8))
+            32 if width >= 64 else 8,
+            width > _NARROW_BITS))
+
+
+def _wide_pow(b: int, e: int, M: int) -> int:
+    """pow(b, e, M) for e >= 0 by montpow, on libcrypto's constant-time
+    Montgomery ladder where the process has it; the first call loads
+    montpow and ctypes."""
+    # absolute: a relative import makes a Python-level call on each use
+    from fourpoint.montpow import mont_pow
+    return mont_pow(b, e, M)
 
 
 TOY = Profile("toy", Modulus(257), 2, 1 << 16, 2, 1 << 10,
@@ -339,14 +354,14 @@ def _generate(sess: Session, u: int, v: int) -> tuple:
     offsets, against 0 mod M (or derived sess with those offsets).
     """
     S, z, profile, p, K, C, n, q = sess
-    mod = profile.mod
+    mod, power = profile.mod, _wide_pow if profile.ladder else pow
     M = mod.M
     n1, n3 = n + (2 * v + 1) * K, n + (2 * u + 2 * v + 1) * K
     A1, A3 = _kernel(*session_values(S, z, K, C, n, M), q)
-    p2u = pow(p, 2 * u, M)
+    p2u = power(p, 2 * u, M)
     B1, i = divmod(n1, K)  # X1 = p^t at t + 2v+1: p^B1 * anchor(i, K)
-    X1 = pow(p, B1, M) * anchor_value(sha3_256(_TAG_PRF + S + z).digest(),
-                                      i, K, M) % M
+    X1 = power(p, B1, M) * anchor_value(sha3_256(_TAG_PRF + S + z).digest(),
+                                        i, K, M) % M
     scale = K * pow(n1 * n3 % M, -1, M)  # K / (n1*n3): one inverse for both
     s1 = (X1 - A1) * n3 % M * scale % M
     s3 = (X1 * p2u - A3) * n1 % M * scale % M
@@ -394,7 +409,8 @@ def bob_verify(S: bytes, msg: Message, profile: Profile) -> int:
     u, M = msg.u, profile.mod.M
     if msg.s1.mod.M != M or msg.s3.mod.M != M:
         raise ValueError("mixed moduli")
-    p2u, s1, s3 = pow(p, 2 * u, M), msg.s1.value, msg.s3.value
+    power = _wide_pow if profile.ladder else pow
+    p2u, s1, s3 = power(p, 2 * u, M), msg.s1.value, msg.s3.value
     e = s1 * p2u % M
     A1, A3 = _kernel(*session_values(S, msg.z, K, C, n, M), q)
     if (n + 2 * u * K) % M == 0:
@@ -456,9 +472,15 @@ class NonceLog:
         """Record (S, z) unless already present; False if it was.
 
         O_CREAT|O_EXCL tests for the entry and creates it in one atomic
-        step, so two senders cannot both claim the same nonce.
+        step, so two senders cannot both claim the same nonce. OSError,
+        before any entry is made, for a directory that grants group or
+        other access, since each entry name holds 128 bits of sha3(S).
         """
         self.path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        mode = self.path.stat().st_mode & 0o777
+        if mode & 0o077:
+            raise OSError(f"nonce log {self.path} has mode {mode:#o}, open "
+                          f"to group or others; chmod 700 it")
         path = self.path / f"{sha3_256(S).hexdigest()[:32]}-{z.hex()}"
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)

@@ -10,8 +10,10 @@ import sys
 import pytest
 
 import fourpoint
-from fourpoint import prf
+from fourpoint import montpow, prf
 from fourpoint.errors import ProtocolAbort, VerificationError
+from fourpoint.genfunc import s_M
+from fourpoint.invariant import InvariantTuple
 from fourpoint.protocol import _draw, derive_session
 
 
@@ -19,6 +21,17 @@ def fresh_session(profile, rng):
     """Draw (S, z) by protocol._draw until derivation succeeds."""
     return _draw(lambda _: derive_session(rng.randbytes(32),
                                           rng.randbytes(32), profile))
+
+
+def honest_tuple(ref, u, v):
+    """The reference s_M at t, t + 2v+1, t + 2u and t + 2u+2v+1 of a
+    genfunc.reference_view, as an InvariantTuple."""
+    t = ref.t
+    return InvariantTuple(s_M(ref.numer, t),
+                          s_M(ref.numer, t + (2 * v + 1)),
+                          s_M(ref.denom, t + 2 * u),
+                          s_M(ref.denom, t + (2 * u + 2 * v + 1)),
+                          t, u, v)
 
 
 @pytest.fixture
@@ -54,9 +67,11 @@ def pow_class(exp: int) -> str:
 def _count_hashes_and_pows(fn, args, counts):
     real_pow = builtins.pow
 
-    def counted_pow(base, exp, mod=None):
-        counts[pow_class(exp)] += 1
-        return real_pow(base, exp, mod)
+    def counted_pow(real):
+        def hook(base, exp, mod=None):
+            counts[pow_class(exp)] += 1
+            return real(base, exp, mod)
+        return hook
 
     def counted(key, real):
         def hook(*args):
@@ -67,7 +82,10 @@ def _count_hashes_and_pows(fn, args, counts):
     with pytest.MonkeyPatch.context() as patch:
         for module, name, real, key in _HOOKS:
             patch.setattr(module, name, counted(key, real))
-        patch.setattr(builtins, "pow", counted_pow)
+        patch.setattr(builtins, "pow", counted_pow(real_pow))
+        patch.setattr(montpow, "mont_pow", counted_pow(montpow.mont_pow))
+        # a kernel that falls back to the built-in pow counts once
+        patch.setattr(montpow, "pow", real_pow, raising=False)
         return fn(*args)
 
 
@@ -96,8 +114,9 @@ def work():
     VerificationError it raises. The Counter holds "sha3" (SHA3-256
     calls, at every package binding of sha3_256), "prf" and "anchor"
     (prf._prf_value and prf.anchor_value calls, at every binding), and
-    the built-in pow calls by exponent class: "pow>65", "pow34-65" and
-    "pow<=33" bits, and "inverse". Zero counts are left out.
+    the built-in pow and montpow.mont_pow calls together by exponent
+    class: "pow>65", "pow34-65" and "pow<=33" bits, and "inverse". Zero
+    counts are left out.
 
     work(fn, *args, calls=True) counts only "calls": the Python-level
     calls under fn, fn's own excluded; built-ins do not count. It runs

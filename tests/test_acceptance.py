@@ -28,19 +28,10 @@ from fourpoint.protocol import (MESSAGE_LEN, MINI, PRODUCTION, TOY,
 from fourpoint.harness import (lemma1_exhaustive, new_game,
                                run_random_adversary)
 
-from conftest import fresh_session
+from conftest import fresh_session, honest_tuple
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 M257 = Modulus(257)
-
-
-def honest_tuple(ref, u, v):
-    t = ref.t
-    return InvariantTuple(s_M(ref.numer, t),
-                          s_M(ref.numer, t + (2 * v + 1)),
-                          s_M(ref.denom, t + 2 * u),
-                          s_M(ref.denom, t + (2 * u + 2 * v + 1)),
-                          t, u, v)
 
 
 def test_criterion_01_exact_modular_invariant():

@@ -191,6 +191,22 @@ class TestNonceHandling:
         assert stat.S_IMODE(log.path.stat().st_mode) == 0o700
         assert stat.S_IMODE(entry.stat().st_mode) == 0o600
 
+    @pytest.mark.parametrize("mode", [0o755, 0o750, 0o701])
+    def test_log_open_to_others_is_refused(self, workdir, capsys, mode):
+        # a log directory made before the log was owner-only, or by a
+        # plain mkdir: send stops naming it and its mode, and sends once
+        # the owner alone may use it
+        (workdir / "nonces.log").mkdir()
+        (workdir / "nonces.log").chmod(mode)
+        assert main(send_args(workdir)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"send: nonce log {workdir / 'nonces.log'} has mode "
+                       f"{mode:#o}, open to group or others; chmod 700 it"]
+        assert not (workdir / "msg.bin").exists()
+        assert not any((workdir / "nonces.log").iterdir())
+        (workdir / "nonces.log").chmod(0o700)
+        assert main(send_args(workdir)) == 0
+
     def test_explicit_nonce_reuse_blocked(self, workdir, capsys, monkeypatch):
         # an RNG that repeats one usable nonce: the second send finds it
         # in the log on every try and sends nothing

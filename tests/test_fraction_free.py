@@ -24,9 +24,11 @@ from fourpoint.genfunc import reference_view, s_M
 from fourpoint.invariant import check_denominator, recover_v
 from fourpoint.modmath import EvalPoint, FieldElem
 from fourpoint.protocol import (CHECK_V_BOUND, MINI, PRODUCTION, TOY,
-                                Message, _draw, alice_generate, bob_verify,
+                                Message, alice_generate, bob_verify,
                                 compute_check, derive_session, deserialize,
                                 serialize)
+
+from conftest import fresh_session
 
 
 def reference_generate(sess, u, v):
@@ -99,10 +101,10 @@ def flip(blob, bit):
     return bytes(out)
 
 
-def matches_the_reference(rng, S, sess, u, v):
+def matches_the_reference(rng, sess, u, v):
     """Send (u, v) both ways, then receive the blob and three single-bit
     flips of it both ways; False when the send aborted (alike)."""
-    profile = sess.profile
+    S, profile = sess.S, sess.profile
     got = outcome(alice_generate, sess, u, v)
     want = outcome(reference_generate, sess, u, v)
     if not isinstance(want, Message):
@@ -117,14 +119,6 @@ def matches_the_reference(rng, S, sess, u, v):
                 == receive(reference_verify, S, data, profile))
     assert receive(bob_verify, S, blob, profile) == v
     return True
-
-
-def fresh_session(rng, profile):
-    """(S, session) on the first nonce that does not abort, by _draw."""
-    def attempt(_):
-        S = rng.randbytes(32)
-        return S, derive_session(S, rng.randbytes(32), profile)
-    return _draw(attempt)
 
 
 PROFILES = pytest.mark.parametrize("profile", [MINI, TOY, PRODUCTION],
@@ -144,7 +138,7 @@ def test_same_bytes_reasons_and_v_as_the_reference(profile, sessions):
             continue
         u = rng.randrange(1, profile.u_bound)
         v = rng.randrange(0, profile.v_bound)
-        if matches_the_reference(rng, S, sess, u, v):
+        if matches_the_reference(rng, sess, u, v):
             sent += 1
         else:
             aborted += 1
@@ -163,8 +157,8 @@ def test_envelope_corners_match_the_reference(profile):
         for v in (0, profile.v_bound - 1):
             sent = 0
             for _ in range(100 * sends):  # redraw the nonce on an abort
-                S, sess = fresh_session(rng, profile)
-                sent += matches_the_reference(rng, S, sess, u, v)
+                sent += matches_the_reference(
+                    rng, fresh_session(profile, rng), u, v)
                 if sent == sends:
                     break
             assert sent == sends, (u, v)
@@ -176,8 +170,8 @@ def test_receiver_recovery_needs_neither_p_to_the_t_nor_the_mask(
     rng = random.Random(f"cancellation/{profile.name}")
     cases = []  # (S, blob, what bob_verify makes of it unpatched)
     for _ in range(10 if profile is PRODUCTION else 100):
-        S, sess = fresh_session(rng, profile)
-        v = rng.randrange(profile.v_bound)
+        sess = fresh_session(profile, rng)
+        S, v = sess.S, rng.randrange(profile.v_bound)
         try:
             msg = alice_generate(sess, rng.randrange(1, profile.u_bound), v)
         except ProtocolAbort:
@@ -248,17 +242,17 @@ def test_hash_bound_value_at_v_bound_rejected_as_out_of_range():
     rng = random.Random(1)
     reached = 0
     for _ in range(200):
-        S, sess = fresh_session(rng, MINI)
+        sess = fresh_session(MINI, rng)
         try:
             msg = reference_generate(sess, rng.randrange(1, MINI.u_bound), v)
         except ProtocolAbort:
             continue
         with pytest.raises(RejectRange) as info:
-            bob_verify(S, msg, MINI)
+            bob_verify(sess.S, msg, MINI)
         # the text does not carry the recovered value: it is fixed, and
         # its one number is the public v_bound (which here equals v)
         assert str(info.value) == f"recovered value outside [0, {v})"
         with pytest.raises(RejectRange, match="out of range"):
-            reference_verify(S, msg, MINI)
+            reference_verify(sess.S, msg, MINI)
         reached += 1
     assert reached > 100

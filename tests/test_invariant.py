@@ -13,20 +13,13 @@ from fourpoint.invariant import (InvariantTuple, analytic_invariant_check,
 from fourpoint.modmath import EvalPoint, FieldElem, Modulus, mod_inv, mod_pow
 from fourpoint.protocol import PRODUCTION, TOY
 
+from conftest import honest_tuple
+
 M257 = Modulus(257)
 
 
 def fe(v):
     return FieldElem(v, M257)
-
-
-def honest_tuple(ref, u, v):
-    t = ref.t
-    s0 = s_M(ref.numer, t)
-    s1 = s_M(ref.numer, t + (2 * v + 1))
-    s2 = s_M(ref.denom, t + 2 * u)
-    s3 = s_M(ref.denom, t + (2 * u + 2 * v + 1))
-    return InvariantTuple(s0, s1, s2, s3, t, u, v)
 
 
 class TestModularIdentity:

@@ -72,3 +72,22 @@ def test_fewer_than_two_pairs_refused_before_any_run(count, monkeypatch,
                     "--pairs", count, "--workload", "toy-roundtrip"])
     assert exc.value.code == 2
     assert f"--pairs must be 2 or more, not {count}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names, warned", [(("a", "b"), False),
+                                           (("a", "bb"), True)])
+def test_paths_of_unequal_length_are_warned_of(names, warned, tmp_path,
+                                               monkeypatch, capsys):
+    # a checkout's path length has biased the benchmark by itself
+    checkouts = [tmp_path / name for name in names]
+    for checkout in checkouts:
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").touch()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    monkeypatch.setattr(pairs, "run_once",
+                        lambda *args: {m["name"]: 1.0 for m in metrics})
+    assert pairs.main(["--parent", str(checkouts[0]), "--change",
+                       str(checkouts[1]), "--pairs", "2",
+                       "--workload", "toy-roundtrip"]) == 0
+    err = capsys.readouterr().err
+    assert ("paths of equal length" in err) is warned

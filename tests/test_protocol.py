@@ -44,15 +44,16 @@ MODULI = [Modulus(M) for M in (3, 17, 257, 65537, (1 << 31) - 1,
 
 
 def bounds(profile):
-    return profile.u_bound, profile.v_bound, profile.min_secret_len
+    return (profile.u_bound, profile.v_bound, profile.min_secret_len,
+            profile.ladder)
 
 
 def closed_forms(profile):
-    """(2^u_bits, min(2^v_bits, M), 32 if M >= 2^63 else 8), computed
-    without bit_length; v_bits is small enough to shift here."""
+    """(2^u_bits, min(2^v_bits, M), 32 if M >= 2^63 else 8, M >= 2^64),
+    computed without bit_length; v_bits is small enough to shift here."""
     M = profile.mod.M
     return (2 ** profile.u_bits, min(2 ** profile.v_bits, M),
-            32 if M >= 2 ** 63 else 8)
+            32 if M >= 2 ** 63 else 8, M >= 2 ** 64)
 
 
 class TestProfiles:
@@ -94,7 +95,7 @@ class TestProfiles:
     def test_every_rebuild_derives_the_bounds_afresh(self):
         # a record whose stored bounds are wrong, built past __new__:
         # each way of copying or rebuilding it derives them again
-        stale = tuple.__new__(Profile, TOY[:8] + (5, 5, 5))
+        stale = tuple.__new__(Profile, TOY[:8] + (5, 5, 5, True))
         for rebuilt in (Profile._make(stale), stale._replace(name="toy"),
                         pickle.loads(pickle.dumps(stale)), copy.copy(stale),
                         copy.deepcopy(stale),
@@ -102,19 +103,20 @@ class TestProfiles:
             assert type(rebuilt) is Profile
             assert rebuilt == TOY and bounds(rebuilt) == closed_forms(TOY)
         narrow = stale._replace(u_bits=8)
-        assert bounds(narrow) == (1 << 8, 257, 8) == closed_forms(narrow)
+        assert bounds(narrow) == (1 << 8, 257, 8, False) \
+            == closed_forms(narrow)
 
     def test_a_derived_value_is_never_taken_from_the_caller(self):
         # the constructor and _replace refuse one as an unknown argument;
-        # _make drops the last three of a whole record
-        for field in ("u_bound", "v_bound", "min_secret_len"):
+        # _make drops the last four of a whole record
+        for field in ("u_bound", "v_bound", "min_secret_len", "ladder"):
             with pytest.raises(TypeError, match=field):
                 Profile(*TOY[:8], **{field: 5})
             with pytest.raises(TypeError, match=field):
                 TOY._replace(**{field: 5})
         with pytest.raises(TypeError):
             Profile(*TOY[:8], 5)
-        assert bounds(Profile._make(TOY[:8] + (5, 5, 5))) == bounds(TOY)
+        assert bounds(Profile._make(TOY[:8] + (5, 5, 5, True))) == bounds(TOY)
         assert Profile._make(TOY[:8]) == TOY
 
     def test_files_hold_only_the_given_fields(self, tmp_path):

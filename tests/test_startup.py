@@ -8,7 +8,9 @@ the fixture generators) by `selftest` and `fixtures` only. Both parties
 read their keyed values from `fourpoint.prf`, so the reference layers
 (`oscillator`, `genfunc`, `invariant`) load only when imported for
 `genfunc.reference_view` or when one of `protocol`'s three traced
-reference names is called. The
+reference names is called. `ctypes` and `fourpoint.montpow` load on
+the first power at a modulus wider than 64 bits, so neither loads at
+start or in a toy or mini round trip. Each
 check runs in a fresh interpreter started with `-S`, so that no `site`
 start-up or `.pth` file loads modules before it, and compares
 `sys.modules` before and after the import.
@@ -35,22 +37,59 @@ import fourpoint.cli
 print("\\n".join(sorted(set(sys.modules) - before)))
 """
 
-NOT_AT_START = {"dataclasses", "inspect", "json", "random",
+NOT_AT_START = {"ctypes", "dataclasses", "inspect", "json", "random",
                 "fourpoint.genfunc", "fourpoint.harness",
-                "fourpoint.invariant", "fourpoint.oscillator",
-                "fourpoint.selftest"}
+                "fourpoint.invariant", "fourpoint.montpow",
+                "fourpoint.oscillator", "fourpoint.selftest"}
+LADDER = {"ctypes", "fourpoint.montpow"}
+
+# one round trip on the profile named by argv[1], on the first nonce
+# 0, 1, 2, ... whose send does not abort; prints the modules it loaded
+_ROUND_TRIP = """\
+import sys
+from fourpoint.errors import ProtocolAbort
+from fourpoint.protocol import (alice_generate, bob_verify, derive_session,
+                                get_profile)
+profile = get_profile(sys.argv[1])
+before = set(sys.modules)
+for k in range(64):
+    try:
+        sess = derive_session(bytes(32), k.to_bytes(32, "big"), profile)
+        msg = alice_generate(sess, 5, 7)
+    except ProtocolAbort:
+        continue
+    assert bob_verify(bytes(32), msg, profile) == 7
+    break
+else:
+    raise AssertionError("every draw aborted")
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
 
 
-def test_cli_import_skips_heavy_modules():
+def modules_added(*argv) -> set:
+    """The modules a fresh interpreter, started with -S, loaded while
+    running argv and printed one per line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-S", "-c", _CHILD], env=env,
+    proc = subprocess.run([sys.executable, "-S", *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_cli_import_skips_heavy_modules():
+    added = modules_added("-c", _CHILD)
     assert "fourpoint.cli" in added
     assert not added & NOT_AT_START, sorted(added & NOT_AT_START)
+
+
+def test_only_a_wide_modulus_loads_the_ladder():
+    # toy's and mini's powers are the built-in pow; production's first
+    # power loads montpow, and ctypes with it
+    for name in ("toy", "mini"):
+        assert not modules_added("-c", _ROUND_TRIP, name) & LADDER, name
+    assert modules_added("-c", _ROUND_TRIP, "production") >= LADDER
 
 
 def test_traced_reference_names_return_the_reference_results():

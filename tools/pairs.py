@@ -18,6 +18,11 @@ quartile spread (upper minus lower quartile of its runs), the pairs the
 change won (ties count for neither side) and whether the change's
 median stays within the metric's bound in BENCHMARK.json. The tool only
 runs the benchmark; it edits no file of either checkout. Stdlib only.
+
+Place both checkouts at absolute paths of equal length: two copies of
+one commit at paths of different length read op_p50_us up to 1.5% apart
+on production-reject-mix, every pair in one direction, and none apart at
+equal length. The tool warns when the lengths differ.
 """
 
 import argparse
@@ -88,6 +93,13 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         if not (checkout / "perfbench" / "run.py").is_file():
             ap.error(f"{checkout} holds no perfbench/run.py")
+    lengths = [len(str(path.resolve())) for path in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        print(f"pairs: warning: the --parent and --change paths are "
+              f"{lengths[0]} and {lengths[1]} characters long; a path "
+              f"length difference biased op_p50_us by up to 1.5% between "
+              f"two copies of one commit, so compare checkouts at paths of "
+              f"equal length", file=sys.stderr, flush=True)
     metrics = bench["end_to_end"]
     for workload in args.workload or names:
         runs = {"parent": [], "change": []}
